@@ -242,7 +242,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 // BenchmarkCacheAccessSameLine measures repeated fetches within one
 // cache line — the case the MRU fast path short-circuits and the
-// line-granular simulator turns into bulk AccessN accounting. Batched
+// line-granular simulator turns into bulk AccessRun accounting. Batched
 // like BenchmarkCacheAccess so a single op is measurable.
 func BenchmarkCacheAccessSameLine(b *testing.B) {
 	c, err := cache.New(cache.Config{SizeBytes: 2048, LineBytes: 16, Assoc: 2})

@@ -132,6 +132,7 @@ type Cache struct {
 	sets       []way      // sets*assoc entries, set-major
 	stats      []SetStats // per-set totals, indexed by set
 	setMask    uint32
+	wordMask   uint32 // words per line - 1; segments runs at line ends
 	lineShift  uint
 	indexShift uint
 	tagShift   uint
@@ -166,6 +167,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c.lineShift = log2(uint32(cfg.LineBytes))
 	c.setMask = uint32(cfg.Sets() - 1)
+	c.wordMask = uint32(cfg.LineBytes/4) - 1
 	c.indexShift = c.lineShift
 	c.tagShift = c.indexShift + log2(uint32(cfg.Sets()))
 	return c, nil
@@ -309,62 +311,66 @@ func (c *Cache) AccessN(addr uint32, n int, mo int) Result {
 // AccessRun drives k consecutive word fetches starting at addr — a whole
 // block run — through the cache, splitting at line boundaries
 // internally. It is exactly equivalent to k sequential Access calls but
-// walks the tag array once per line in one loop: the direct-mapped hit
-// case (the paper's default geometry, and the overwhelmingly common
-// outcome in a warm replay) is handled inline with no further calls.
-// onMiss is invoked once per missing line with the miss address and the
-// access outcome, so the caller can attribute the victim and drive a
-// second level without this loop paying for it on hits. Returns the
-// number of misses and the number of line transitions; hits are k-misses.
+// resolves each line segment with one inline set walk, for every
+// associativity: the first access of a segment decides hit or miss, and
+// the remaining ones are guaranteed same-line hits accounted in bulk (the
+// clock advances by the segment length and an LRU stamp lands on its
+// final value). A direct-mapped hit — the paper's default geometry, and
+// the overwhelmingly common outcome in a warm replay — costs one tag
+// compare. onMiss is invoked once per missing line with the miss address
+// and the access outcome, after the segment is accounted, so the caller
+// can attribute the victim and drive a second level without this loop
+// paying for it on hits. Returns the number of misses and the number of
+// line transitions; hits are k-misses.
 func (c *Cache) AccessRun(addr uint32, k int, mo int, onMiss func(addr uint32, r Result)) (misses, lines int64) {
-	lineWords := uint32(1) << (c.lineShift - 2)
 	for k > 0 {
-		seg := int(lineWords - (addr>>2)%lineWords)
+		seg := int(c.wordMask + 1 - (addr>>2)&c.wordMask)
 		if seg > k {
 			seg = k
 		}
 		lines++
 		line := addr >> c.lineShift
 		set := line & c.setMask
-		if c.assoc == 1 && !disableFastPath {
-			w := &c.sets[set]
-			tag := addr >> c.tagShift
-			if w.valid && w.tag == tag {
-				// Whole segment hits: advance the clock by seg accesses and
-				// land the stamp on the final value, as seg Access calls
-				// would.
-				c.clock += uint64(seg)
+		tag := addr >> c.tagShift
+		st := &c.stats[set]
+		base := int(set) * c.assoc
+		end := base + c.assoc
+		i := base
+		for i < end && !(c.sets[i].valid && c.sets[i].tag == tag) {
+			i++
+		}
+		if i < end {
+			c.clock += uint64(seg)
+			if c.lru {
+				c.sets[i].stamp = c.clock
+			}
+			st.Hits += int64(seg)
+			c.lastLine, c.lastWay = line, i
+		} else {
+			i = base
+			if c.assoc > 1 {
+				i += c.chooseVictim(c.sets[base:end])
+			}
+			w := &c.sets[i]
+			c.clock++
+			st.Misses++
+			r := Result{Hit: false, VictimMO: NoMO}
+			if w.valid {
+				r.VictimMO = w.mo
+				r.SelfEvict = w.mo == mo
+				st.Evictions++
+			}
+			*w = way{valid: true, tag: tag, mo: mo, stamp: c.clock}
+			if seg > 1 {
+				c.clock += uint64(seg - 1)
 				if c.lru {
 					w.stamp = c.clock
 				}
-				c.stats[set].Hits += int64(seg)
-				c.lastLine, c.lastWay = line, int(set)
-			} else {
-				c.clock++
-				c.stats[set].Misses++
-				r := Result{Hit: false, VictimMO: NoMO}
-				if w.valid {
-					r.VictimMO = w.mo
-					r.SelfEvict = w.mo == mo
-					c.stats[set].Evictions++
-				}
-				*w = way{valid: true, tag: tag, mo: mo, stamp: c.clock}
-				c.lastLine, c.lastWay = line, int(set)
-				if seg > 1 {
-					c.clock += uint64(seg - 1)
-					if c.lru {
-						w.stamp = c.clock
-					}
-					c.stats[set].Hits += int64(seg - 1)
-				}
-				misses++
-				onMiss(addr, r)
+				st.Hits += int64(seg - 1)
 			}
-		} else {
-			if r := c.AccessN(addr, seg, mo); !r.Hit {
-				misses++
-				onMiss(addr, r)
-			}
+			c.lastLine, c.lastWay = line, i
+			misses++
+			onMiss(addr, r)
 		}
 		addr += uint32(seg) * 4
 		k -= seg
@@ -380,19 +386,17 @@ func (c *Cache) AccessRun(addr uint32, k int, mo int, onMiss func(addr uint32, r
 // clock advance exactly as if the accesses were performed one by one.
 // LRU stamps and the MRU hint are NOT updated: hits only refresh state
 // of lines the run itself touches, so the caller must follow up with one
-// real pass (plain Access/AccessN), which re-touches every line and
+// real pass (Access or AccessRun), which re-touches every line and
 // lands each stamp on its exact final clock value.
 func (c *Cache) SkipHitRuns(addr uint32, n int, repeats int64) {
 	c.clock += uint64(n) * uint64(repeats)
-	lineWords := uint32(1) << (c.lineShift - 2)
-	a := addr >> 2 // word index; InstrSize == 4
 	for n > 0 {
-		seg := int(lineWords - a%lineWords)
+		seg := int(c.wordMask + 1 - (addr>>2)&c.wordMask)
 		if seg > n {
 			seg = n
 		}
-		c.stats[(a/lineWords)&c.setMask].Hits += int64(seg) * repeats
-		a += uint32(seg)
+		c.stats[(addr>>c.lineShift)&c.setMask].Hits += int64(seg) * repeats
+		addr += uint32(seg) * 4
 		n -= seg
 	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -408,5 +410,81 @@ func assertSameState(t *testing.T, want, got *Cache) {
 	}
 	if wb.String() != gb.String() {
 		t.Errorf("state differs:\n--- want ---\n%s--- got ---\n%s", wb.String(), gb.String())
+	}
+}
+
+// missEvent is one onMiss callback (or one missing sequential access).
+type missEvent struct {
+	addr uint32
+	r    Result
+}
+
+// TestAccessRunMatchesSequential checks the run-granular entry point the
+// memory-hierarchy simulator drives: AccessRun(addr, k) must leave the
+// cache in exactly the state of k sequential Access calls — every way,
+// the clock, the Random generator, per-set statistics and the MRU hint —
+// and report exactly the sequential misses, in order, through onMiss.
+// Runs start anywhere in a line and cross line boundaries.
+func TestAccessRunMatchesSequential(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8} {
+		for _, pol := range []Policy{LRU, FIFO, Random} {
+			for _, line := range []int{4, 8, 16, 32, 64} {
+				cfg := Config{SizeBytes: 1024, LineBytes: line, Assoc: assoc, Replacement: pol, Seed: 7}
+				t.Run(fmt.Sprintf("%dway-%s-%dB", assoc, pol, line), func(t *testing.T) {
+					accessRunMatchesSequential(t, cfg)
+				})
+			}
+		}
+	}
+}
+
+func accessRunMatchesSequential(t *testing.T, cfg Config) {
+	run := mustNew(t, cfg)
+	seq := mustNew(t, cfg)
+	var got, want []missEvent
+	onMiss := func(addr uint32, r Result) { got = append(got, missEvent{addr, r}) }
+	rng := uint64(0x5eed_0f_ca5e)
+	for i := 0; i < 3000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		// A 4 KiB code region over a 1 KiB cache: plenty of conflicts.
+		addr := uint32(rng>>20) % 4096 &^ 3
+		k := int(rng>>40) % 40
+		mo := int(rng>>8) % 6
+		misses, lines := run.AccessRun(addr, k, mo, onMiss)
+
+		var wantMisses, wantLines int64
+		for j := 0; j < k; j++ {
+			a := addr + uint32(4*j)
+			if j == 0 || a%uint32(cfg.LineBytes) == 0 {
+				wantLines++
+			}
+			if r := seq.Access(a, mo); !r.Hit {
+				wantMisses++
+				want = append(want, missEvent{a, r})
+			}
+		}
+		if misses != wantMisses || lines != wantLines {
+			t.Fatalf("run %d (%#x, %d): misses/lines %d/%d, sequential %d/%d",
+				i, addr, k, misses, lines, wantMisses, wantLines)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d (%#x, %d): onMiss sequence\n got %+v\nwant %+v", i, addr, k, got, want)
+		}
+		if !slices.Equal(run.sets, seq.sets) {
+			t.Fatalf("run %d (%#x, %d): ways differ", i, addr, k)
+		}
+		if !slices.Equal(run.stats, seq.stats) {
+			t.Fatalf("run %d (%#x, %d): per-set stats differ", i, addr, k)
+		}
+		if run.clock != seq.clock || run.rng != seq.rng {
+			t.Fatalf("run %d: clock/rng %d/%#x, sequential %d/%#x", i, run.clock, run.rng, seq.clock, seq.rng)
+		}
+		if run.lastLine != seq.lastLine || run.lastWay != seq.lastWay {
+			t.Fatalf("run %d: MRU hint line %#x way %d, sequential line %#x way %d",
+				i, run.lastLine, run.lastWay, seq.lastLine, seq.lastWay)
+		}
+		got, want = got[:0], want[:0]
 	}
 }

@@ -454,11 +454,9 @@ func (p *Pipeline) RunSteinke(ctx context.Context) (*Outcome, error) {
 // move effects.
 func (p *Pipeline) RunSelection(ctx context.Context, name string, inSPM []bool, mode layout.Mode) (*Outcome, error) {
 	used := 0
-	placed := 0
 	for i, in := range inSPM {
 		if in {
 			used += p.Set.Traces[i].RawBytes
-			placed++
 		}
 	}
 	return p.runSPM(ctx, name, inSPM, mode, used, 0)
@@ -533,31 +531,24 @@ func (p *Pipeline) runLoopCache(ctx context.Context) (*Outcome, error) {
 	return p.finish("loopcache", res, len(ctrl.Regions()), ctrl.Used(), 0), nil
 }
 
-// RunCacheOnly simulates the trace layout with no scratchpad or loop
-// cache: the reference hierarchy.
+// RunCacheOnly reports the trace layout with no scratchpad or loop cache:
+// the reference hierarchy. It simulates nothing: the conflict-profiling
+// run of Prepare (Baseline) drove the same plain layout through the same
+// cache, so its counters are exactly the cache-only run's, and only the
+// energy has to be re-priced under the scratchpad-free cost model.
 func (p *Pipeline) RunCacheOnly(ctx context.Context) (*Outcome, error) {
-	return p.outcome("cache-only", func() (*Outcome, error) { return p.runCacheOnly(ctx) })
+	return p.outcome("cache-only", p.runCacheOnly)
 }
 
-func (p *Pipeline) runCacheOnly(ctx context.Context) (*Outcome, error) {
-	plain, err := layout.New(p.Set, nil, layout.Options{})
-	if err != nil {
-		return nil, err
-	}
+func (p *Pipeline) runCacheOnly() (*Outcome, error) {
 	cost, err := energy.NewCostModel(energy.Config{Cache: p.Cache.geometry()})
 	if err != nil {
 		return nil, err
 	}
-	_, sp := obs.StartSpan(ctx, "simulate")
-	sp.SetAttr("allocator", "cache-only")
-	res, err := memsim.Run(p.Prog, plain, memsim.Config{
+	res := memsim.Reprice(p.Baseline, memsim.Config{
 		Cache: p.Cache.cacheConfig(),
 		Cost:  cost,
 	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
 	return p.finish("cache-only", res, 0, 0, 0), nil
 }
 

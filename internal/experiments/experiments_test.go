@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -600,4 +601,128 @@ func mustCost(t testing.TB, cfg energy.Config) energy.CostModel {
 		t.Fatalf("NewCostModel: %v", err)
 	}
 	return cm
+}
+
+// TestCacheOnlyDerivedMatchesSimulated is the oracle for RunCacheOnly,
+// which re-prices the conflict-profiling run instead of simulating: on
+// every Figure 4, sensitivity (random replacement included) and Table 1
+// cell, the derived outcome must equal a direct simulation of the plain
+// layout under the cache-only cost model — every counter, every per-MO
+// entry, and the energy and cycle totals bit for bit.
+func TestCacheOnlyDerivedMatchesSimulated(t *testing.T) {
+	type cell struct {
+		name  string
+		cache CacheSpec
+		spm   int
+	}
+	var cells []cell
+	seen := map[cell]bool{}
+	add := func(c cell) {
+		if !seen[c] {
+			seen[c] = true
+			cells = append(cells, c)
+		}
+	}
+	fig4 := DefaultFig4()
+	for _, spm := range fig4.SPMSizes {
+		add(cell{fig4.Workload, fig4.Cache, spm})
+	}
+	sens := DefaultSensitivity()
+	for _, spec := range sens.Variants {
+		add(cell{sens.Workload, spec, sens.SPMSize})
+	}
+	for _, b := range DefaultTable1().Benchmarks {
+		for _, spm := range b.MemSizes {
+			add(cell{b.Workload, b.Cache, spm})
+		}
+	}
+	if raceEnabled {
+		// One Figure 4, one random-replacement and one Table 1 cell keep
+		// the instrumented pass short; the full sweep runs uninstrumented.
+		cells = []cell{cells[0], cells[len(fig4.SPMSizes)+4], cells[len(cells)-1]}
+	}
+	s := NewSuite()
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%s/%dB-%dB-%dway-%s/spm%d", c.name, c.cache.Size, c.cache.Line,
+			c.cache.Assoc, c.cache.Policy, c.spm), func(t *testing.T) {
+			ctx := context.Background()
+			p, err := s.Pipeline(ctx, c.name, c.cache, c.spm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.RunCacheOnly(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := layout.New(p.Set, nil, layout.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := energy.NewCostModel(energy.Config{Cache: c.cache.geometry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := memsim.Run(p.Prog, plain, memsim.Config{Cache: c.cache.cacheConfig(), Cost: cost})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRun(t, want, got.Result)
+			if math.Float64bits(got.EnergyMicroJ) != math.Float64bits(want.TotalEnergyMicroJ()) {
+				t.Errorf("EnergyMicroJ %v, simulated %v", got.EnergyMicroJ, want.TotalEnergyMicroJ())
+			}
+		})
+	}
+}
+
+// assertSameRun compares two simulation results counter for counter and
+// float bit for float bit.
+func assertSameRun(t *testing.T, want, got *memsim.Result) {
+	t.Helper()
+	ints := []struct {
+		name      string
+		want, got int64
+	}{
+		{"Fetches", want.Fetches, got.Fetches},
+		{"SPMAccesses", want.SPMAccesses, got.SPMAccesses},
+		{"LoopCacheAccesses", want.LoopCacheAccesses, got.LoopCacheAccesses},
+		{"CacheAccesses", want.CacheAccesses, got.CacheAccesses},
+		{"CacheHits", want.CacheHits, got.CacheHits},
+		{"CacheMisses", want.CacheMisses, got.CacheMisses},
+		{"L2Accesses", want.L2Accesses, got.L2Accesses},
+		{"L2Hits", want.L2Hits, got.L2Hits},
+		{"L2Misses", want.L2Misses, got.L2Misses},
+		{"ColdMisses", want.ColdMisses, got.ColdMisses},
+		{"ConflictMisses", want.ConflictMisses, got.ConflictMisses},
+		{"MainMemoryFetches", want.MainMemoryFetches, got.MainMemoryFetches},
+		{"Cycles", want.Cycles, got.Cycles},
+	}
+	for _, c := range ints {
+		if c.want != c.got {
+			t.Errorf("%s: %d, simulated %d", c.name, c.got, c.want)
+		}
+	}
+	if len(want.PerMO) != len(got.PerMO) {
+		t.Fatalf("PerMO length %d, simulated %d", len(got.PerMO), len(want.PerMO))
+	}
+	for i := range want.PerMO {
+		if want.PerMO[i] != got.PerMO[i] {
+			t.Errorf("PerMO[%d]: %+v, simulated %+v", i, got.PerMO[i], want.PerMO[i])
+		}
+	}
+	floats := []struct {
+		name      string
+		want, got float64
+	}{
+		{"Energy.SPM", want.Energy.SPM, got.Energy.SPM},
+		{"Energy.CacheHits", want.Energy.CacheHits, got.Energy.CacheHits},
+		{"Energy.CacheMisses", want.Energy.CacheMisses, got.Energy.CacheMisses},
+		{"Energy.LoopCache", want.Energy.LoopCache, got.Energy.LoopCache},
+		{"Energy.LoopCacheController", want.Energy.LoopCacheController, got.Energy.LoopCacheController},
+		{"Energy.MainMemory", want.Energy.MainMemory, got.Energy.MainMemory},
+	}
+	for _, f := range floats {
+		if math.Float64bits(f.want) != math.Float64bits(f.got) {
+			t.Errorf("%s: %v, simulated %v", f.name, f.got, f.want)
+		}
+	}
 }

@@ -228,6 +228,8 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 		{name: "2way-fifo", l1: cache.Config{SizeBytes: 128, LineBytes: 16, Assoc: 2, Replacement: cache.FIFO}},
 		{name: "4way-random", l1: cache.Config{SizeBytes: 128, LineBytes: 8, Assoc: 4, Replacement: cache.Random, Seed: 0xC0FFEE}},
 		{name: "word-lines", l1: cache.Config{SizeBytes: 64, LineBytes: 4, Assoc: 2}},
+		{name: "dm-32B-lines", l1: cache.Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}},
+		{name: "8way-fifo", l1: cache.Config{SizeBytes: 256, LineBytes: 16, Assoc: 8, Replacement: cache.FIFO}},
 		{name: "no-cache"},
 		{name: "l2", l1: cache.Config{SizeBytes: 64, LineBytes: 16, Assoc: 1},
 			l2: cache.Config{SizeBytes: 512, LineBytes: 16, Assoc: 2}},
@@ -341,7 +343,7 @@ func FuzzReplayMatchesReference(f *testing.F) {
 		}
 		set := buildTraces(t, p, trace.Options{
 			MaxBytes:  16 << (fz.byte() % 4),
-			LineBytes: 4 << (fz.byte() % 3),
+			LineBytes: 4 << (fz.byte() % 5),
 		})
 
 		opt := layout.Options{SPMSize: 64 << (fz.byte() % 3)}
@@ -363,8 +365,8 @@ func FuzzReplayMatchesReference(f *testing.F) {
 
 		cfg := Config{TrackConflicts: true}
 		if fz.byte()%8 != 0 {
-			line := 4 << (fz.byte() % 3)
-			assoc := 1 << (fz.byte() % 3)
+			line := 4 << (fz.byte() % 5)
+			assoc := 1 << (fz.byte() % 4)
 			size := 32 << (fz.byte() % 5)
 			if size < line*assoc {
 				size = line * assoc

@@ -42,6 +42,9 @@ var (
 	// dispatch shows up as bulk fetches collapsing toward fetch counts).
 	mSimLines = obs.GetCounter("casa_sim_lines_total")
 	mSimBulk  = obs.GetCounter("casa_sim_bulk_fetches_total")
+	// mSimDerived counts outcomes re-priced from an earlier run instead of
+	// simulated (Reprice); the counters above cover simulations only.
+	mSimDerived = obs.GetCounter("casa_sim_derived_total")
 )
 
 // Config selects the hierarchy for one simulation run.
@@ -198,7 +201,7 @@ func (r *Result) TotalEnergyMicroJ() float64 { return r.Energy.Total() / 1000 }
 // sim.RunFetcher, so whole same-block instruction runs arrive as one
 // dynamic dispatch; each run is split at scratchpad-window, loop-cache-
 // region and cache-line boundaries and every segment is accounted in
-// bulk — cache.AccessN touches the tag array once per line instead of
+// bulk — cache.AccessRun touches the tag array once per line instead of
 // once per instruction. The splits reproduce the per-instruction
 // classification exactly: a fetch at address a+4i belongs to a segment
 // iff the scalar reference would classify it the same way, because
@@ -396,7 +399,7 @@ func (h *hier) FetchRunRepeat(base uint32, n int, mo int, count int64) {
 
 // cacheRun sends k consecutive fetches at addr through the I-cache,
 // splitting at line boundaries: within one line the first access decides
-// hit or miss and the rest are guaranteed hits, so cache.AccessN
+// hit or miss and the rest are guaranteed hits, so cache.AccessRun
 // accounts them in bulk while this level attributes the outcome — the
 // per-MO split, cold/conflict classification and m_ij edges — exactly
 // as the scalar reference does per instruction.
@@ -576,6 +579,25 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 	}
 	flushMetrics(res, ic, h)
 	return res, nil
+}
+
+// Reprice returns the outcome of simulating again what run simulated —
+// same program, layout and hierarchy (cache, L2, loop cache, timing) —
+// priced under cfg's cost model instead. The event counters depend only
+// on the fetch stream and the hierarchy, so they are copied (PerMO
+// deep-copied); energy and cycles are recomputed by finalize, the path
+// every simulation prices through, so the floats equal a fresh run's
+// bit for bit. Conflicts and the final cache state are not carried over.
+// The caller guarantees that run and cfg describe the same hierarchy.
+func Reprice(run *Result, cfg Config) *Result {
+	res := *run
+	res.PerMO = append([]MOStats(nil), run.PerMO...)
+	res.Conflicts = nil
+	res.Cache = nil
+	res.Energy = Energy{}
+	finalize(&res, cfg, cfg.LoopCache != nil, cfg.L2.SizeBytes > 0)
+	mSimDerived.Inc()
+	return &res
 }
 
 // finalize derives the energy and cycle totals from the run's integer

@@ -249,7 +249,7 @@ func TestCachedTraceConcurrent(t *testing.T) {
 
 func TestTraceCacheEviction(t *testing.T) {
 	oldCap := traceCacheCapBytes
-	traceCacheCapBytes = 4096 // roughly one irregular trace's worth
+	traceCacheCapBytes = 2560 // roughly one irregular trace's worth
 	defer func() { traceCacheCapBytes = oldCap }()
 
 	// Programs with distinct irregular step sequences, each exceeding
@@ -307,12 +307,13 @@ func irregularProgram(t *testing.T, trips int) *ir.Program {
 // the allocator committed (slice capacity), not the logical length.
 func TestTraceSizeBytesCountsCapacity(t *testing.T) {
 	tr := &Trace{
-		refs:   make([]uint64, 2, 100),
-		instrs: make([]int32, 2, 100),
+		blocks: make([]ir.BlockRef, 1, 10),
+		instrs: make([]int32, 1, 10),
+		idx:    make([]int32, 2, 100),
 		kinds:  make([]StepKind, 2, 100),
 		counts: make([]int64, 2, 100),
 	}
-	if got, want := tr.SizeBytes(), 100*(8+4+1+8); got != want {
+	if got, want := tr.SizeBytes(), 10*(8+4)+100*(4+1+8); got != want {
 		t.Fatalf("SizeBytes = %d, want %d (capacity-based)", got, want)
 	}
 	if tr.NumSteps() != 2 {
@@ -333,8 +334,8 @@ func TestTraceCacheBytesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.SizeBytes() < 21*tr.NumSteps() {
-		t.Fatalf("SizeBytes %d below the 21·steps floor %d", tr.SizeBytes(), 21*tr.NumSteps())
+	if tr.SizeBytes() < 13*tr.NumSteps() {
+		t.Fatalf("SizeBytes %d below the 13·steps floor %d", tr.SizeBytes(), 13*tr.NumSteps())
 	}
 
 	// The gauge must equal the locked byte total, and that total must be

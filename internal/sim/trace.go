@@ -30,12 +30,16 @@ var mTraceReplays = obs.GetCounter("casa_trace_replays_total")
 // dynamic block sequence with exit kinds. It is layout-independent and
 // immutable once recorded; Replay is safe for concurrent use.
 type Trace struct {
-	// Parallel arrays, one entry per RLE step: the executed block
-	// (packed func<<32|block), its instruction count, how control left
-	// it, and how many times the step repeats consecutively (taken
-	// self-loops compress to a single entry).
-	refs   []uint64
+	// blocks lists every executed block once, in first-execution order,
+	// with its instruction count in instrs; steps name blocks by their
+	// dense index into these tables.
+	blocks []ir.BlockRef
 	instrs []int32
+
+	// Parallel arrays, one entry per RLE step: the executed block's dense
+	// index, how control left it, and how many times the step repeats
+	// consecutively (taken self-loops compress to a single entry).
+	idx    []int32
 	kinds  []StepKind
 	counts []int64
 
@@ -43,37 +47,51 @@ type Trace struct {
 	fetches int64 // total block-instruction fetches (appended jumps excluded)
 }
 
-func packRef(ref ir.BlockRef) uint64 {
-	return uint64(uint32(ref.Func))<<32 | uint64(uint32(ref.Block))
+// recorder builds a Trace, assigning dense block indices on first
+// execution through a per-function slot table.
+type recorder struct {
+	t    *Trace
+	slot [][]int32 // [func][block] → dense index + 1 (0 = not yet seen)
 }
 
-func unpackRef(pr uint64) ir.BlockRef {
-	return ir.BlockRef{Func: ir.FuncID(uint32(pr >> 32)), Block: ir.BlockID(uint32(pr))}
+func newRecorder(p *ir.Program) *recorder {
+	r := &recorder{t: &Trace{}, slot: make([][]int32, len(p.Funcs))}
+	for i, f := range p.Funcs {
+		r.slot[i] = make([]int32, len(f.Blocks))
+	}
+	return r
 }
 
 // push appends one dynamic step, run-length-merging it into the previous
 // entry when it repeats the same block and exit kind.
-func (t *Trace) push(ref ir.BlockRef, instrs int, kind StepKind) {
+func (r *recorder) push(ref ir.BlockRef, instrs int, kind StepKind) {
+	t := r.t
 	t.steps++
 	t.fetches += int64(instrs)
-	pr := packRef(ref)
-	if n := len(t.refs) - 1; n >= 0 && t.refs[n] == pr && t.kinds[n] == kind {
+	s := &r.slot[ref.Func][ref.Block]
+	if *s == 0 {
+		t.blocks = append(t.blocks, ref)
+		t.instrs = append(t.instrs, int32(instrs))
+		*s = int32(len(t.blocks))
+	}
+	b := *s - 1
+	if n := len(t.idx) - 1; n >= 0 && t.idx[n] == b && t.kinds[n] == kind {
 		t.counts[n]++
 		return
 	}
-	t.refs = append(t.refs, pr)
-	t.instrs = append(t.instrs, int32(instrs))
+	t.idx = append(t.idx, b)
 	t.kinds = append(t.kinds, kind)
 	t.counts = append(t.counts, 1)
 }
 
 // NumSteps returns the number of RLE entries.
-func (t *Trace) NumSteps() int { return len(t.refs) }
+func (t *Trace) NumSteps() int { return len(t.idx) }
 
 // Step returns the i-th RLE entry: the executed block, its instruction
 // count, how control left it, and the consecutive repeat count.
 func (t *Trace) Step(i int) (ref ir.BlockRef, instrs int, kind StepKind, count int64) {
-	return unpackRef(t.refs[i]), int(t.instrs[i]), t.kinds[i], t.counts[i]
+	b := t.idx[i]
+	return t.blocks[b], int(t.instrs[b]), t.kinds[i], t.counts[i]
 }
 
 // Steps returns the total dynamic step count (sum of repeats).
@@ -87,23 +105,51 @@ func (t *Trace) Fetches() int64 { return t.fetches }
 // backing-array *capacity* — what the allocator committed, which is what
 // the cache's eviction bound must charge.
 func (t *Trace) SizeBytes() int {
-	return 8*cap(t.refs) + 4*cap(t.instrs) + cap(t.kinds) + 8*cap(t.counts)
+	return 8*cap(t.blocks) + 4*cap(t.instrs) +
+		4*cap(t.idx) + cap(t.kinds) + 8*cap(t.counts)
 }
 
 // RecordTrace executes p once and records its dynamic block sequence.
 func RecordTrace(p *ir.Program, opts ...Option) (*Trace, error) {
-	t := &Trace{}
+	r := newRecorder(p)
 	e := newExec(p, opts)
 	err := e.run(
 		func(ir.BlockRef, int) {},
 		nil,
 		nil,
-		t.push,
+		r.push,
 	)
 	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return r.t, nil
+}
+
+// placedBlock is one executed block resolved under a layout: where it
+// runs, which memory object owns it, its length, and its appended jump.
+type placedBlock struct {
+	base uint32
+	jump uint32
+	mo   int32
+	n    int32
+	jok  bool
+}
+
+// place resolves every executed block under lay once, so the replay
+// loop reads flat tables instead of making Layout calls per step.
+func (t *Trace) place(lay Layout) []placedBlock {
+	tab := make([]placedBlock, len(t.blocks))
+	for i, ref := range t.blocks {
+		jaddr, jok := lay.FallJump(ref)
+		tab[i] = placedBlock{
+			base: lay.BlockBase(ref),
+			jump: jaddr,
+			mo:   int32(lay.BlockMO(ref)),
+			n:    t.instrs[i],
+			jok:  jok,
+		}
+	}
+	return tab
 }
 
 // Replay decodes the trace under lay, delivering the exact fetch stream
@@ -119,14 +165,13 @@ func (t *Trace) Replay(lay Layout, sink Fetcher) int64 {
 		rf = scalarRuns{sink}
 	}
 	rr, repeats := rf.(RunRepeater)
+	tab := t.place(lay)
 	var total int64
-	var stack []ir.BlockRef // return continuations, mirrors exec.run
-	for i, pr := range t.refs {
-		ref := unpackRef(pr)
-		n := int(t.instrs[i])
+	var stack []int32 // return continuations (dense indices), mirrors exec.run
+	for i, b := range t.idx {
+		blk := &tab[b]
+		base, n, mo := blk.base, int(blk.n), int(blk.mo)
 		cnt := t.counts[i]
-		base := lay.BlockBase(ref)
-		mo := lay.BlockMO(ref)
 		total += cnt * int64(n)
 		switch t.kinds[i] {
 		case StepTaken:
@@ -141,18 +186,17 @@ func (t *Trace) Replay(lay Layout, sink Fetcher) int64 {
 				}
 			}
 		case StepFall:
-			jaddr, jok := lay.FallJump(ref)
 			for j := int64(0); j < cnt; j++ {
 				rf.FetchRun(base, n, mo)
-				if jok {
-					sink.Fetch(jaddr, mo)
+				if blk.jok {
+					sink.Fetch(blk.jump, mo)
 					total++
 				}
 			}
 		case StepCall:
 			for j := int64(0); j < cnt; j++ {
 				rf.FetchRun(base, n, mo)
-				stack = append(stack, ref)
+				stack = append(stack, b)
 			}
 		case StepReturn:
 			for j := int64(0); j < cnt; j++ {
@@ -160,10 +204,10 @@ func (t *Trace) Replay(lay Layout, sink Fetcher) int64 {
 				if len(stack) == 0 {
 					break // program-terminating return: always the last step
 				}
-				caller := stack[len(stack)-1]
+				caller := &tab[stack[len(stack)-1]]
 				stack = stack[:len(stack)-1]
-				if jaddr, ok := lay.FallJump(caller); ok {
-					sink.Fetch(jaddr, lay.BlockMO(caller))
+				if caller.jok {
+					sink.Fetch(caller.jump, int(caller.mo))
 					total++
 				}
 			}
