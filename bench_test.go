@@ -24,31 +24,13 @@ import (
 
 // BenchmarkFig4CASAvsSteinke regenerates Figure 4: CASA vs. Steinke's
 // algorithm on mpeg with a 2 kB direct-mapped I-cache, scratchpad sizes
-// 128–1024 bytes.
+// 128–1024 bytes. Every iteration starts cold (coldStart), so the number
+// covers the whole grid — profiling, trace recording, the warm-started
+// solves — and does not depend on which benchmarks ran before it.
 func BenchmarkFig4CASAvsSteinke(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultFig4()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig4(context.Background(), s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.WriteFig4(benchWriter(b), cfg, rows)
-		}
-	}
-}
-
-// BenchmarkFig4Incremental measures the warm-started grid end to end:
-// a fresh suite per iteration, so every iteration re-runs the cell
-// planner, the cross-cell cutoff transfers, and the shared presolve
-// session instead of hitting the suite's allocation memo (which
-// BenchmarkFig4CASAvsSteinke does after its first iteration). This is
-// the number the incremental machinery is accountable for in CI.
-func BenchmarkFig4Incremental(b *testing.B) {
-	cfg := experiments.DefaultFig4()
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
+		s := coldStart(b, cfg.Workload)
 		rows, err := experiments.Fig4(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -155,34 +137,13 @@ func BenchmarkAblationCopyVsMove(b *testing.B) {
 
 // BenchmarkSensitivity sweeps CASA across cache organizations
 // (associativity, replacement policy, line size) on g721 — the paper's
-// "generic algorithm" claim made measurable.
+// "generic algorithm" claim made measurable. Like the Fig. 4 benchmark
+// it starts every iteration cold; most cells share a trace partition,
+// so this grid is where basis transfer between cells pays.
 func BenchmarkSensitivity(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultSensitivity()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Sensitivity(context.Background(), s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.WriteSensitivity(benchWriter(b), cfg, rows)
-		}
-	}
-}
-
-// BenchmarkSensitivityIncremental measures the warm-started sensitivity
-// grid end to end: a fresh suite per iteration, so every iteration
-// re-runs the cell planner, the cutoff and basis transfers, and the
-// shared presolve session instead of hitting the suite's allocation
-// memo (which BenchmarkSensitivity does after its first iteration).
-// Together with BenchmarkFig4Incremental this is the number the
-// incremental machinery is accountable for in CI — the sensitivity
-// cells share a trace partition across most of the cache sweep, so
-// this grid is where basis transfer pays.
-func BenchmarkSensitivityIncremental(b *testing.B) {
-	cfg := experiments.DefaultSensitivity()
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
+		s := coldStart(b, cfg.Workload)
 		rows, err := experiments.Sensitivity(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -384,6 +345,18 @@ func BenchmarkSimplexKnapsackLP(b *testing.B) {
 // benchWriter routes one-time experiment output through b.Log so results
 // appear with -v without polluting benchmark timing lines.
 func benchWriter(b *testing.B) io.Writer { return logWriter{b} }
+
+// coldStart drops the named workload's process-wide profile and trace
+// memos and returns a fresh suite, so a grid iteration recomputes
+// everything whatever ran before it in the process.
+func coldStart(b *testing.B, name string) *experiments.Suite {
+	prog, err := workload.Shared(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.Forget(prog)
+	return experiments.NewSuite()
+}
 
 type logWriter struct{ b *testing.B }
 

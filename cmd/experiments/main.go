@@ -43,6 +43,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slogx"
 	"repro/internal/parallel"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 type study struct {
@@ -241,28 +243,31 @@ func collectDegraded(spans []*obs.Span) []obs.DegradedCell {
 }
 
 // compare times each study twice on fresh suites — serial, then at the
-// requested width. The fetch-stream cache is disabled so the second run
-// does not coast on recordings the first one left behind.
+// requested width. Every bundled program's profile and trace memos are
+// dropped before each timed run, so the second run does not coast on
+// recordings the first one left behind.
 func compare(sel []study, workers int) error {
-	if err := os.Setenv("CASA_STREAM_CACHE", "off"); err != nil {
-		return err
-	}
 	ctx := context.Background()
 	width := parallel.Workers(workers)
 	fmt.Printf("%-12s %10s %14s %9s\n", "study", "serial(s)", "parallel(s)", "speedup")
 	for _, st := range sel {
-		start := time.Now()
-		if err := st.run(ctx, experiments.NewSuite().SetWorkers(1), io.Discard); err != nil {
-			return err
+		var secs [2]float64 // serial, parallel
+		for k, w := range []int{1, workers} {
+			for _, name := range workload.Names() {
+				prog, err := workload.Shared(name)
+				if err != nil {
+					return err
+				}
+				sim.Forget(prog)
+			}
+			start := time.Now()
+			if err := st.run(ctx, experiments.NewSuite().SetWorkers(w), io.Discard); err != nil {
+				return err
+			}
+			secs[k] = time.Since(start).Seconds()
 		}
-		serial := time.Since(start)
-		start = time.Now()
-		if err := st.run(ctx, experiments.NewSuite().SetWorkers(workers), io.Discard); err != nil {
-			return err
-		}
-		par := time.Since(start)
 		fmt.Printf("%-12s %10.3f %14.3f %8.2fx  (%d workers)\n",
-			st.name, serial.Seconds(), par.Seconds(), serial.Seconds()/par.Seconds(), width)
+			st.name, secs[0], secs[1], secs[0]/secs[1], width)
 	}
 	return nil
 }

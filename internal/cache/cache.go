@@ -285,29 +285,6 @@ func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 	return res
 }
 
-// AccessN performs n consecutive fetches starting at addr by the given
-// memory object, all of which must fall within one cache line (the
-// memory-hierarchy simulator splits block runs at line boundaries before
-// calling it). It is exactly equivalent to n sequential Access calls:
-// the first access resolves the line; the remaining n-1 are then
-// guaranteed same-line hits — the line is resident and nothing evicts
-// between them — so they are accounted in bulk: the clock advances by
-// n-1, the LRU stamp lands on the final clock value (as it would after n
-// sequential touches), and FIFO stamps and the Random policy's generator
-// are untouched (hits never consult them). The returned Result is the
-// first access's outcome; the rest are hits by construction.
-func (c *Cache) AccessN(addr uint32, n int, mo int) Result {
-	r := c.Access(addr, mo)
-	if n > 1 {
-		c.clock += uint64(n - 1)
-		if c.lru {
-			c.sets[c.lastWay].stamp = c.clock
-		}
-		c.stats[c.lastLine&c.setMask].Hits += int64(n - 1)
-	}
-	return r
-}
-
 // AccessRun drives k consecutive word fetches starting at addr — a whole
 // block run — through the cache, splitting at line boundaries
 // internally. It is exactly equivalent to k sequential Access calls but

@@ -358,42 +358,6 @@ func TestFastPathMatchesSetWalk(t *testing.T) {
 	}
 }
 
-// TestAccessNMatchesSequential checks the bulk same-line accounting:
-// AccessN(addr, n) must leave the cache in exactly the state n
-// sequential word accesses within the line would.
-func TestAccessNMatchesSequential(t *testing.T) {
-	for _, cfg := range diffConfigs() {
-		t.Run(cfg.Replacement.String(), func(t *testing.T) {
-			bulk := mustNew(t, cfg)
-			seq := mustNew(t, cfg)
-			rng := uint64(0xfeed_face_cafe_beef)
-			lineWords := cfg.LineBytes / 4
-			for i := 0; i < 5000; i++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				line := uint32(rng>>16) % 512
-				base := line*uint32(cfg.LineBytes) + uint32(rng%uint64(lineWords))*4
-				// n fetches from base staying inside the line.
-				room := lineWords - int(base/4)%lineWords
-				n := 1 + int(rng>>40)%room
-				mo := int(rng>>32) % 5
-				rb := bulk.AccessN(base, n, mo)
-				rs := seq.Access(base, mo)
-				for k := 1; k < n; k++ {
-					if r := seq.Access(base+uint32(4*k), mo); !r.Hit {
-						t.Fatalf("sequential follow-up %d missed", k)
-					}
-				}
-				if rb != rs {
-					t.Fatalf("access %d: bulk %+v, sequential first %+v", i, rb, rs)
-				}
-			}
-			assertSameState(t, seq, bulk)
-		})
-	}
-}
-
 // assertSameState compares two caches' aggregate statistics and full
 // per-set dumps.
 func assertSameState(t *testing.T, want, got *Cache) {

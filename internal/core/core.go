@@ -117,8 +117,8 @@ type Allocation struct {
 	// the selection came from GreedyAllocate.
 	Fallback bool
 	// Hot is the solver's transferable warm state (final basis and
-	// pseudocosts), set on proven-optimal incremental-mode solves. Warm
-	// planners hand it to a neighboring cell via Params.Solver.HotStart.
+	// pseudocosts), set on proven-optimal solves. Warm-start donor stores
+	// hand it to a neighboring cell via Params.Solver.HotStart.
 	Hot *ilp.HotStart
 }
 

@@ -56,7 +56,7 @@ var (
 	mAllocMisses = obs.GetCounter("casa_alloc_memo_misses_total")
 	// mConflictIncremental counts conflict graphs rebased onto a donor
 	// cell's vertex layer instead of being built from scratch
-	// (prepareProgram; gated on CASA_INCREMENTAL by the suite).
+	// (prepareProgram, with a donor graph from the suite).
 	mConflictIncremental = obs.GetCounter("casa_conflict_incremental_total")
 )
 
@@ -126,24 +126,13 @@ type Pipeline struct {
 	// Session shares presolve reductions across this pipeline's solves
 	// (set by the owning Suite; nil for standalone pipelines).
 	Session *ilp.Session
-
-	// WarmCutoff, when non-nil, seeds the CASA solve with a
-	// known-feasible objective value (a cutoff, see ilp.Options.Cutoff).
-	// Callers that keep their own cross-pipeline warm stores — the
-	// serving daemon — fill it before the first RunCASA; pipelines owned
-	// by a Suite ignore it in favor of the suite's warm planner. Ignored
-	// when CASA_INCREMENTAL is off.
-	WarmCutoff *float64
-
-	// WarmHot optionally carries a donor solve's transferable basis and
-	// pseudocosts alongside WarmCutoff (ilp.Options.HotStart). Like the
-	// cutoff it never changes results, only solve time; suite-owned
-	// pipelines ignore it in favor of the warm planner's donor choice.
-	WarmHot *ilp.HotStart
-
-	// suite points back at the owning Suite for cross-cell warm starts;
-	// nil for pipelines prepared outside a suite.
-	suite *Suite
+	// Warm, when non-nil, is the donor store shared with neighboring
+	// pipelines (warmplan.go): the CASA solve is seeded from its
+	// single-parameter neighbors and, once proven optimal, recorded into
+	// it. Set by the owning Suite, or by a caller keeping its own store
+	// (the serving daemon); nil for cold standalone pipelines. It never
+	// changes results, only solve time.
+	Warm *WarmStore
 
 	// mu guards the memo tables below; each entry is singleflight so a
 	// result is computed once even under concurrent callers.
@@ -161,6 +150,7 @@ type outcomeEntry struct {
 type allocEntry struct {
 	once  sync.Once
 	alloc *core.Allocation
+	warm  bool // the solve was seeded from a Warm store donor
 	err   error
 }
 
@@ -296,6 +286,9 @@ type Outcome struct {
 	// Fallback marks a degraded result obtained from GreedyAllocate
 	// because the solver produced no incumbent at all.
 	Fallback bool
+	// Warm marks a CASA result whose solve was seeded with a cutoff from
+	// a donor in the pipeline's Warm store. It changes no other field.
+	Warm bool
 }
 
 func (p *Pipeline) finish(name string, res *memsim.Result, placed, used, nodes int) *Outcome {
@@ -348,6 +341,12 @@ func (p *Pipeline) outcome(key string, fn func() (*Outcome, error)) (*Outcome, e
 // CASAAllocation returns the pipeline's CASA ILP allocation, solved at
 // most once; RunCASA, the ablations and the WCET study all share it.
 func (p *Pipeline) CASAAllocation(ctx context.Context) (*core.Allocation, error) {
+	e := p.casaAllocation(ctx)
+	return e.alloc, e.err
+}
+
+// casaAllocation is CASAAllocation returning the whole memo entry.
+func (p *Pipeline) casaAllocation(ctx context.Context) *allocEntry {
 	p.mu.Lock()
 	created := p.alloc == nil
 	if created {
@@ -365,30 +364,28 @@ func (p *Pipeline) CASAAllocation(ctx context.Context) (*core.Allocation, error)
 		defer sp.End()
 		sp.SetAttr("workload", p.Workload)
 		params := p.casaParams()
-		if p.suite != nil && ilp.IncrementalEnabled() {
+		if p.Warm != nil {
 			// Cross-cell warm start: seed the solve with the tightest
-			// cutoff transferable from a solved neighboring cell, plus —
-			// when a partition-matching donor exists — that donor's simplex
-			// basis and pseudocosts (warmplan.go). Cold cells are counted
-			// as misses here; hits are counted by the solver when it
-			// installs the cutoff.
-			if cut, hot, ok := p.suite.warmCutoff(p, params); ok {
+			// cutoff transferable from a solved neighbor, plus — when a
+			// partition-matching donor exists — that donor's simplex basis
+			// and pseudocosts (warmplan.go). Cold solves are counted as
+			// misses here; hits are counted by the solver when it installs
+			// the cutoff.
+			if cut, hot, ok := p.Warm.cutoff(p, params); ok {
 				params.Solver.Cutoff = &cut
 				params.Solver.HotStart = hot
+				e.warm = true
 				sp.SetAttr("warm_cutoff", cut)
 			} else {
 				mWarmCellMisses.Inc()
 			}
-		} else if p.WarmCutoff != nil && ilp.IncrementalEnabled() {
-			params.Solver.Cutoff = p.WarmCutoff
-			params.Solver.HotStart = p.WarmHot
-			sp.SetAttr("warm_cutoff", *p.WarmCutoff)
 		}
 		e.alloc, e.err = core.Allocate(actx, p.Set, p.Graph, params)
 		if e.err != nil {
 			e.err = fmt.Errorf("experiments: casa %s/%d: %w", p.Workload, p.SPMSize, e.err)
-		} else if p.suite != nil && ilp.IncrementalEnabled() {
-			p.suite.recordWarm(p, e.alloc)
+		} else if a := e.alloc; p.Warm != nil && a.Status == ilp.Optimal && !a.Degraded && !a.Fallback {
+			// Only proven-optimal selections donate (WarmStore.Record).
+			p.Warm.Record(p, a.InSPM, a.Hot)
 		}
 	})
 	if e.err == nil && e.alloc.Degraded {
@@ -402,14 +399,15 @@ func (p *Pipeline) CASAAllocation(ctx context.Context) (*core.Allocation, error)
 		}
 		sp.End()
 	}
-	return e.alloc, e.err
+	return e
 }
 
 // RunCASA allocates with the paper's algorithm (copy semantics) and
 // simulates the result.
 func (p *Pipeline) RunCASA(ctx context.Context) (*Outcome, error) {
 	return p.outcome("casa", func() (*Outcome, error) {
-		alloc, err := p.CASAAllocation(ctx)
+		e := p.casaAllocation(ctx)
+		alloc, err := e.alloc, e.err
 		if err != nil {
 			return nil, err
 		}
@@ -421,6 +419,7 @@ func (p *Pipeline) RunCASA(ctx context.Context) (*Outcome, error) {
 		out.DegradedReason = alloc.DegradedReason
 		out.Gap = alloc.Gap
 		out.Fallback = alloc.Fallback
+		out.Warm = e.warm
 		return out, nil
 	})
 }
@@ -562,9 +561,9 @@ type Suite struct {
 	solveBudget time.Duration
 	pipelines   map[suiteKey]*suiteEntry
 
-	// warm holds solved cells for cross-cell warm starts; session shares
-	// presolve reductions across the suite's solves (warmplan.go).
-	warm    warmStore
+	// warm holds solved cells for cross-cell warm starts (warmplan.go);
+	// session shares presolve reductions across the suite's solves.
+	warm    WarmStore
 	session *ilp.Session
 
 	// graphs holds the first conflict graph built per trace partition —
@@ -681,15 +680,11 @@ func (s *Suite) Pipeline(ctx context.Context, name string, cacheSpec CacheSpec, 
 			return
 		}
 		gk := graphKey{name: name, spmSize: spmSize, lineBytes: cacheSpec.Line}
-		var donor *conflict.Graph
-		if ilp.IncrementalEnabled() {
-			donor = s.graphDonor(gk)
-		}
-		e.p, e.err = prepareProgram(ctx, prog, cacheSpec, spmSize, donor)
+		e.p, e.err = prepareProgram(ctx, prog, cacheSpec, spmSize, s.graphDonor(gk))
 		if e.err == nil {
 			e.p.SolveBudget = s.SolveBudget()
 			e.p.Session = s.session
-			e.p.suite = s
+			e.p.Warm = &s.warm
 			s.recordGraph(gk, e.p.Graph)
 		}
 	})

@@ -95,9 +95,9 @@ func TestSuiteConcurrentStudies(t *testing.T) {
 
 // TestParallelSpeedup checks the ≥2× wall-clock win at 4 workers on the
 // mpeg grid. It needs real parallel hardware, so it skips on small hosts
-// (CI containers with 1–2 CPUs cannot exhibit the speedup), and disables
-// the fetch-stream cache so the pool itself is measured rather than the
-// memoization layer.
+// (CI containers with 1–2 CPUs cannot exhibit the speedup). Both timed
+// runs follow a warm-up run, so they see the same process-wide memos and
+// the pool itself is what differs.
 func TestParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -105,7 +105,6 @@ func TestParallelSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need ≥4 CPUs for a meaningful speedup measurement, have %d", runtime.NumCPU())
 	}
-	t.Setenv("CASA_STREAM_CACHE", "off")
 
 	cfg := DefaultFig4()
 	run := func(workers int) time.Duration {
@@ -115,7 +114,7 @@ func TestParallelSpeedup(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	run(1) // warm the process-wide profile memo so both timed runs see it
+	run(1) // warm the process-wide sim memos so both timed runs see them
 	serial := run(1)
 	parallel := run(4)
 	speedup := float64(serial) / float64(parallel)

@@ -1,42 +1,28 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ilp"
+	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// renderWarmSensitiveStudies renders the two grids the warm planner
-// reorders most aggressively — fig4 (scratchpad sweep) and sensitivity
-// (cache-organization sweep) — with only allocation-determined fields.
-func renderWarmSensitiveStudies(t *testing.T, s *Suite) []byte {
-	t.Helper()
-	ctx := context.Background()
-	var buf bytes.Buffer
-	fig4cfg := DefaultFig4()
-	fig4, err := Fig4(ctx, s, fig4cfg)
-	if err != nil {
-		t.Fatalf("Fig4: %v", err)
-	}
-	WriteFig4(&buf, fig4cfg, fig4)
-	senscfg := DefaultSensitivity()
-	sens, err := Sensitivity(ctx, s, senscfg)
-	if err != nil {
-		t.Fatalf("Sensitivity: %v", err)
-	}
-	WriteSensitivity(&buf, senscfg, sens)
-	return buf.Bytes()
-}
-
 // TestWarmMatchesColdStudies is the central exactness contract of the
-// incremental machinery: the warm path (cross-cell cutoffs, shared
-// presolve session, rebased conflict graphs, factored LP engine) must
-// produce byte-identical study output to the legacy cold path
-// (CASA_INCREMENTAL=off, which restores the pre-incremental code
-// paths bit for bit).
+// incremental machinery: every fig4 and sensitivity cell's suite-owned
+// allocation and CASA outcome — solved with cross-cell cutoffs, basis
+// and pseudocost hot starts, a shared presolve session and rebased
+// conflict graphs — must equal, bit for bit, those of a standalone
+// PrepareProgram pipeline, which has no donor store, no session and a
+// conflict graph built from scratch.
 func TestWarmMatchesColdStudies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full warm-vs-cold sweep is too heavy under the race detector")
@@ -44,12 +30,170 @@ func TestWarmMatchesColdStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-vs-cold sweep skipped in -short mode")
 	}
-	t.Setenv("CASA_INCREMENTAL", "off")
-	cold := renderWarmSensitiveStudies(t, NewSuite().SetWorkers(1))
-	t.Setenv("CASA_INCREMENTAL", "on")
-	warm := renderWarmSensitiveStudies(t, NewSuite().SetWorkers(1))
-	if !bytes.Equal(warm, cold) {
-		t.Fatalf("warm studies diverged from cold studies.\n--- warm ---\n%s\n--- cold ---\n%s", warm, cold)
+	ctx := context.Background()
+	s := NewSuite().SetWorkers(1)
+	fig4, sens := DefaultFig4(), DefaultSensitivity()
+	if _, err := Fig4(ctx, s, fig4); err != nil {
+		t.Fatalf("Fig4: %v", err)
+	}
+	if _, err := Sensitivity(ctx, s, sens); err != nil {
+		t.Fatalf("Sensitivity: %v", err)
+	}
+	cold := func(name string, cache CacheSpec, spm int) *Pipeline {
+		prog, err := workload.Shared(name)
+		if err == nil {
+			var p *Pipeline
+			if p, err = PrepareProgram(ctx, prog, cache, spm); err == nil {
+				return p
+			}
+		}
+		t.Fatalf("%s/%+v/%d: standalone pipeline: %v", name, cache, spm, err)
+		return nil
+	}
+	var pairs [][2]*Pipeline // {suite-owned, standalone}
+	for _, spm := range fig4.SPMSizes {
+		w, _ := s.Pipeline(ctx, fig4.Workload, fig4.Cache, spm)
+		pairs = append(pairs, [2]*Pipeline{w, cold(fig4.Workload, fig4.Cache, spm)})
+	}
+	for _, c := range sens.Variants {
+		w, _ := s.Pipeline(ctx, sens.Workload, c, sens.SPMSize)
+		pairs = append(pairs, [2]*Pipeline{w, cold(sens.Workload, c, sens.SPMSize)})
+	}
+	bits := math.Float64bits
+	warmed := 0
+	for _, pair := range pairs {
+		var allocs [2]*core.Allocation
+		var outs [2]*Outcome
+		var models [2]float64
+		for k, p := range pair {
+			a, err := p.CASAAllocation(ctx)
+			if err != nil {
+				t.Fatalf("%s/%d: allocation: %v", p.Workload, p.SPMSize, err)
+			}
+			if outs[k], err = p.RunCASA(ctx); err != nil {
+				t.Fatalf("%s/%d: RunCASA: %v", p.Workload, p.SPMSize, err)
+			}
+			allocs[k] = a
+			models[k] = core.PredictEnergy(p.Set, p.Graph, p.casaParams(), a.InSPM)
+		}
+		cell := fmt.Sprintf("%s/%+v/%d", pair[1].Workload, pair[1].Cache, pair[1].SPMSize)
+		wa, ca, wo, co := allocs[0], allocs[1], outs[0], outs[1]
+		if !slices.Equal(wa.InSPM, ca.InSPM) || wa.UsedBytes != ca.UsedBytes || wa.Status != ca.Status {
+			t.Errorf("%s: warm allocation diverged from cold:\nwarm %v %d B %v\ncold %v %d B %v", cell,
+				wa.InSPM, wa.UsedBytes, wa.Status, ca.InSPM, ca.UsedBytes, ca.Status)
+		}
+		// The model energy of the selection, evaluated on each pipeline's
+		// own (rebased vs. freshly built) conflict graph, is bit-identical.
+		// PredictedEnergy itself is the solver objective at the LP point,
+		// whose continuous linearization variables carry pivot-path
+		// rounding, so it agrees only to a few ulps.
+		if bits(models[0]) != bits(models[1]) {
+			t.Errorf("%s: model energy %v (warm) != %v (cold)", cell, models[0], models[1])
+		}
+		if d := math.Abs(wa.PredictedEnergy - ca.PredictedEnergy); d > 1e-12*math.Abs(models[1]) {
+			t.Errorf("%s: solver objective %v (warm) vs %v (cold)", cell, wa.PredictedEnergy, ca.PredictedEnergy)
+		}
+		wr, cr := *wo.Result, *co.Result
+		we, ce := wr.Energy, cr.Energy
+		if bits(wo.EnergyMicroJ) != bits(co.EnergyMicroJ) || wo.PlacedTraces != co.PlacedTraces ||
+			wo.UsedBytes != co.UsedBytes || wr.Fetches != cr.Fetches || wr.SPMAccesses != cr.SPMAccesses ||
+			wr.CacheHits != cr.CacheHits || wr.CacheMisses != cr.CacheMisses || wr.Cycles != cr.Cycles ||
+			bits(we.SPM) != bits(ce.SPM) || bits(we.CacheHits) != bits(ce.CacheHits) ||
+			bits(we.CacheMisses) != bits(ce.CacheMisses) || bits(we.MainMemory) != bits(ce.MainMemory) {
+			t.Errorf("%s: warm outcome diverged from cold:\nwarm %+v\ncold %+v", cell, wr, cr)
+		}
+		if co.Warm {
+			t.Errorf("%s: standalone pipeline reports a warm solve", cell)
+		}
+		if wo.Warm {
+			warmed++
+		}
+	}
+	if warmed == 0 {
+		t.Error("no cell was warm-started; the warm-vs-cold comparison is vacuous")
+	}
+}
+
+// TestWarmStore pins the donor store's contract: neighbors differ in
+// exactly one parameter and share the program, come back in key order
+// whatever the insertion order, the store clears itself at its bound,
+// and Dump lists only donors over bundled workloads' shared programs.
+func TestWarmStore(t *testing.T) {
+	mpeg, err := workload.Shared("mpeg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := &ir.Program{Name: "mpeg"} // a bundled name, but not the shared instance
+	other := &ir.Program{Name: "other"}
+	set := &trace.Set{}
+	pipe := func(prog *ir.Program, cache CacheSpec, spm int) *Pipeline {
+		return &Pipeline{Prog: prog, Cache: cache, SPMSize: spm, Set: set}
+	}
+	a, b := DM(1024), DM(2048)
+	lru2 := CacheSpec{Size: 1024, Line: 16, Assoc: 2}
+
+	var w WarmStore
+	for _, p := range []*Pipeline{
+		pipe(mpeg, b, 512),    // both differ: not a neighbor
+		pipe(mpeg, lru2, 256), // cache neighbor
+		pipe(mpeg, a, 256),    // the target itself
+		pipe(mpeg, b, 256),    // cache neighbor
+		pipe(mpeg, lru2, 512), // both differ: not a neighbor
+		pipe(mpeg, a, 128),    // spm neighbor
+		pipe(custom, a, 128),  // same parameters, other program
+		pipe(other, a, 512),   // other program
+	} {
+		w.Record(p, []bool{true}, nil)
+	}
+	if got := w.Len(); got != 8 {
+		t.Fatalf("Len = %d, want 8", got)
+	}
+
+	for _, tc := range []struct {
+		name string
+		k    donorKey
+		want []donorKey
+	}{
+		{"bundled program", donorKey{prog: mpeg, cache: a, spm: 256}, []donorKey{
+			{prog: mpeg, cache: a, spm: 128},
+			{prog: mpeg, cache: lru2, spm: 256},
+			{prog: mpeg, cache: b, spm: 256},
+		}},
+		{"custom program", donorKey{prog: custom, cache: a, spm: 256}, []donorKey{
+			{prog: custom, cache: a, spm: 128},
+		}},
+		{"unknown program", donorKey{prog: &ir.Program{Name: "mpeg"}, cache: a, spm: 256}, nil},
+	} {
+		var got []donorKey
+		for _, c := range w.neighbors(tc.k) {
+			got = append(got, c.key)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: neighbors = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	dump := w.Dump()
+	var dumped []string
+	for _, d := range dump {
+		if d.Workload != "mpeg" {
+			t.Errorf("Dump lists a donor of %q; only bundled workloads persist", d.Workload)
+		}
+		dumped = append(dumped, fmt.Sprintf("%d/%d/%d", d.Cache().Size, d.Cache().Assoc, d.SPMBytes))
+	}
+	if want := []string{"1024/1/128", "1024/1/256", "1024/2/256", "2048/1/256", "1024/2/512", "2048/1/512"}; !slices.Equal(dumped, want) {
+		t.Errorf("Dump = %v, want %v", dumped, want)
+	}
+
+	for spm := 0; len(w.cells) < maxWarmDonors; spm++ {
+		w.Record(pipe(other, b, spm), nil, nil)
+	}
+	w.Record(pipe(mpeg, a, 1024), nil, &ilp.HotStart{})
+	if got := w.Len(); got != 1 {
+		t.Errorf("after recording into a full store Len = %d, want 1 (cleared, then stored)", got)
+	}
+	if n := w.Clear(); n != 1 || w.Len() != 0 {
+		t.Errorf("Clear returned %d, left %d; want 1, 0", n, w.Len())
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/conflict"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/ilp"
+	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Cross-cell warm starts. The study grids solve one CASA ILP per
@@ -19,10 +21,14 @@ import (
 // differing in a single parameter — have closely related optima: a
 // feasible allocation for one maps (via core.TransferAllocation) to a
 // feasible allocation for the other, whose predicted energy becomes an
-// immediate upper-bound cutoff for the neighbor's solve. The suite
-// keeps every solved cell's selection in a warm store; before a cell
-// solves, the planner values all solved single-parameter neighbors and
-// passes the best (minimum) cutoff to the solver.
+// immediate upper-bound cutoff for the neighbor's solve. A WarmStore
+// keeps every solved configuration's selection; before a pipeline with
+// a store solves, it values all solved single-parameter neighbors and
+// passes the best (minimum) cutoff to the solver. The suite owns one
+// store for its grids; the serving daemon owns one for its requests
+// (DESIGN.md §13), where the same program swept across scratchpad sizes
+// or cache geometries by a design-space exploration client forms
+// exactly the same neighbor families.
 //
 // The cutoff only prunes provably-worse subtrees (see ilp.Options), so
 // results are identical to cold solves; only time changes. Grid
@@ -33,58 +39,140 @@ import (
 // cutoffs never change results, only casa_ilp_warm_cell_{hits,misses}
 // counters vary; run a study with one worker for deterministic
 // counters.
-//
-// Everything is gated behind CASA_INCREMENTAL (ilp.IncrementalEnabled):
-// off means no cutoffs, no presolve session and no warm counters — the
-// path bit-identical to earlier releases.
 
-// mWarmCellMisses counts CASA cell solves that ran cold because no
-// solved neighboring cell was available to donate a cutoff. Its twin
+// mWarmCellMisses counts CASA solves that ran cold because no solved
+// neighboring configuration was available to donate a cutoff. Its twin
 // casa_ilp_warm_cell_hits_total is counted at the solver, which sees
 // every cutoff actually installed.
 var mWarmCellMisses = obs.GetCounter("casa_ilp_warm_cell_misses_total")
 
-// warmStore holds the solved cells of one suite.
-type warmStore struct {
-	mu    sync.Mutex
-	cells map[suiteKey]*warmCell
+// maxWarmDonors bounds a WarmStore. The table is an optimization, not a
+// cache anyone is owed: when full it is simply cleared, which also
+// releases trace sets of programs a caller may have dropped. No study
+// suite comes near the bound.
+const maxWarmDonors = 512
+
+// donorKey identifies one solved configuration. Programs are canonical
+// instances (workload.Shared, or the daemon's intern table), so pointer
+// identity is the same-program test — the condition a transfer needs.
+type donorKey struct {
+	prog  *ir.Program
+	cache CacheSpec
+	spm   int
 }
 
-// warmCell is one solved cell's allocation with the inputs needed to
-// transfer it: the trace set it indexes, the conflict graph backing its
-// energy valuation, its grid key (for deterministic donor ordering and
-// partition gating) and the solver's transferable hot state.
+// warmCell is one solved configuration's selection with the inputs
+// needed to transfer it: its key (for deterministic donor ordering and
+// partition gating), the trace set the selection indexes, and the
+// solver's transferable hot state (nil for restored snapshots, which
+// persist only the selection).
 type warmCell struct {
-	key   suiteKey
+	key   donorKey
 	set   *trace.Set
-	graph *conflict.Graph
 	inSPM []bool
 	hot   *ilp.HotStart
 }
 
-// record stores a cell's proven-optimal selection for later transfers.
-func (w *warmStore) record(k suiteKey, set *trace.Set, g *conflict.Graph, inSPM []bool, hot *ilp.HotStart) {
+// WarmStore holds one donor per solved configuration, for cross-solve
+// warm starts between pipelines that share it (Pipeline.Warm). The zero
+// value is an empty store; it is safe for concurrent use.
+type WarmStore struct {
+	mu    sync.Mutex
+	cells map[donorKey]*warmCell
+}
+
+// Record stores a solved selection of p's configuration as a donor for
+// its neighbors, with the solver's transferable state (may be nil).
+// Callers record only proven-optimal, non-degraded selections: a
+// budget-degraded incumbent depends on wall-clock timing, and warm state
+// must never introduce nondeterminism into what other solves do.
+func (w *WarmStore) Record(p *Pipeline, inSPM []bool, hot *ilp.HotStart) {
+	k := donorKey{prog: p.Prog, cache: p.Cache, spm: p.SPMSize}
 	w.mu.Lock()
-	if w.cells == nil {
-		w.cells = make(map[suiteKey]*warmCell)
+	if w.cells == nil || len(w.cells) >= maxWarmDonors {
+		w.cells = make(map[donorKey]*warmCell)
 	}
-	w.cells[k] = &warmCell{key: k, set: set, graph: g, inSPM: inSPM, hot: hot}
+	w.cells[k] = &warmCell{key: k, set: p.Set, inSPM: inSPM, hot: hot}
 	w.mu.Unlock()
 }
 
-// neighbors returns the solved cells differing from k in exactly one
-// grid parameter (cache configuration or scratchpad size) for the same
-// workload, sorted by grid key so iteration order — and therefore any
-// tie-break among equal-value donors — never depends on map order.
-func (w *warmStore) neighbors(k suiteKey) []*warmCell {
+// Clear drops every donor and returns how many there were — a memory
+// watchdog's lever (later solves lose their warm start, nothing else).
+func (w *WarmStore) Clear() int {
+	w.mu.Lock()
+	n := len(w.cells)
+	w.cells = nil
+	w.mu.Unlock()
+	return n
+}
+
+// Len returns the donor count.
+func (w *WarmStore) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.cells)
+}
+
+// WarmDonor is the persisted form of one donor (the serving daemon's
+// warm-state snapshot): a bundled workload's configuration and
+// selection. A restore rebuilds the deterministic trace set from the
+// name alone (Prepare) and hands the selection back to Record.
+type WarmDonor struct {
+	Workload   string       `json:"workload"`
+	CacheBytes int          `json:"cache_bytes"`
+	LineBytes  int          `json:"line_bytes"`
+	Assoc      int          `json:"assoc"`
+	Policy     cache.Policy `json:"policy,omitempty"`
+	SPMBytes   int          `json:"spm_bytes"`
+	InSPM      []bool       `json:"in_spm"`
+}
+
+// Cache returns the donor's cache configuration.
+func (d WarmDonor) Cache() CacheSpec {
+	return CacheSpec{Size: d.CacheBytes, Line: d.LineBytes, Assoc: d.Assoc, Policy: d.Policy}
+}
+
+// Dump returns the donors whose program is a bundled workload's shared
+// instance, in deterministic order. Donors over custom programs are
+// skipped: their program may be gone with the process.
+func (w *WarmStore) Dump() []WarmDonor {
+	w.mu.Lock()
+	cells := make([]*warmCell, 0, len(w.cells))
+	for _, c := range w.cells {
+		cells = append(cells, c)
+	}
+	w.mu.Unlock()
+	sort.Slice(cells, func(a, b int) bool {
+		if na, nb := cells[a].key.prog.Name, cells[b].key.prog.Name; na != nb {
+			return na < nb
+		}
+		return keyLess(cells[a].key, cells[b].key)
+	})
+	var out []WarmDonor
+	for _, c := range cells {
+		if prog, err := workload.Shared(c.key.prog.Name); err != nil || prog != c.key.prog {
+			continue
+		}
+		k := c.key
+		out = append(out, WarmDonor{Workload: k.prog.Name, CacheBytes: k.cache.Size, LineBytes: k.cache.Line,
+			Assoc: k.cache.Assoc, Policy: k.cache.Policy, SPMBytes: k.spm, InSPM: c.inSPM})
+	}
+	return out
+}
+
+// neighbors returns the donors for k's program whose configuration
+// differs from k in exactly one parameter (cache configuration or
+// scratchpad size), sorted by key so iteration order — and therefore
+// any tie-break among equal-value donors — never depends on map order.
+func (w *WarmStore) neighbors(k donorKey) []*warmCell {
 	w.mu.Lock()
 	var out []*warmCell
 	for dk, c := range w.cells {
-		if dk.name != k.name || dk == k {
+		if dk.prog != k.prog {
 			continue
 		}
 		cacheDiff := dk.cache != k.cache
-		spmDiff := dk.spmSize != k.spmSize
+		spmDiff := dk.spm != k.spm
 		if cacheDiff != spmDiff { // exactly one differs
 			out = append(out, c)
 		}
@@ -94,14 +182,11 @@ func (w *warmStore) neighbors(k suiteKey) []*warmCell {
 	return out
 }
 
-// keyLess orders grid keys deterministically (workload, scratchpad,
+// keyLess orders same-program donor keys deterministically (scratchpad,
 // cache geometry, policy).
-func keyLess(a, b suiteKey) bool {
-	if a.name != b.name {
-		return a.name < b.name
-	}
-	if a.spmSize != b.spmSize {
-		return a.spmSize < b.spmSize
+func keyLess(a, b donorKey) bool {
+	if a.spm != b.spm {
+		return a.spm < b.spm
 	}
 	if a.cache.Size != b.cache.Size {
 		return a.cache.Size < b.cache.Size
@@ -115,20 +200,20 @@ func keyLess(a, b suiteKey) bool {
 	return a.cache.Policy < b.cache.Policy
 }
 
-// warmCutoff values every solved neighbor's selection under the target
-// cell's parameters and returns the tightest transferable cutoff. The
-// cutoff is the minimum over donors, so it does not depend on the order
-// cells happened to finish in. Alongside it, the planner picks a basis
-// donor: among neighbors sharing the target's trace partition — same
-// scratchpad capacity and line size fix the variable identities, so the
-// donor's columns map by name — the one with the lowest transferred
-// value donates its final simplex basis and pseudocosts (hot). Cells on
-// a different partition (scratchpad-size neighbors) still donate
-// cutoffs but no basis.
-func (s *Suite) warmCutoff(p *Pipeline, params core.Params) (cut float64, hot *ilp.HotStart, found bool) {
-	k := suiteKey{name: p.Workload, cache: p.Cache, spmSize: p.SPMSize}
+// cutoff values every recorded neighbor's selection under p's
+// parameters and returns the tightest transferable cutoff. The cutoff
+// is the minimum over donors, so it does not depend on the order
+// configurations happened to finish in. Alongside it, it picks a basis
+// donor: among neighbors sharing p's trace partition — same scratchpad
+// capacity and line size fix the variable identities, so the donor's
+// columns map by name — the one with the lowest transferred value
+// donates its final simplex basis and pseudocosts (hot). Neighbors on a
+// different partition (scratchpad-size neighbors) still donate cutoffs
+// but no basis.
+func (w *WarmStore) cutoff(p *Pipeline, params core.Params) (cut float64, hot *ilp.HotStart, found bool) {
+	k := donorKey{prog: p.Prog, cache: p.Cache, spm: p.SPMSize}
 	bestHot := 0.0
-	for _, donor := range s.warm.neighbors(k) {
+	for _, donor := range w.neighbors(k) {
 		sel := core.TransferAllocation(donor.set, donor.inSPM, p.Set, params)
 		if sel == nil {
 			continue
@@ -137,39 +222,12 @@ func (s *Suite) warmCutoff(p *Pipeline, params core.Params) (cut float64, hot *i
 		if !found || v < cut {
 			cut, found = v, true
 		}
-		if donor.hot != nil && donor.key.spmSize == k.spmSize && donor.key.cache.Line == k.cache.Line &&
+		if donor.hot != nil && donor.key.spm == k.spm && donor.key.cache.Line == k.cache.Line &&
 			(hot == nil || v < bestHot) {
 			bestHot, hot = v, donor.hot
 		}
 	}
 	return cut, hot, found
-}
-
-// TransferCutoff values a donor selection — from a pipeline over the
-// same program under a different memory hierarchy — under this
-// pipeline's parameters and returns it as a warm-start cutoff. It is
-// the warmCutoff building block exported for callers with their own
-// cross-pipeline warm stores (the serving daemon); ok is false when the
-// donor does not transfer (different program).
-func (p *Pipeline) TransferCutoff(donorSet *trace.Set, donorInSPM []bool) (float64, bool) {
-	params := p.casaParams()
-	sel := core.TransferAllocation(donorSet, donorInSPM, p.Set, params)
-	if sel == nil {
-		return 0, false
-	}
-	return core.PredictEnergy(p.Set, p.Graph, params, sel), true
-}
-
-// recordWarm publishes a cell's solved allocation as a donor for its
-// neighbors. Only proven-optimal, non-degraded selections are recorded:
-// a budget-degraded incumbent depends on wall-clock timing, and warm
-// state must never introduce nondeterminism into what other cells do.
-func (s *Suite) recordWarm(p *Pipeline, a *core.Allocation) {
-	if a.Status != ilp.Optimal || a.Degraded || a.Fallback {
-		return
-	}
-	k := suiteKey{name: p.Workload, cache: p.Cache, spmSize: p.SPMSize}
-	s.warm.record(k, p.Set, p.Graph, a.InSPM, a.Hot)
 }
 
 // warmOrder returns the cell evaluation order for a grid whose i-th

@@ -2,15 +2,27 @@ package ilp
 
 import "math"
 
-// Factored-basis revised dual simplex — the incremental-mode node
-// engine. Same algorithm as rsx (basis.go): persistent basis across the
-// branch & bound tree, bound-flip dual repair, bounded dual ratio test.
-// What changes is the representation of the basis inverse.
+// Factored-basis revised dual simplex — the branch & bound node engine.
 //
-// rsx keeps B⁻¹ as a dense m×m matrix and pays O(m²) per pivot to
-// update it (plus O(m²) computeXB). In the CASA formulation almost all
-// basic columns are singletons — slacks and linearization L's touch one
-// row each — so the basis is, up to permutation, block upper triangular
+// The branch & bound loop changes nothing but variable bounds between
+// node LPs. Dual feasibility of a basis does not depend on bounds at
+// all, so one engine instance — basis, factorization and reduced costs —
+// persists across the whole tree: after a bound change the previous
+// optimal basis is still dual feasible and typically a handful of dual
+// pivots (bound-flip dual repair, bounded dual ratio test) away from the
+// new optimum, even when best-bound search jumps to a distant part of
+// the tree. The dense from-scratch two-phase tableau (simplex.go)
+// remains as SolveLP's engine and as the per-node fallback.
+//
+// Standard form: min cᵀx s.t. Ax + s = b, with one slack per row
+// (LE: s ∈ [0,∞), GE: s ∈ (−∞,0], EQ: s ∈ [0,0]) and every structural
+// column boxed on the side its reduced cost demands. Columns are stored
+// sparse.
+//
+// A dense m×m basis inverse would cost O(m²) per pivot to update. In
+// the CASA formulation almost all basic columns are singletons — slacks
+// and linearization L's touch one row each — so the basis is, up to
+// permutation, block upper triangular
 //
 //	P·B·Q = [ U  F ]   U: triangular, from peeled singleton columns
 //	        [ 0  G ]   G: dense k×k "bump" of the rest (k ≪ m)
@@ -33,10 +45,28 @@ import "math"
 // node cannot beat the known cutoff and solve returns stObjLimit
 // immediately, mid-LP.
 
+// Nonbasic/basic column states.
+const (
+	nbLower int8 = iota // nonbasic at lower bound
+	nbUpper             // nonbasic at upper bound
+	inBasis
+)
+
+// spCol is a sparse constraint-matrix column.
+type spCol struct {
+	rows []int32
+	vals []float64
+}
+
 const (
 	// fsxRefactorEvery bounds the eta file: beyond this, the O(t·m)
 	// transform cost outgrows the O(k³) refactorization it avoids.
 	fsxRefactorEvery = 64
+	// pivTol is the minimum |alpha| for a column to be an entering
+	// candidate; smaller pivots are numerically meaningless.
+	pivTol = 1e-7
+	// dualTol is the reduced-cost feasibility tolerance.
+	dualTol = 1e-7
 )
 
 // etaRec is one product-form update: the FTRAN'd entering column (held
@@ -96,8 +126,9 @@ type fsx struct {
 }
 
 // newFSX builds the factored engine for md, or returns nil when some
-// column cannot be placed dual-feasibly at a finite bound (same
-// condition as newRSX; such models take the dense path).
+// column cannot be placed dual-feasibly at a finite bound (free
+// variables, or an infinite bound on the side the objective pulls
+// toward); such models take the dense path instead.
 func newFSX(md *Model, tol float64) *fsx {
 	if tol <= 0 {
 		tol = defaultTol
@@ -180,22 +211,6 @@ func newFSX(md *Model, tol float64) *fsx {
 	}
 	return e
 }
-
-// nodeEngine interface.
-func (e *fsx) iterCount() int        { return e.iters }
-func (e *fsx) dims() (n, m int)      { return e.n, e.m }
-func (e *fsx) setObjLimit(z float64) { e.objLimit = z }
-
-// factorStats reports the current factorization shape for diagnostics:
-// peeled singleton columns, dense bump dimension, and eta-file depth
-// since the last refactorization.
-func (e *fsx) factorStats() (peeled, bumpK, etaDepth int) {
-	return len(e.peelPos), e.k, len(e.etas)
-}
-
-// reducedCost returns the current reduced cost of column j (valid after
-// a solve that ended Optimal; 0 for basic columns).
-func (e *fsx) reducedCost(j int) float64 { return e.d[j] }
 
 // installBasis replaces the current basis with the given set of basic
 // columns (structural and slack indices; exactly one per row), places
@@ -421,8 +436,9 @@ func (e *fsx) failInstall() bool {
 	return false
 }
 
-// reset installs the all-slack basis (placement rules identical to
-// rsx.reset) and the trivial factorization. Reports false when a
+// reset installs the all-slack basis, placing each structural column
+// dual-feasibly (at its lower bound when the cost pulls down, upper when
+// it pulls up), and the trivial factorization. Reports false when a
 // required bound is infinite.
 func (e *fsx) reset() bool {
 	for j := 0; j < e.n; j++ {
@@ -894,8 +910,11 @@ func (e *fsx) objValue() float64 {
 	return z
 }
 
-// solve re-optimizes after a bound change; identical contract to
-// rsx.solve, plus the objective-limit early stop.
+// solve re-optimizes after a bound change: nonbasic columns whose
+// reduced cost turned dual infeasible flip to their other bound (a crash
+// reset when that bound is infinite), then the dual simplex runs until
+// optimal, infeasible, the iteration cap (Aborted) or the objective
+// limit (stObjLimit).
 func (e *fsx) solve(maxIter int) Status {
 	for j := 0; j < e.n; j++ {
 		if e.status[j] == inBasis || e.hi[j]-e.lo[j] < 1e-9 {
@@ -924,7 +943,7 @@ func (e *fsx) solve(maxIter int) Status {
 }
 
 // reoptimize runs the dual simplex loop; the linear algebra goes through
-// the factored basis, everything else mirrors rsx.reoptimize.
+// the factored basis.
 func (e *fsx) reoptimize(maxIter int) Status {
 	m, tot := e.m, e.n+e.m
 	blandAfter := 200 + 2*m
@@ -973,7 +992,7 @@ func (e *fsx) reoptimize(maxIter int) Status {
 			e.alpha[j] = s
 		}
 
-		// Bounded dual ratio test, identical to rsx.
+		// Bounded dual ratio test.
 		q, bestRatio, bestAbs := -1, math.Inf(1), 0.0
 		for j := 0; j < tot; j++ {
 			if e.status[j] == inBasis || e.hi[j]-e.lo[j] < 1e-9 {
@@ -1032,7 +1051,7 @@ func (e *fsx) reoptimize(maxIter int) Status {
 		}
 		e.xB[r] = e.nbValue(q) + step
 
-		// Incremental dual update, identical to rsx.
+		// Incremental dual update.
 		theta := e.d[q] / (sgn * piv)
 		if theta < 0 {
 			theta = 0

@@ -80,9 +80,8 @@ type BasisSnapshot struct {
 }
 
 // HotStart is the transferable solver state of a completed solve.
-// Solve returns one on proven-optimal incremental-mode results
-// (Solution.HotStart) and accepts one in Options.HotStart; both are
-// ignored when the incremental layer is off.
+// Solve returns one on proven-optimal results solved by the factored
+// engine (Solution.HotStart) and accepts one in Options.HotStart.
 type HotStart struct {
 	Basis  *BasisSnapshot
 	Pseudo *Pseudocosts
@@ -238,8 +237,8 @@ func AnalyzeBasis(m *Model, opt Options) (*BasisInfo, error) {
 		return nil, fmt.Errorf("ilp: model admits no dual-feasible crash basis")
 	}
 	st := f.solve(2000 + 50*(f.n+f.m))
-	info := &BasisInfo{Status: st, Vars: f.n, Rows: f.m, Iters: f.iterCount()}
-	info.Peeled, info.BumpK, info.EtaDepth = f.factorStats()
+	info := &BasisInfo{Status: st, Vars: f.n, Rows: f.m, Iters: f.iters}
+	info.Peeled, info.BumpK, info.EtaDepth = len(f.peelPos), f.k, len(f.etas)
 	for _, bj := range f.basis {
 		if bj < f.n {
 			info.BasicStructural++
@@ -305,7 +304,7 @@ func (t *pcTable) observe(j int, frac float64, up bool, gain float64) {
 // score rates branching on variable j at fractional part frac with the
 // standard pseudocost product rule. Variables without observations use
 // the table-wide average; with an empty table both sides average to 1
-// and the score degenerates to frac·(1−frac) — exactly the legacy
+// and the score degenerates to frac·(1−frac) — exactly the
 // most-fractional order (both are monotone in the distance to the
 // nearest integer, with identical ties).
 func (t *pcTable) score(j int, frac float64) float64 {

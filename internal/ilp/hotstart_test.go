@@ -40,7 +40,7 @@ func TestInstallBasisRoundTrip(t *testing.T) {
 	if st := f.solve(10000); st != Optimal {
 		t.Fatalf("cold solve: %v", st)
 	}
-	coldIters := f.iterCount()
+	coldIters := f.iters
 	snap := buildHotStart(f, m, nil, m, nil)
 
 	g := newFSX(m, 0)
@@ -58,8 +58,8 @@ func TestInstallBasisRoundTrip(t *testing.T) {
 	if st := g.solve(10000); st != Optimal {
 		t.Fatalf("hot solve: %v", st)
 	}
-	if g.iterCount() > coldIters {
-		t.Errorf("hot solve took %d iters, cold took %d — basis not reused", g.iterCount(), coldIters)
+	if g.iters > coldIters {
+		t.Errorf("hot solve took %d iters, cold took %d — basis not reused", g.iters, coldIters)
 	}
 }
 
@@ -69,7 +69,6 @@ func TestInstallBasisRoundTrip(t *testing.T) {
 // differing only in the capacity RHS — the install must be counted with
 // zero repair pivots, and the answer must equal the cold solve's.
 func TestHotStartRHSOnlyTransfer(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	opt := Options{DisablePresolve: true}
 	donor, err := Solve(context.Background(), knapModel(14, 23), opt)
 	if err != nil || donor.Status != Optimal {
@@ -112,7 +111,6 @@ func TestHotStartRHSOnlyTransfer(t *testing.T) {
 // property the planner relies on when neighboring cells' conflict
 // graphs differ.
 func TestHotStartCrossModelExactness(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	rng := testRNG(0xC0FFEE)
 	for trial := 0; trial < 60; trial++ {
 		donorModel := randBinaryModel(&rng)
@@ -144,7 +142,6 @@ func TestHotStartCrossModelExactness(t *testing.T) {
 // (counted) and solved via a fresh presolve — and both still give the
 // same answers as sessionless solves.
 func TestGrownRHSRejectCounted(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	grown := obs.GetCounter("casa_ilp_rhs_grown_rejects_total")
 	reused := obs.GetCounter("casa_presolve_reuse_total")
 	s := NewSession()
@@ -192,7 +189,7 @@ func TestGrownRHSRejectCounted(t *testing.T) {
 
 // TestPseudocostEmptyTableIsMostFractional proves the degeneration
 // claim in pcTable.score's contract: with no observations, the product
-// rule ranks fractional variables exactly like the legacy
+// rule ranks fractional variables exactly like the
 // most-fractional rule (distance to the nearest integer, first index on
 // ties), so seeding nothing changes nothing.
 func TestPseudocostEmptyTableIsMostFractional(t *testing.T) {
@@ -204,10 +201,10 @@ func TestPseudocostEmptyTableIsMostFractional(t *testing.T) {
 		for j := range fracs {
 			fracs[j] = rng.fl(0.01, 0.99)
 		}
-		legacy, legacyWorst := -1, 0.0
+		mostFrac, mfWorst := -1, 0.0
 		for j, f := range fracs {
-			if d := math.Min(f, 1-f); d > legacyWorst {
-				legacy, legacyWorst = j, d
+			if d := math.Min(f, 1-f); d > mfWorst {
+				mostFrac, mfWorst = j, d
 			}
 		}
 		pcBest, pcScore := -1, 0.0
@@ -216,9 +213,9 @@ func TestPseudocostEmptyTableIsMostFractional(t *testing.T) {
 				pcBest, pcScore = j, sc
 			}
 		}
-		if legacy != pcBest {
+		if mostFrac != pcBest {
 			t.Fatalf("trial %d: empty-table pseudocost picked %d, most-fractional picked %d (fracs %v)",
-				trial, pcBest, legacy, fracs)
+				trial, pcBest, mostFrac, fracs)
 		}
 	}
 }

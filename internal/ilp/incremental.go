@@ -2,8 +2,6 @@ package ilp
 
 import (
 	"math"
-	"os"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -11,11 +9,11 @@ import (
 
 // Cross-cell incremental solving. Experiment grids solve many CASA
 // models that differ in a single parameter; this file holds the pieces
-// that let one solve reuse work from a neighbor:
+// that let one solve reuse work from a neighbor (hotstart.go holds the
+// third, basis and pseudocost transfer). Each is opt-in per call and
+// none changes the returned solution; a solve with none of them set is
+// the cold reference:
 //
-//   - IncrementalEnabled gates everything behind CASA_INCREMENTAL
-//     (default on; "off"/"0"/"false" restores the legacy path bit for
-//     bit — legacy engine, no presolve reuse, no cutoff pruning);
 //   - Session caches presolve results keyed on a structure hash of the
 //     model, so a structurally identical model (a warm re-solve, a
 //     repeated daemon request) skips the reduction fixpoint entirely,
@@ -42,17 +40,6 @@ var (
 	// safety-net re-solve to catch an unsound patch.
 	mRHSGrownReject = obs.GetCounter("casa_ilp_rhs_grown_rejects_total")
 )
-
-// IncrementalEnabled reports whether the cross-cell incremental layer is
-// active. It is on unless CASA_INCREMENTAL is set to "off", "0" or
-// "false". Read per call so tests can toggle it with t.Setenv.
-func IncrementalEnabled() bool {
-	switch strings.ToLower(os.Getenv("CASA_INCREMENTAL")) {
-	case "off", "0", "false":
-		return false
-	}
-	return true
-}
 
 // capacityRowName is the constraint the Session treats as the patchable
 // right-hand side: core.BuildModel names the scratchpad-capacity row

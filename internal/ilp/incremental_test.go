@@ -53,44 +53,27 @@ func randBinaryModel(r *testRNG) *Model {
 	return m
 }
 
-func TestIncrementalEnabled(t *testing.T) {
-	for _, tc := range []struct {
-		val  string
-		want bool
-	}{
-		{"", true}, {"on", true}, {"1", true}, {"yes", true},
-		{"off", false}, {"OFF", false}, {"0", false}, {"false", false}, {"False", false},
-	} {
-		t.Setenv("CASA_INCREMENTAL", tc.val)
-		if got := IncrementalEnabled(); got != tc.want {
-			t.Errorf("CASA_INCREMENTAL=%q: enabled = %v, want %v", tc.val, got, tc.want)
-		}
-	}
-}
-
-// TestEngineParityRandomized cross-validates the factored engine (fsx,
-// incremental on) against the legacy dense-inverse engine (rsx,
-// incremental off) on random binary programs.
+// TestEngineParityRandomized cross-validates the factored engine (fsx)
+// against the dense two-phase simplex at every node
+// (Options.DisableWarmStart) on random binary programs.
 func TestEngineParityRandomized(t *testing.T) {
 	rng := testRNG(987654321)
 	for trial := 0; trial < 80; trial++ {
 		m := randBinaryModel(&rng)
 
-		t.Setenv("CASA_INCREMENTAL", "off")
-		cold, err := Solve(context.Background(), m, Options{})
+		dense, err := Solve(context.Background(), m, Options{DisableWarmStart: true})
 		if err != nil {
-			t.Fatalf("trial %d cold: %v", trial, err)
+			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		t.Setenv("CASA_INCREMENTAL", "on")
 		warm, err := Solve(context.Background(), m, Options{})
 		if err != nil {
-			t.Fatalf("trial %d warm: %v", trial, err)
+			t.Fatalf("trial %d fsx: %v", trial, err)
 		}
-		if cold.Status != warm.Status {
-			t.Fatalf("trial %d: status %v (fsx) vs %v (rsx)", trial, warm.Status, cold.Status)
+		if dense.Status != warm.Status {
+			t.Fatalf("trial %d: status %v (fsx) vs %v (dense)", trial, warm.Status, dense.Status)
 		}
-		if cold.Status == Optimal && !almostEq(cold.Objective, warm.Objective) {
-			t.Fatalf("trial %d: obj %g (fsx) vs %g (rsx)", trial, warm.Objective, cold.Objective)
+		if dense.Status == Optimal && !almostEq(dense.Objective, warm.Objective) {
+			t.Fatalf("trial %d: obj %g (fsx) vs %g (dense)", trial, warm.Objective, dense.Objective)
 		}
 	}
 }
@@ -161,7 +144,6 @@ func casaLikeModel(nItems int, capRHS float64) *Model {
 // the reduction, a smaller capacity patches it, and both yield the same
 // optimum as session-less solves.
 func TestSessionPresolveReuse(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	reuse := obs.GetCounter("casa_presolve_reuse_total")
 	start := reuse.Value() // other tests share the global counter
 
@@ -209,7 +191,6 @@ func TestSessionPresolveReuse(t *testing.T) {
 // goroutines; correctness is checked per solve and the race detector
 // covers the cache.
 func TestSessionSharedConcurrently(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	sess := NewSession()
 	caps := []float64{30, 28, 24, 20, 17, 12, 9}
 	wants := make([]float64, len(caps))
@@ -244,8 +225,8 @@ func TestSessionSharedConcurrently(t *testing.T) {
 	}
 }
 
-// TestWarmCellHitCounter checks the hit counter fires exactly when a
-// cutoff is both supplied and the incremental layer is on.
+// TestWarmCellHitCounter checks the hit counter fires when a solve runs
+// with a transferred cutoff.
 func TestWarmCellHitCounter(t *testing.T) {
 	hits := obs.GetCounter("casa_ilp_warm_cell_hits_total")
 	m := casaLikeModel(8, 15)
@@ -255,21 +236,11 @@ func TestWarmCellHitCounter(t *testing.T) {
 	}
 	cut := base.Objective
 
-	t.Setenv("CASA_INCREMENTAL", "on")
 	before := hits.Value()
 	if _, err := Solve(context.Background(), m, Options{Cutoff: &cut}); err != nil {
 		t.Fatal(err)
 	}
 	if hits.Value() != before+1 {
 		t.Fatalf("warm hits %d -> %d, want +1", before, hits.Value())
-	}
-
-	t.Setenv("CASA_INCREMENTAL", "off")
-	before = hits.Value()
-	if _, err := Solve(context.Background(), m, Options{Cutoff: &cut}); err != nil {
-		t.Fatal(err)
-	}
-	if hits.Value() != before {
-		t.Fatalf("warm hits moved with incremental off: %d -> %d", before, hits.Value())
 	}
 }

@@ -76,12 +76,10 @@ type Options struct {
 	// solution: only strictly-worse subtrees are pruned (with a
 	// tolerance margin), so an optimal point always survives, and a
 	// cutoff that proves infeasible (a bad transfer) triggers a cold
-	// re-solve without it. Ignored when the incremental layer is
-	// disabled (IncrementalEnabled).
+	// re-solve without it.
 	Cutoff *float64
 	// Session, when non-nil, reuses presolve reductions across solves of
-	// structurally identical models (see Session). Ignored when the
-	// incremental layer is disabled.
+	// structurally identical models (see Session).
 	Session *Session
 	// HotStart, when non-nil, carries a donor solve's final basis and
 	// branching statistics (see HotStart). The basis hot-starts the
@@ -90,7 +88,7 @@ type Options struct {
 	// root LP's reduced costs fix variables that provably cannot move in
 	// any optimal solution. None of it changes the returned solution —
 	// a basis that cannot be repaired to dual feasibility falls back to
-	// the cold path. Ignored when the incremental layer is disabled.
+	// the cold path.
 	HotStart *HotStart
 }
 
@@ -144,7 +142,8 @@ type Solution struct {
 	Gap float64
 	// HotStart is the transferable solver state of this solve — final
 	// simplex basis and accumulated pseudocosts — set on proven-optimal
-	// incremental-mode results for use as a neighbor's Options.HotStart.
+	// results solved by the factored engine, for use as a neighbor's
+	// Options.HotStart.
 	HotStart *HotStart
 }
 
@@ -183,11 +182,14 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 // integer variables it is equivalent to SolveLP.
 //
 // The solve pipeline: a root presolve shrinks the model (presolve.go);
-// node relaxations run on a bounded-variable revised dual simplex that
-// warm-starts from the basis left by the previous node (basis.go), with
-// the dense two-phase simplex as fallback; a root diving heuristic seeds
-// the incumbent so pruning bites from the first node; the tree itself is
-// explored best-bound-first with depth-first plunging.
+// node relaxations run on a factored-basis revised dual simplex that
+// warm-starts from the basis left by the previous node (factor.go), with
+// the dense two-phase simplex (simplex.go) as fallback; a root diving
+// heuristic seeds the incumbent so pruning bites from the first node;
+// the tree itself is explored best-bound-first with depth-first
+// plunging, branching on pseudocost scores. Options.Cutoff, Session and
+// HotStart let a solve reuse work from a neighboring one
+// (incremental.go, hotstart.go) without changing its answer.
 //
 // Solve is anytime: when ctx is canceled, its deadline passes, or
 // opt.Budget expires, the search stops and returns the best incumbent
@@ -226,12 +228,10 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		return done(&Solution{Status: Aborted, Degraded: true, DegradedReason: "fault:solver-deadline"})
 	}
 
-	incMode := IncrementalEnabled()
-
 	var pr *presolveResult
 	work := m
 	if !opt.DisablePresolve {
-		if opt.Session != nil && incMode {
+		if opt.Session != nil {
 			pr = opt.Session.presolveFor(m, opt.Tol)
 		} else {
 			pr = presolve(m, opt.Tol)
@@ -250,8 +250,8 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		work = pr.reduced
 	}
 
-	s := &bbState{orig: m, w: work, pr: pr, opt: opt, ctx: ctx, incMode: incMode}
-	if opt.Cutoff != nil && incMode {
+	s := &bbState{orig: m, w: work, pr: pr, opt: opt, ctx: ctx}
+	if opt.Cutoff != nil {
 		// Map the cutoff from the original objective space into w's
 		// minimization space. Postsolve is affine, so the two spaces
 		// differ by a constant offset; probe it at two points and keep
@@ -332,11 +332,11 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		// infeasible either way.
 		sol.Status = Infeasible
 	}
-	if s.incMode && s.fsxEng != nil && sol.Status == Optimal {
+	if s.eng != nil && sol.Status == Optimal {
 		// Publish this solve's warm state for neighboring cells. Only
 		// proven-optimal results donate: a degraded basis or pseudocost
 		// table depends on where the clock cut the search.
-		sol.HotStart = buildHotStart(s.fsxEng, s.w, s.pr, m, s.pc)
+		sol.HotStart = buildHotStart(s.eng, s.w, s.pr, m, s.pc)
 	}
 	if s.incumbent != nil {
 		x := s.incumbent
@@ -365,19 +365,6 @@ type bbNode struct {
 	pup   bool
 }
 
-// nodeEngine is a warm-started LP engine persisting across branch &
-// bound nodes: rsx (dense basis inverse, the legacy path) or fsx
-// (factored basis with objective-limit early stop, the incremental
-// path).
-type nodeEngine interface {
-	setBounds(lo, hi []float64)
-	solve(maxIter int) Status
-	values() []float64
-	iterCount() int
-	dims() (n, m int)
-	setObjLimit(z float64)
-}
-
 // bbState is the working state of one branch & bound run over the
 // (possibly presolve-reduced) model w.
 type bbState struct {
@@ -386,17 +373,15 @@ type bbState struct {
 	pr   *presolveResult
 	opt  Options
 
-	sign    float64    // w's minimization-space sign
-	eng     nodeEngine // warm-started engine, nil => dense per-node solves
+	sign    float64 // w's minimization-space sign
+	eng     *fsx    // warm-started engine, nil => dense per-node solves
 	intVars []int
 
-	incMode   bool    // incremental layer active (engine choice, cutoff)
 	hasCutoff bool    // a transferred cutoff is installed
 	cutoffW   float64 // cutoff in w's minimization space
 	cutMargin float64 // tolerance margin: prune only strictly beyond it
 
-	fsxEng  *fsx     // the factored engine when s.eng is one (hot starts)
-	pc      *pcTable // pseudocost store, nil outside incremental mode
+	pc      *pcTable // pseudocost store
 	rcFixed int      // root reduced-cost fixings against the cutoff
 
 	incumbent    []float64 // in w's variable space
@@ -460,36 +445,22 @@ func (s *bbState) run() {
 		s.deadline = time.Now().Add(s.opt.Budget)
 	}
 	if !s.opt.DisableWarmStart {
-		// Assign through explicit nil checks: a typed-nil engine stored in
-		// the interface would defeat the s.eng != nil dense-fallback tests.
-		if s.incMode {
-			if f := newFSX(s.w, s.opt.Tol); f != nil {
-				s.eng = f
-				s.fsxEng = f
-			}
-		}
-		if s.eng == nil {
-			if r := newRSX(s.w, s.opt.Tol); r != nil {
-				s.eng = r
-			}
-		}
+		s.eng = newFSX(s.w, s.opt.Tol)
 	}
-	if s.incMode {
-		s.pc = newPCTable(s.w.NumVars())
-		if hs := s.opt.HotStart; hs != nil {
-			if s.pc.seed(hs.Pseudo, s.w) {
-				mPseudoTransfer.Inc()
-			}
-			if hs.Basis != nil && s.fsxEng != nil {
-				// Hot-start the factored engine from the donor basis mapped
-				// through shared column/row names. A mapping or repair
-				// failure leaves the engine on its crash basis — the cold
-				// path — and goes uncounted.
-				if basic, atUpper, ok := mapHotBasis(hs.Basis, s.w, s.pr, s.orig); ok {
-					if pivots, installed := s.fsxEng.installBasis(basic, atUpper); installed {
-						mBasisReuse.Inc()
-						mBasisRepair.Add(int64(pivots))
-					}
+	s.pc = newPCTable(s.w.NumVars())
+	if hs := s.opt.HotStart; hs != nil {
+		if s.pc.seed(hs.Pseudo, s.w) {
+			mPseudoTransfer.Inc()
+		}
+		if hs.Basis != nil && s.eng != nil {
+			// Hot-start the factored engine from the donor basis mapped
+			// through shared column/row names. A mapping or repair
+			// failure leaves the engine on its crash basis — the cold
+			// path — and goes uncounted.
+			if basic, atUpper, ok := mapHotBasis(hs.Basis, s.w, s.pr, s.orig); ok {
+				if pivots, installed := s.eng.installBasis(basic, atUpper); installed {
+					mBasisReuse.Inc()
+					mBasisRepair.Add(int64(pivots))
 				}
 			}
 		}
@@ -545,25 +516,22 @@ func (s *bbState) pruneable(bound float64) bool {
 func (s *bbState) solveNodeLP(lo, hi []float64) (Status, []float64) {
 	if s.eng != nil {
 		s.eng.setBounds(lo, hi)
-		if s.incMode {
-			// Early-stop limit: the tighter of the transferred cutoff and
-			// the incumbent-pruning threshold. An LP whose objective
-			// passes it can only end in a pruned node.
-			lim := math.Inf(1)
-			if s.hasCutoff {
-				lim = s.cutoffW + s.cutMargin
-			}
-			if s.incumbent != nil {
-				if t := s.incumbentVal - s.opt.Tol*math.Max(1, math.Abs(s.incumbentVal)); t < lim {
-					lim = t
-				}
-			}
-			s.eng.setObjLimit(lim)
+		// Early-stop limit: the tighter of the transferred cutoff and the
+		// incumbent-pruning threshold. An LP whose objective passes it can
+		// only end in a pruned node.
+		lim := math.Inf(1)
+		if s.hasCutoff {
+			lim = s.cutoffW + s.cutMargin
 		}
-		before := s.eng.iterCount()
-		en, em := s.eng.dims()
-		st := s.eng.solve(2000 + 50*(em+en))
-		s.iters += s.eng.iterCount() - before
+		if s.incumbent != nil {
+			if t := s.incumbentVal - s.opt.Tol*math.Max(1, math.Abs(s.incumbentVal)); t < lim {
+				lim = t
+			}
+		}
+		s.eng.objLimit = lim
+		before := s.eng.iters
+		st := s.eng.solve(2000 + 50*(s.eng.m+s.eng.n))
+		s.iters += s.eng.iters - before
 		if s.engSolves > 0 {
 			s.warm++
 		}
@@ -680,7 +648,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		}
 		bound := s.sign * Eval(s.w.obj, x)
 		s.sawFeasible = true
-		if s.pc != nil && nd.pvar >= 0 {
+		if nd.pvar >= 0 {
 			// Credit the branching that created this node with the bound
 			// gain its LP realized; cleared so the dense-fallback retry
 			// below cannot double-count.
@@ -691,49 +659,31 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			s.pruned++
 			return nil
 		}
-		if s.nodes == 1 && s.incMode && s.hasCutoff && fromEngine && s.fsxEng != nil && st == Optimal {
+		if s.nodes == 1 && s.hasCutoff && fromEngine && st == Optimal {
 			// Root reduced-cost fixing against the transferred cutoff,
 			// while the engine still holds the root LP's reduced costs.
 			s.fixByReducedCost(nd, bound)
 		}
 
 		// Branch variable: among fractional integer variables, the
-		// highest branch-priority class, then (incremental mode) the best
-		// pseudocost product score — which, with no observations in the
-		// table, reduces exactly to the legacy most-fractional rule —
-		// or (legacy mode) most fractional within it.
-		// Priorities let formulations steer branching toward genuine
-		// decision variables (CASA: the l's) instead of derived ones
-		// (the linearization L's, which the l's imply).
+		// highest branch-priority class, then the best pseudocost product
+		// score — which, with no observations in the table, reduces to
+		// most fractional. Priorities let formulations steer branching
+		// toward genuine decision variables (CASA: the l's) instead of
+		// derived ones (the linearization L's, which the l's imply).
 		branchVar := -1
 		bestPrio := math.MinInt
-		if s.pc != nil {
-			bestScore := 0.0
-			for _, j := range s.intVars {
-				if math.Abs(x[j]-math.Round(x[j])) <= s.opt.IntTol {
-					continue
-				}
-				p := s.w.prio[j]
-				sc := s.pc.score(j, x[j]-math.Floor(x[j]))
-				if p > bestPrio || (p == bestPrio && sc > bestScore) {
-					bestPrio = p
-					bestScore = sc
-					branchVar = j
-				}
+		bestScore := 0.0
+		for _, j := range s.intVars {
+			if math.Abs(x[j]-math.Round(x[j])) <= s.opt.IntTol {
+				continue
 			}
-		} else {
-			worst := s.opt.IntTol
-			for _, j := range s.intVars {
-				frac := math.Abs(x[j] - math.Round(x[j]))
-				if frac <= s.opt.IntTol {
-					continue
-				}
-				p := s.w.prio[j]
-				if p > bestPrio || (p == bestPrio && frac > worst) {
-					bestPrio = p
-					worst = frac
-					branchVar = j
-				}
+			p := s.w.prio[j]
+			sc := s.pc.score(j, x[j]-math.Floor(x[j]))
+			if p > bestPrio || (p == bestPrio && sc > bestScore) {
+				bestPrio = p
+				bestScore = sc
+				branchVar = j
 			}
 		}
 		if branchVar < 0 {
@@ -795,13 +745,13 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 // tightened box. Runs only while the engine still holds the root LP's
 // basis.
 func (s *bbState) fixByReducedCost(nd *bbNode, bound float64) {
-	f := s.fsxEng
+	f := s.eng
 	lim := s.cutoffW + s.cutMargin
 	for _, j := range s.intVars {
 		if nd.hi[j]-nd.lo[j] < 0.5 {
 			continue // already fixed
 		}
-		d := f.reducedCost(j)
+		d := f.d[j] // root LP reduced cost; 0 for basic columns
 		switch f.status[j] {
 		case nbLower:
 			if d > 0 && bound+d > lim {

@@ -553,7 +553,7 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 		if _, err := sim.Run(prog, lay, sim.FetcherFunc(fetch), opts...); err != nil {
 			return nil, err
 		}
-	case len(opts) == 0 && !sim.StreamCacheDisabled():
+	case len(opts) == 0:
 		// With default run limits the block trace depends only on the
 		// program, so replay the memoized execute-once recording under
 		// this layout; results are bit-identical to a live run.
@@ -563,8 +563,8 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 		}
 		tr.Replay(lay, h)
 	default:
-		// Custom run options (and CASA_STREAM_CACHE=off) bypass the trace
-		// cache: re-execute the interpreter, still at line granularity.
+		// Custom run options bypass the trace cache: re-execute the
+		// interpreter, still at line granularity.
 		if _, err := sim.Run(prog, lay, h, opts...); err != nil {
 			return nil, err
 		}

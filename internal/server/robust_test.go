@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/fault"
 )
 
@@ -326,7 +327,6 @@ func TestDrainWaitsForStalledLeader(t *testing.T) {
 // priority order, emptying the interned programs and warm donors and
 // halving the result cache.
 func TestWatchdogShedsInPriorityOrder(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	cfg := testConfig()
 	cfg.MemSoftLimitBytes = 1 // any live heap is over
 	s := New(cfg)
@@ -337,9 +337,9 @@ func TestWatchdogShedsInPriorityOrder(t *testing.T) {
 	allocate(t, ts.URL, adpcmBody(192))
 	custom := fmt.Sprintf(`{"program":%q,"hierarchy":{"cache_bytes":1024,"spm_bytes":128}}`, tinyProgram)
 	allocate(t, ts.URL, custom)
-	if s.cache.len() == 0 || s.programs.len() == 0 || s.warm.size() == 0 {
+	if s.cache.len() == 0 || s.programs.len() == 0 || s.warm.Len() == 0 {
 		t.Fatalf("setup: cache %d, programs %d, warm %d — need all nonzero",
-			s.cache.len(), s.programs.len(), s.warm.size())
+			s.cache.len(), s.programs.len(), s.warm.Len())
 	}
 	cache0 := s.cache.len()
 
@@ -361,8 +361,8 @@ func TestWatchdogShedsInPriorityOrder(t *testing.T) {
 	if s.programs.len() != 0 {
 		t.Errorf("interned programs survived the shed: %d", s.programs.len())
 	}
-	if s.warm.size() != 0 {
-		t.Errorf("warm donors survived the shed: %d", s.warm.size())
+	if s.warm.Len() != 0 {
+		t.Errorf("warm donors survived the shed: %d", s.warm.Len())
 	}
 
 	// The server keeps serving — shed state is an optimization, not a
@@ -383,7 +383,6 @@ func TestWatchdogShedsInPriorityOrder(t *testing.T) {
 // restored cache — zero new solves — and warm-start the first
 // neighboring solve from a restored donor.
 func TestSnapshotRoundTrip(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	path := filepath.Join(t.TempDir(), "snap.json")
 
 	a := New(testConfig())
@@ -466,7 +465,7 @@ func TestSnapshotRestoreGuards(t *testing.T) {
 			{Key: "k1", Response: &Response{Degraded: true}}, // degraded: never resurrected
 			{Key: "", Response: &Response{}},                 // keyless
 		},
-		Warm: []snapWarmDonor{
+		Warm: []experiments.WarmDonor{
 			{Workload: "no-such-workload", CacheBytes: 1024, SPMBytes: 128, InSPM: []bool{true}},
 			{Workload: "adpcm", CacheBytes: 1024, SPMBytes: 128, InSPM: []bool{true}}, // wrong selection length
 		},
@@ -486,7 +485,7 @@ func TestSnapshotRestoreGuards(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("restored %d untrustworthy entries, want 0", n)
 	}
-	if s.cache.len() != 0 || s.warm.size() != 0 {
-		t.Fatalf("junk entries landed: cache %d, warm %d", s.cache.len(), s.warm.size())
+	if s.cache.len() != 0 || s.warm.Len() != 0 {
+		t.Fatalf("junk entries landed: cache %d, warm %d", s.cache.len(), s.warm.Len())
 	}
 }

@@ -74,7 +74,7 @@ var (
 	mInflight     = obs.GetGauge("casa_server_inflight")
 	mLatency      = obs.GetHistogram("casa_server_request_ns")
 	// mWarmSolves counts solves seeded with a cutoff transferred from a
-	// previously solved neighboring configuration (warm.go).
+	// previously solved neighboring configuration (experiments.WarmStore).
 	mWarmSolves = obs.GetCounter("casa_server_warm_solves_total")
 )
 
@@ -277,9 +277,9 @@ type Server struct {
 
 	// session shares ILP presolve reductions across requests; warm
 	// transfers solved selections between single-parameter-apart
-	// hierarchies (warm.go). Both are CASA_INCREMENTAL-gated.
+	// hierarchies of the same program (DESIGN.md §13).
 	session *ilp.Session
-	warm    warmStore
+	warm    experiments.WarmStore
 
 	// stop tears down the background goroutines (memory watchdog,
 	// snapshotter) exactly once, on Shutdown.
@@ -693,6 +693,11 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 	}
 	pipe.SolveBudget = budget
 	pipe.Session = s.session
+	// Cross-request warm start: a CASA solve is seeded from the solved
+	// neighboring hierarchies of the same program, and publishes its
+	// proven-optimal selection for later requests. Neither changes the
+	// answer (ilp.Options), so warm and cold responses are identical.
+	pipe.Warm = &s.warm
 
 	base, err := pipe.RunCacheOnly(ctx)
 	if err != nil {
@@ -703,20 +708,6 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 		// Load shedding: skip the ILP entirely and serve the greedy
 		// selection, marked degraded below.
 		alloc = "greedy"
-	}
-	wk := warmKey{prog: prog, spec: spec, spm: req.Hierarchy.SPMBytes}
-	if alloc == "casa" && ilp.IncrementalEnabled() {
-		// Cross-request warm start: seed the solve with the tightest
-		// cutoff transferable from a solved neighboring hierarchy, plus
-		// the best partition-matching donor's simplex basis and
-		// pseudocosts. Neither changes the answer (ilp.Options), so warm
-		// and cold responses are identical.
-		if cut, hot, ok := s.warm.warmCutoff(wk, pipe); ok {
-			pipe.WarmCutoff = &cut
-			pipe.WarmHot = hot
-			sp.SetAttr("warm_cutoff", cut)
-			mWarmSolves.Inc()
-		}
 	}
 	var out *experiments.Outcome
 	switch alloc {
@@ -734,14 +725,8 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alloc, err)
 	}
-	if alloc == "casa" && ilp.IncrementalEnabled() {
-		// Publish proven-optimal selections as donors for later
-		// requests; budget-degraded incumbents are timing-dependent and
-		// must not influence other solves.
-		if a, aerr := pipe.CASAAllocation(ctx); aerr == nil &&
-			a.Status == ilp.Optimal && !a.Degraded && !a.Fallback {
-			s.warm.record(wk, req.Workload, pipe.Set, a.InSPM, a.Hot)
-		}
+	if out.Warm {
+		mWarmSolves.Inc()
 	}
 
 	resp := s.buildResponse(req, key, tier, pipe, base, out)

@@ -41,16 +41,6 @@ var (
 	mSnapEntries  = obs.GetCounter("casa_server_snapshot_entries_restored_total")
 )
 
-// snapWarmDonor is one persisted warm-store donor.
-type snapWarmDonor struct {
-	Workload   string `json:"workload"`
-	CacheBytes int    `json:"cache_bytes"`
-	LineBytes  int    `json:"line_bytes"`
-	Assoc      int    `json:"assoc"`
-	SPMBytes   int    `json:"spm_bytes"`
-	InSPM      []bool `json:"in_spm"`
-}
-
 // snapCacheEntry is one persisted result-cache entry.
 type snapCacheEntry struct {
 	Key      string    `json:"key"`
@@ -59,10 +49,10 @@ type snapCacheEntry struct {
 
 // snapshotFile is the on-disk layout.
 type snapshotFile struct {
-	Version   int              `json:"version"`
-	SavedUnix int64            `json:"saved_unix"`
-	Cache     []snapCacheEntry `json:"cache"`
-	Warm      []snapWarmDonor  `json:"warm"`
+	Version   int                     `json:"version"`
+	SavedUnix int64                   `json:"saved_unix"`
+	Cache     []snapCacheEntry        `json:"cache"`
+	Warm      []experiments.WarmDonor `json:"warm"`
 }
 
 // SaveSnapshot atomically persists the current warm state to path.
@@ -70,7 +60,7 @@ func (s *Server) SaveSnapshot(path string) error {
 	snap := snapshotFile{
 		Version:   snapshotVersion,
 		SavedUnix: time.Now().Unix(),
-		Warm:      s.warm.dump(),
+		Warm:      s.warm.Dump(),
 	}
 	for _, e := range s.cache.dump() {
 		snap.Cache = append(snap.Cache, snapCacheEntry{Key: e.key, Response: e.resp})
@@ -126,12 +116,11 @@ func (s *Server) RestoreSnapshot(path string) (int, error) {
 		if err != nil {
 			continue
 		}
-		spec := experiments.CacheSpec{Size: d.CacheBytes, Line: d.LineBytes, Assoc: d.Assoc}
-		pipe, err := experiments.PrepareProgram(ctx, prog, spec, d.SPMBytes)
+		pipe, err := experiments.PrepareProgram(ctx, prog, d.Cache(), d.SPMBytes)
 		if err != nil || len(pipe.Set.Traces) != len(d.InSPM) {
 			continue
 		}
-		s.warm.record(warmKey{prog: prog, spec: spec, spm: d.SPMBytes}, d.Workload, pipe.Set, d.InSPM, nil)
+		s.warm.Record(pipe, d.InSPM, nil)
 		restored++
 	}
 	if restored > 0 {

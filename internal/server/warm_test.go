@@ -14,7 +14,6 @@ import (
 // casa_server_warm_solves_total) and still return the same answer a
 // cold server gives.
 func TestWarmSolvesAcrossRequests(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	ts := httptest.NewServer(New(testConfig()).Handler())
 	defer ts.Close()
 
@@ -56,7 +55,6 @@ func TestWarmSolvesAcrossRequests(t *testing.T) {
 // fired, the test is not passing vacuously on a cold solve — and the
 // warm response must be identical to a cold server's golden answer.
 func TestWarmBasisTransferAcrossRequests(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	ts := httptest.NewServer(New(testConfig()).Handler())
 	defer ts.Close()
 
@@ -86,21 +84,5 @@ func TestWarmBasisTransferAcrossRequests(t *testing.T) {
 		warm.UsedBytes != golden.UsedBytes ||
 		warm.Degraded != golden.Degraded {
 		t.Errorf("basis-transferred answer diverged from cold golden:\nwarm %+v\ncold %+v", warm, golden)
-	}
-}
-
-// TestWarmDisabledByEnv pins the CASA_INCREMENTAL=off contract on the
-// serving path: no cutoffs, no warm counter movement.
-func TestWarmDisabledByEnv(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "off")
-	ts := httptest.NewServer(New(testConfig()).Handler())
-	defer ts.Close()
-
-	warmed := obs.GetCounter("casa_server_warm_solves_total")
-	base := warmed.Value()
-	allocate(t, ts.URL, adpcmBody(128))
-	allocate(t, ts.URL, adpcmBody(192))
-	if got := warmed.Value(); got != base {
-		t.Fatalf("warm counter moved with CASA_INCREMENTAL=off: %d, want %d", got, base)
 	}
 }

@@ -67,7 +67,7 @@ func (s *Server) maybeShed() []string {
 	}{
 		{"result-cache", func() int { return s.cache.shed(0.5) }},
 		{"interned-programs", func() int { return s.programs.shedAll() }},
-		{"warm-donors", func() int { return s.warm.clear() }},
+		{"warm-donors", func() int { return s.warm.Clear() }},
 	}
 	for _, step := range steps {
 		n := step.run()

@@ -29,7 +29,6 @@
 package sim
 
 import (
-	"os"
 	"sync"
 
 	"repro/internal/fault"
@@ -197,16 +196,4 @@ func Forget(p *ir.Program) {
 		mStreamBytes.Set(int64(traceBytes))
 	}
 	traceMu.Unlock()
-}
-
-// StreamCacheDisabled reports whether CASA_STREAM_CACHE requests the
-// memoized trace path off ("0", "off" or "false"); the simulator then
-// re-executes programs for every run (still at line granularity — only
-// the execute-once memoization is bypassed).
-func StreamCacheDisabled() bool {
-	switch os.Getenv("CASA_STREAM_CACHE") {
-	case "0", "off", "false":
-		return true
-	}
-	return false
 }
