@@ -42,11 +42,12 @@ func BenchmarkFig4CASAvsSteinke(b *testing.B) {
 }
 
 // BenchmarkFig5CASAvsLoopCache regenerates Figure 5: the CASA-allocated
-// scratchpad vs. the Ross-preloaded loop cache on mpeg.
+// scratchpad vs. the Ross-preloaded loop cache on mpeg. Like every
+// study benchmark below, each iteration starts cold (coldStart).
 func BenchmarkFig5CASAvsLoopCache(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultFig5()
 	for i := 0; i < b.N; i++ {
+		s := coldStart(b, cfg.Workload)
 		rows, err := experiments.Fig5(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -60,9 +61,9 @@ func BenchmarkFig5CASAvsLoopCache(b *testing.B) {
 // BenchmarkTable1 regenerates Table 1: overall energy savings across
 // adpcm, g721 and mpeg with their per-benchmark cache sizes.
 func BenchmarkTable1(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultTable1()
 	for i := 0; i < b.N; i++ {
+		s := coldStart(b, workload.Names()...)
 		rows, avgs, err := experiments.Table1(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -346,15 +347,17 @@ func BenchmarkSimplexKnapsackLP(b *testing.B) {
 // appear with -v without polluting benchmark timing lines.
 func benchWriter(b *testing.B) io.Writer { return logWriter{b} }
 
-// coldStart drops the named workload's process-wide profile and trace
-// memos and returns a fresh suite, so a grid iteration recomputes
+// coldStart drops the named workloads' process-wide profile and trace
+// memos and returns a fresh suite, so a study iteration recomputes
 // everything whatever ran before it in the process.
-func coldStart(b *testing.B, name string) *experiments.Suite {
-	prog, err := workload.Shared(name)
-	if err != nil {
-		b.Fatal(err)
+func coldStart(b *testing.B, names ...string) *experiments.Suite {
+	for _, name := range names {
+		prog, err := workload.Shared(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Forget(prog)
 	}
-	sim.Forget(prog)
 	return experiments.NewSuite()
 }
 
@@ -369,9 +372,9 @@ func (w logWriter) Write(p []byte) (int, error) {
 // fetch-cycle bounds for cache-only vs. CASA layouts on all three
 // benchmarks.
 func BenchmarkWCETStudy(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultWCETStudy()
 	for i := 0; i < b.N; i++ {
+		s := coldStart(b, workload.Names()...)
 		rows, err := experiments.WCETStudy(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -384,14 +387,15 @@ func BenchmarkWCETStudy(b *testing.B) {
 
 // BenchmarkOverlayStudy regenerates the overlay (dynamic copying) study —
 // the paper's §7 future work: static CASA vs. phased scratchpad
-// reloading.
+// reloading. Each iteration builds a fresh config, and with it a fresh
+// two-pass program that no memo has seen.
 func BenchmarkOverlayStudy(b *testing.B) {
-	s := experiments.NewSuite()
-	cfg, err := experiments.DefaultOverlayStudy()
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
+		s := coldStart(b, "mpeg")
+		cfg, err := experiments.DefaultOverlayStudy()
+		if err != nil {
+			b.Fatal(err)
+		}
 		rows, err := experiments.OverlayStudy(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -405,9 +409,9 @@ func BenchmarkOverlayStudy(b *testing.B) {
 // BenchmarkDataStudy regenerates the data-preloading study — the paper's
 // other §7 future work: joint code+data scratchpad allocation.
 func BenchmarkDataStudy(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultDataStudy()
 	for i := 0; i < b.N; i++ {
+		s := coldStart(b, workload.Names()...)
 		rows, err := experiments.DataStudy(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -421,9 +425,9 @@ func BenchmarkDataStudy(b *testing.B) {
 // BenchmarkPlacementStudy regenerates the code-placement comparison: how
 // much of CASA's win cache-conscious reordering ([10,14]) achieves alone.
 func BenchmarkPlacementStudy(b *testing.B) {
-	s := experiments.NewSuite()
 	cfg := experiments.DefaultPlacementStudy()
 	for i := 0; i < b.N; i++ {
+		s := coldStart(b, workload.Names()...)
 		rows, err := experiments.PlacementStudy(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -79,7 +79,7 @@ func main() {
 	workers := flag.Int("workers", 0,
 		fmt.Sprintf("worker-pool width (0 = $%s, else NumCPU)", parallel.EnvWorkers))
 	compareSerial := flag.Bool("compare-serial", false,
-		"time each study serially (1 worker) and in parallel and report the speedup; suppresses table output and disables the fetch-stream cache so the pool itself is measured")
+		"time each study serially (1 worker) and in parallel and report the speedup; suppresses table output and drops every bundled program's profile and trace memos before each timed run so neither run reuses the other's recordings")
 	repeat := flag.Int("repeat", 1,
 		"run the selected studies this many rounds on one shared suite; rounds after the first hit the memo layers and print nothing to stdout")
 	reportPath := flag.String("report", "",

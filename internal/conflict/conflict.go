@@ -62,36 +62,6 @@ func (g *Graph) AddMisses(victim, evictor int, n int64) error {
 	return nil
 }
 
-// MatchesFetches reports whether g's vertex layer is exactly the given
-// per-object fetch counts — the precondition for Rebase: two grid cells
-// that differ only in cache geometry partition the program into the
-// same memory objects, so their graphs differ only in edge weights.
-func (g *Graph) MatchesFetches(fetches []int64) bool {
-	if len(fetches) != len(g.fetches) {
-		return false
-	}
-	for i, f := range fetches {
-		if g.fetches[i] != f {
-			return false
-		}
-	}
-	return true
-}
-
-// Rebase returns a new graph over the same vertices as g with no edges,
-// sharing g's fetch-count vector instead of copying it (the vector is
-// immutable after New, so sharing is safe). It is the incremental path
-// for re-profiling under a changed cache geometry or scratchpad
-// capacity: when the memory objects are unchanged, only the conflict
-// weights need recounting. The result is indistinguishable from
-// New(fetches) with the same subsequent AddMisses calls.
-func (g *Graph) Rebase() *Graph {
-	return &Graph{
-		fetches: g.fetches,
-		weights: make(map[[2]int]int64, len(g.weights)),
-	}
-}
-
 // Misses returns m_ij, the misses of victim caused by evictor.
 func (g *Graph) Misses(victim, evictor int) int64 {
 	return g.weights[[2]int{victim, evictor}]

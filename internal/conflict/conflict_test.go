@@ -218,55 +218,3 @@ func TestHeatChar(t *testing.T) {
 		}
 	}
 }
-
-func TestRebaseEquality(t *testing.T) {
-	donor := sample()
-	// Rebase then refill with a different attribution (a different cache
-	// produced different conflicts over the same objects): the result
-	// must be indistinguishable from a graph built with New.
-	fills := [][3]int64{{0, 3, 9}, {1, 1, 4}, {3, 2, 21}}
-	rebased := donor.Rebase()
-	fresh := New([]int64{100, 200, 300, 50})
-	for _, f := range fills {
-		if err := rebased.AddMisses(int(f[0]), int(f[1]), f[2]); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.AddMisses(int(f[0]), int(f[1]), f[2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rebased.N() != fresh.N() {
-		t.Fatalf("N = %d, want %d", rebased.N(), fresh.N())
-	}
-	for i := 0; i < fresh.N(); i++ {
-		if rebased.Fetches(i) != fresh.Fetches(i) {
-			t.Errorf("Fetches(%d) = %d, want %d", i, rebased.Fetches(i), fresh.Fetches(i))
-		}
-	}
-	re, fe := rebased.Edges(), fresh.Edges()
-	if len(re) != len(fe) {
-		t.Fatalf("edges: %d vs %d", len(re), len(fe))
-	}
-	for i := range re {
-		if re[i] != fe[i] {
-			t.Errorf("edge %d: %+v vs %+v", i, re[i], fe[i])
-		}
-	}
-	// The donor is untouched by the rebased graph's fills.
-	if donor.Misses(0, 3) != 0 || donor.Misses(0, 1) != 10 {
-		t.Error("Rebase mutated the donor's weights")
-	}
-}
-
-func TestMatchesFetches(t *testing.T) {
-	g := New([]int64{5, 6, 7})
-	if !g.MatchesFetches([]int64{5, 6, 7}) {
-		t.Error("identical fetch vector rejected")
-	}
-	if g.MatchesFetches([]int64{5, 6}) {
-		t.Error("shorter vector accepted")
-	}
-	if g.MatchesFetches([]int64{5, 6, 8}) {
-		t.Error("differing vector accepted")
-	}
-}

@@ -116,9 +116,9 @@ type Allocation struct {
 	// Fallback reports that the solver produced no incumbent at all and
 	// the selection came from GreedyAllocate.
 	Fallback bool
-	// Hot is the solver's transferable warm state (final basis and
-	// pseudocosts), set on proven-optimal solves. Warm-start donor stores
-	// hand it to a neighboring cell via Params.Solver.HotStart.
+	// Hot is the solver's final simplex basis, set on proven-optimal
+	// solves. Warm-start donor stores hand it to a neighboring cell via
+	// Params.Solver.HotStart.
 	Hot *ilp.HotStart
 }
 
@@ -192,7 +192,7 @@ func BuildModel(set *trace.Set, g *conflict.Graph, p Params) (*ilp.Model, []ilp.
 		// Linearization rows are named by edge (not the positional c%d
 		// default) so a neighboring cell's basis maps through the rows the
 		// two formulations share (ilp.HotStart); names play no role in
-		// solving or hashing (ilp.Session ignores them).
+		// solving.
 		switch p.Linearization {
 		case Faithful:
 			// (13) l_i − L ≥ 0, (14) l_j − L ≥ 0, (15) l_i + l_j − 2L ≤ 1.

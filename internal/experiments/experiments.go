@@ -54,10 +54,6 @@ var (
 	mOutMisses   = obs.GetCounter("casa_outcome_memo_misses_total")
 	mAllocHits   = obs.GetCounter("casa_alloc_memo_hits_total")
 	mAllocMisses = obs.GetCounter("casa_alloc_memo_misses_total")
-	// mConflictIncremental counts conflict graphs rebased onto a donor
-	// cell's vertex layer instead of being built from scratch
-	// (prepareProgram, with a donor graph from the suite).
-	mConflictIncremental = obs.GetCounter("casa_conflict_incremental_total")
 )
 
 // CacheSpec selects the I-cache configuration of an experiment.
@@ -123,9 +119,6 @@ type Pipeline struct {
 	// on expiry the solver degrades to its incumbent or the greedy
 	// fallback instead of failing the cell.
 	SolveBudget time.Duration
-	// Session shares presolve reductions across this pipeline's solves
-	// (set by the owning Suite; nil for standalone pipelines).
-	Session *ilp.Session
 	// Warm, when non-nil, is the donor store shared with neighboring
 	// pipelines (warmplan.go): the CASA solve is seeded from its
 	// single-parameter neighbors and, once proven optimal, recorded into
@@ -171,16 +164,6 @@ func Prepare(ctx context.Context, name string, cacheSpec CacheSpec, spmSize int)
 // workloads, tests). The program must not be mutated afterwards: profiles
 // and fetch streams are memoized process-wide per program instance.
 func PrepareProgram(ctx context.Context, prog *ir.Program, cacheSpec CacheSpec, spmSize int) (*Pipeline, error) {
-	return prepareProgram(ctx, prog, cacheSpec, spmSize, nil)
-}
-
-// prepareProgram is PrepareProgram with an optional conflict-graph donor:
-// when donor covers the same memory objects (same trace partition — the
-// suite passes a graph from a cell differing only in cache geometry),
-// the new graph rebases onto its vertex layer instead of rebuilding it,
-// and the rebase is counted. Edge weights always come from this cell's
-// own profiling run, so the result is identical with or without a donor.
-func prepareProgram(ctx context.Context, prog *ir.Program, cacheSpec CacheSpec, spmSize int, donor *conflict.Graph) (*Pipeline, error) {
 	ctx, ps := obs.StartSpan(ctx, "prepare")
 	defer ps.End()
 	ps.SetAttr("workload", prog.Name)
@@ -230,14 +213,7 @@ func prepareProgram(ctx context.Context, prog *ir.Program, cacheSpec CacheSpec, 
 	for i, t := range set.Traces {
 		fetches[i] = t.Fetches
 	}
-	var g *conflict.Graph
-	if donor != nil && donor.MatchesFetches(fetches) {
-		g = donor.Rebase()
-		mConflictIncremental.Inc()
-		sp.SetAttr("rebased", true)
-	} else {
-		g = conflict.New(fetches)
-	}
+	g := conflict.New(fetches)
 	for k, v := range base.Conflicts {
 		if err := g.AddMisses(k.Victim, k.Evictor, v); err != nil {
 			sp.End()
@@ -310,7 +286,7 @@ func (p *Pipeline) casaParams() core.Params {
 		ESPHit:     p.Cost.SPMAccess,
 		ECacheHit:  p.Cost.CacheHit,
 		ECacheMiss: p.Cost.CacheMiss,
-		Solver:     ilp.Options{Budget: p.SolveBudget, Session: p.Session},
+		Solver:     ilp.Options{Budget: p.SolveBudget},
 	}
 }
 
@@ -368,9 +344,8 @@ func (p *Pipeline) casaAllocation(ctx context.Context) *allocEntry {
 			// Cross-cell warm start: seed the solve with the tightest
 			// cutoff transferable from a solved neighbor, plus — when a
 			// partition-matching donor exists — that donor's simplex basis
-			// and pseudocosts (warmplan.go). Cold solves are counted as
-			// misses here; hits are counted by the solver when it installs
-			// the cutoff.
+			// (warmplan.go). Cold solves are counted as misses here; hits
+			// are counted by the solver when it installs the cutoff.
 			if cut, hot, ok := p.Warm.cutoff(p, params); ok {
 				params.Solver.Cutoff = &cut
 				params.Solver.HotStart = hot
@@ -561,44 +536,8 @@ type Suite struct {
 	solveBudget time.Duration
 	pipelines   map[suiteKey]*suiteEntry
 
-	// warm holds solved cells for cross-cell warm starts (warmplan.go);
-	// session shares presolve reductions across the suite's solves.
-	warm    WarmStore
-	session *ilp.Session
-
-	// graphs holds the first conflict graph built per trace partition —
-	// (workload, scratchpad size, line size) fixes the vertex layer — so
-	// cells differing only in cache geometry rebase onto it instead of
-	// rebuilding it (conflict.Rebase).
-	graphs map[graphKey]*conflict.Graph
-}
-
-// graphKey identifies a trace partition: the parameters that determine
-// the conflict graph's vertex set (but not its edge weights).
-type graphKey struct {
-	name      string
-	spmSize   int
-	lineBytes int
-}
-
-// graphDonor returns a previously built conflict graph over the same
-// trace partition, if any.
-func (s *Suite) graphDonor(k graphKey) *conflict.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.graphs[k]
-}
-
-// recordGraph stores the first conflict graph built for a partition.
-func (s *Suite) recordGraph(k graphKey, g *conflict.Graph) {
-	s.mu.Lock()
-	if s.graphs == nil {
-		s.graphs = make(map[graphKey]*conflict.Graph)
-	}
-	if _, ok := s.graphs[k]; !ok {
-		s.graphs[k] = g
-	}
-	s.mu.Unlock()
+	// warm holds solved cells for cross-cell warm starts (warmplan.go).
+	warm WarmStore
 }
 
 type suiteKey struct {
@@ -616,7 +555,7 @@ type suiteEntry struct {
 // NewSuite returns an empty suite with the default worker count
 // (CASA_WORKERS, else GOMAXPROCS-style runtime.NumCPU).
 func NewSuite() *Suite {
-	return &Suite{pipelines: make(map[suiteKey]*suiteEntry), session: ilp.NewSession()}
+	return &Suite{pipelines: make(map[suiteKey]*suiteEntry)}
 }
 
 // SetWorkers fixes the worker-pool width for this suite's studies
@@ -679,13 +618,10 @@ func (s *Suite) Pipeline(ctx context.Context, name string, cacheSpec CacheSpec, 
 			e.err = err
 			return
 		}
-		gk := graphKey{name: name, spmSize: spmSize, lineBytes: cacheSpec.Line}
-		e.p, e.err = prepareProgram(ctx, prog, cacheSpec, spmSize, s.graphDonor(gk))
+		e.p, e.err = PrepareProgram(ctx, prog, cacheSpec, spmSize)
 		if e.err == nil {
 			e.p.SolveBudget = s.SolveBudget()
-			e.p.Session = s.session
 			e.p.Warm = &s.warm
-			s.recordGraph(gk, e.p.Graph)
 		}
 	})
 	return e.p, e.err

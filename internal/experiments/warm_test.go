@@ -17,12 +17,12 @@ import (
 )
 
 // TestWarmMatchesColdStudies is the central exactness contract of the
-// incremental machinery: every fig4 and sensitivity cell's suite-owned
-// allocation and CASA outcome — solved with cross-cell cutoffs, basis
-// and pseudocost hot starts, a shared presolve session and rebased
-// conflict graphs — must equal, bit for bit, those of a standalone
-// PrepareProgram pipeline, which has no donor store, no session and a
-// conflict graph built from scratch.
+// warm-start machinery: every fig4 and sensitivity cell's suite-owned
+// allocation and CASA outcome — solved with cross-cell cutoffs,
+// reduced-cost fixing and basis hot starts — must equal, bit for bit,
+// those of a standalone PrepareProgram pipeline, which has no donor
+// store. The sensitivity grid must also install at least one donor
+// basis, so the surviving hot-start path is exercised, not bypassed.
 func TestWarmMatchesColdStudies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full warm-vs-cold sweep is too heavy under the race detector")
@@ -36,8 +36,13 @@ func TestWarmMatchesColdStudies(t *testing.T) {
 	if _, err := Fig4(ctx, s, fig4); err != nil {
 		t.Fatalf("Fig4: %v", err)
 	}
+	reuse := obs.GetCounter("casa_ilp_basis_reuse_total")
+	reuseBefore := reuse.Value()
 	if _, err := Sensitivity(ctx, s, sens); err != nil {
 		t.Fatalf("Sensitivity: %v", err)
+	}
+	if reuse.Value() == reuseBefore {
+		t.Error("sensitivity grid installed no donor basis; the hot-start path is untested")
 	}
 	cold := func(name string, cache CacheSpec, spm int) *Pipeline {
 		prog, err := workload.Shared(name)
@@ -83,7 +88,7 @@ func TestWarmMatchesColdStudies(t *testing.T) {
 				wa.InSPM, wa.UsedBytes, wa.Status, ca.InSPM, ca.UsedBytes, ca.Status)
 		}
 		// The model energy of the selection, evaluated on each pipeline's
-		// own (rebased vs. freshly built) conflict graph, is bit-identical.
+		// own conflict graph, is bit-identical.
 		// PredictedEnergy itself is the solver objective at the LP point,
 		// whose continuous linearization variables carry pivot-path
 		// rounding, so it agrees only to a few ulps.
@@ -238,8 +243,8 @@ func TestFig4PermutedOrderInvariant(t *testing.T) {
 
 // TestSensitivityPermutedOrderInvariant is the order-independence
 // property for the cache-organization sweep, where most cells share one
-// trace partition and therefore exchange simplex bases and pseudocosts,
-// not just cutoffs (warmplan.go): whatever order the cells run in, the
+// trace partition and therefore exchange simplex bases, not just
+// cutoffs (warmplan.go): whatever order the cells run in, the
 // rows are identical. It also pins down that basis transfer actually
 // fires on this grid — the serial natural-order sweep must install at
 // least one donor basis, or the property test would be vacuously

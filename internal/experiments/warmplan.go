@@ -207,9 +207,9 @@ func keyLess(a, b donorKey) bool {
 // donor: among neighbors sharing p's trace partition — same scratchpad
 // capacity and line size fix the variable identities, so the donor's
 // columns map by name — the one with the lowest transferred value
-// donates its final simplex basis and pseudocosts (hot). Neighbors on a
-// different partition (scratchpad-size neighbors) still donate cutoffs
-// but no basis.
+// donates its final simplex basis (hot). Neighbors on a different
+// partition (scratchpad-size neighbors) still donate cutoffs but no
+// basis.
 func (w *WarmStore) cutoff(p *Pipeline, params core.Params) (cut float64, hot *ilp.HotStart, found bool) {
 	k := donorKey{prog: p.Prog, cache: p.Cache, spm: p.SPMSize}
 	bestHot := 0.0

@@ -8,25 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Cross-cell hot starts. A solved cell leaves behind two kinds of
-// reusable solver state beyond its incumbent value (the cutoff of
-// incremental.go):
+// Cross-cell hot starts. Beyond its incumbent value (the cutoff of
+// Options.Cutoff), a solved cell leaves behind its final simplex basis.
+// For a neighboring model that shares variable and row structure, the
+// donor basis is a far better starting point than the all-slack crash
+// basis: reduced costs are independent of the right-hand side, so an
+// optimal basis of the donor is exactly dual feasible for a sibling
+// that differs only in RHS, and near-feasible for one that differs in a
+// few rows.
 //
-//   - its final simplex basis: for a neighboring model that shares
-//     variable and row structure, the donor basis is a far better
-//     starting point than the all-slack crash basis — reduced costs are
-//     independent of the right-hand side, so an optimal basis of the
-//     donor is exactly dual feasible for a sibling that differs only in
-//     RHS, and near-feasible for one that differs in a few rows;
-//   - its branching statistics: per-variable pseudocosts (average
-//     objective gain per unit of fractionality, up and down) observed in
-//     the donor's branch & bound tree, which seed the recipient's
-//     variable selection so the first branchings are informed instead of
-//     blind.
-//
-// Both travel in a HotStart, keyed by variable and constraint NAMES in
-// the original model space (presolve preserves variable names and
-// records row origins, so reduced-space state maps back out). Name
+// The basis travels in a HotStart, keyed by variable and constraint
+// NAMES in the original model space (presolve preserves variable names
+// and records row origins, so reduced-space state maps back out). Name
 // keying is what makes transfer robust across neighboring cells whose
 // models overlap without being identical: shared columns map, missing
 // ones fall back to slacks, extra ones are ignored.
@@ -35,56 +28,38 @@ import (
 // point, never its termination conditions — installBasis (factor.go)
 // either establishes a fully dual-feasible basis or resets to the cold
 // crash basis, and the dual simplex then converges to an optimum of the
-// same LP either way. Pseudocost seeding only reorders branching;
-// reduced-cost fixing (solve.go) only fixes variables that provably
-// cannot move in ANY optimal solution given a known-feasible cutoff.
+// same LP either way. Reduced-cost fixing (solve.go) only fixes
+// variables that provably cannot move in ANY optimal solution given a
+// known-feasible cutoff.
 //
 // Counters: casa_ilp_basis_reuse_total fires when a donor basis is
 // successfully installed; casa_ilp_basis_repair_pivots_total accumulates
-// the dual-repair pivots those installs needed;
-// casa_ilp_pseudocost_transfers_total fires when donor pseudocosts seed
-// a solve; casa_ilp_rhs_grown_rejects_total counts session RHS patches
-// rejected because the capacity grew (incremental.go).
+// the dual-repair pivots those installs needed.
 
 var (
-	mBasisReuse     = obs.GetCounter("casa_ilp_basis_reuse_total")
-	mBasisRepair    = obs.GetCounter("casa_ilp_basis_repair_pivots_total")
-	mPseudoTransfer = obs.GetCounter("casa_ilp_pseudocost_transfers_total")
-	mRCFixed        = obs.GetCounter("casa_ilp_reduced_cost_fixed_total")
+	mBasisReuse  = obs.GetCounter("casa_ilp_basis_reuse_total")
+	mBasisRepair = obs.GetCounter("casa_ilp_basis_repair_pivots_total")
+	mRCFixed     = obs.GetCounter("casa_ilp_reduced_cost_fixed_total")
 )
 
-// PCStat is one side of a variable's pseudocost: the summed per-unit
-// objective gain over N branching observations.
-type PCStat struct {
-	Sum float64
-	N   int
+// pcStat is one side of a variable's pseudocost: the summed per-unit
+// objective gain over n branching observations.
+type pcStat struct {
+	sum float64
+	n   int
 }
 
-// Pseudocosts holds per-variable branching statistics by variable name:
-// the average objective degradation per unit of fractionality when
-// branching the variable up (toward its ceiling) or down.
-type Pseudocosts struct {
-	Up   map[string]PCStat
-	Down map[string]PCStat
-}
-
-// BasisSnapshot is a simplex basis in name space: which structural
-// columns are basic, which rows have their slack basic, and which
-// nonbasic structural columns rest at their upper bound. Nonbasic slack
-// placement is not recorded — a slack's finite bound is forced by its
-// row relation.
-type BasisSnapshot struct {
+// HotStart is a completed solve's final simplex basis in name space:
+// which structural columns are basic, which rows have their slack
+// basic, and which nonbasic structural columns rest at their upper
+// bound. Nonbasic slack placement is not recorded — a slack's finite
+// bound is forced by its row relation. Solve returns one on
+// proven-optimal results solved by the factored engine
+// (Solution.HotStart) and accepts one in Options.HotStart.
+type HotStart struct {
 	BasicVars []string
 	BasicRows []string
 	AtUpper   map[string]bool
-}
-
-// HotStart is the transferable solver state of a completed solve.
-// Solve returns one on proven-optimal results solved by the factored
-// engine (Solution.HotStart) and accepts one in Options.HotStart.
-type HotStart struct {
-	Basis  *BasisSnapshot
-	Pseudo *Pseudocosts
 }
 
 // rowNameOf returns the original-space name of reduced row i, or ""
@@ -101,40 +76,27 @@ func rowNameOf(i int, pr *presolveResult, orig *Model) string {
 	return orig.cons[oi].Name
 }
 
-// buildHotStart snapshots the engine's final basis plus the run's
-// pseudocost arrays into original name space. w is the (possibly
-// reduced) model the engine ran on; pr maps its rows back to orig.
-func buildHotStart(f *fsx, w *Model, pr *presolveResult, orig *Model, pc *pcTable) *HotStart {
-	snap := &BasisSnapshot{AtUpper: make(map[string]bool)}
+// buildHotStart snapshots the engine's final basis into original name
+// space. w is the (possibly reduced) model the engine ran on; pr maps
+// its rows back to orig.
+func buildHotStart(f *fsx, w *Model, pr *presolveResult, orig *Model) *HotStart {
+	hs := &HotStart{AtUpper: make(map[string]bool)}
 	for _, bj := range f.basis {
 		if bj < f.n {
-			snap.BasicVars = append(snap.BasicVars, w.names[bj])
+			hs.BasicVars = append(hs.BasicVars, w.names[bj])
 		} else if name := rowNameOf(bj-f.n, pr, orig); name != "" {
-			snap.BasicRows = append(snap.BasicRows, name)
+			hs.BasicRows = append(hs.BasicRows, name)
 		}
 	}
 	for j := 0; j < f.n; j++ {
 		if f.status[j] == nbUpper {
-			snap.AtUpper[w.names[j]] = true
+			hs.AtUpper[w.names[j]] = true
 		}
-	}
-	hs := &HotStart{Basis: snap}
-	if pc != nil && pc.observed {
-		ps := &Pseudocosts{Up: make(map[string]PCStat), Down: make(map[string]PCStat)}
-		for j := range pc.up {
-			if pc.up[j].N > 0 {
-				ps.Up[w.names[j]] = pc.up[j]
-			}
-			if pc.down[j].N > 0 {
-				ps.Down[w.names[j]] = pc.down[j]
-			}
-		}
-		hs.Pseudo = ps
 	}
 	return hs
 }
 
-// mapHotBasis translates a donor basis snapshot into engine index space
+// mapHotBasis translates a donor basis into engine index space
 // for w: basic[i] is the column occupying basis position i (structural
 // index, or n+row for a slack), atUpper the nonbasic structural
 // placements. Donor entries that name no column or row of w are
@@ -142,7 +104,7 @@ func buildHotStart(f *fsx, w *Model, pr *presolveResult, orig *Model, pc *pcTabl
 // always-valid filler. Reports ok=false only when the donor claims more
 // basic columns than w has rows — a structural mismatch no repair pass
 // fixes cheaply.
-func mapHotBasis(snap *BasisSnapshot, w *Model, pr *presolveResult, orig *Model) (basic []int, atUpper []bool, ok bool) {
+func mapHotBasis(hs *HotStart, w *Model, pr *presolveResult, orig *Model) (basic []int, atUpper []bool, ok bool) {
 	n, m := w.NumVars(), len(w.cons)
 	colOf := make(map[string]int, n)
 	for j, name := range w.names {
@@ -156,13 +118,13 @@ func mapHotBasis(snap *BasisSnapshot, w *Model, pr *presolveResult, orig *Model)
 	}
 	inBasis := make([]bool, n+m)
 	count := 0
-	for _, name := range snap.BasicVars {
+	for _, name := range hs.BasicVars {
 		if j, found := colOf[name]; found && !inBasis[j] {
 			inBasis[j] = true
 			count++
 		}
 	}
-	for _, name := range snap.BasicRows {
+	for _, name := range hs.BasicRows {
 		if i, found := rowOf[name]; found && !inBasis[n+i] {
 			inBasis[n+i] = true
 			count++
@@ -194,7 +156,7 @@ func mapHotBasis(snap *BasisSnapshot, w *Model, pr *presolveResult, orig *Model)
 			continue
 		}
 		name := w.names[j]
-		if snap.AtUpper[name] && !math.IsInf(w.hi[j], 1) {
+		if hs.AtUpper[name] && !math.IsInf(w.hi[j], 1) {
 			atUpper[j] = true
 		}
 	}
@@ -253,35 +215,11 @@ func AnalyzeBasis(m *Model, opt Options) (*BasisInfo, error) {
 
 // pcTable is the run-local pseudocost store over w's variables.
 type pcTable struct {
-	up, down []PCStat
-	observed bool // at least one local observation or transferred stat
+	up, down []pcStat
 }
 
 func newPCTable(n int) *pcTable {
-	return &pcTable{up: make([]PCStat, n), down: make([]PCStat, n)}
-}
-
-// seed installs transferred donor statistics by variable name.
-// Reports whether anything was seeded.
-func (t *pcTable) seed(ps *Pseudocosts, w *Model) bool {
-	if ps == nil {
-		return false
-	}
-	seeded := false
-	for j, name := range w.names {
-		if st, found := ps.Up[name]; found && st.N > 0 {
-			t.up[j] = st
-			seeded = true
-		}
-		if st, found := ps.Down[name]; found && st.N > 0 {
-			t.down[j] = st
-			seeded = true
-		}
-	}
-	if seeded {
-		t.observed = true
-	}
-	return seeded
+	return &pcTable{up: make([]pcStat, n), down: make([]pcStat, n)}
 }
 
 // observe records one branching outcome: branching variable j with
@@ -292,13 +230,12 @@ func (t *pcTable) observe(j int, frac float64, up bool, gain float64) {
 		gain = 0
 	}
 	if up {
-		t.up[j].Sum += gain / (1 - frac)
-		t.up[j].N++
+		t.up[j].sum += gain / (1 - frac)
+		t.up[j].n++
 	} else {
-		t.down[j].Sum += gain / frac
-		t.down[j].N++
+		t.down[j].sum += gain / frac
+		t.down[j].n++
 	}
-	t.observed = true
 }
 
 // score rates branching on variable j at fractional part frac with the
@@ -308,14 +245,14 @@ func (t *pcTable) observe(j int, frac float64, up bool, gain float64) {
 // most-fractional order (both are monotone in the distance to the
 // nearest integer, with identical ties).
 func (t *pcTable) score(j int, frac float64) float64 {
-	avg := func(stats []PCStat, st PCStat) float64 {
-		if st.N > 0 {
-			return st.Sum / float64(st.N)
+	avg := func(stats []pcStat, st pcStat) float64 {
+		if st.n > 0 {
+			return st.sum / float64(st.n)
 		}
 		sum, n := 0.0, 0
 		for _, s := range stats {
-			if s.N > 0 {
-				sum += s.Sum / float64(s.N)
+			if s.n > 0 {
+				sum += s.sum / float64(s.n)
 				n++
 			}
 		}

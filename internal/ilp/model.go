@@ -170,10 +170,9 @@ type Model struct {
 
 	cons []Constraint
 
-	obj      LinExpr
-	sense    Sense
-	hasObj   bool
-	objConst float64
+	obj    LinExpr
+	sense  Sense
+	hasObj bool
 }
 
 // NewModel returns an empty model.
@@ -251,7 +250,6 @@ func (m *Model) SetObjective(expr LinExpr, sense Sense) {
 	m.obj = expr
 	m.sense = sense
 	m.hasObj = true
-	m.objConst = expr.Const
 }
 
 // Objective returns the objective expression and sense.

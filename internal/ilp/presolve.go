@@ -39,8 +39,8 @@ type presolveResult struct {
 	// actions replays eliminated variables in reverse order.
 	actions []postAction
 	// rowOrig maps a reduced-model row to its index in the original
-	// model, or -1 for rows synthesized by substitution. Session reuse
-	// needs it to locate the capacity row inside the reduced model.
+	// model, or -1 for rows synthesized by substitution. Hot starts
+	// (hotstart.go) use it to name reduced rows in original space.
 	rowOrig []int
 	// rowsDropped / colsFixed / colsSubst count reductions for metrics.
 	rowsDropped, colsFixed, colsSubst int

@@ -25,6 +25,10 @@ var (
 	mPreCols   = obs.GetCounter("casa_ilp_presolve_cols_removed_total")
 	mHeuristic = obs.GetCounter("casa_ilp_heuristic_incumbents_total")
 	mDegraded  = obs.GetCounter("casa_solve_degraded_total")
+	// mWarmCellHits fires when a solve runs with a transferred cutoff
+	// (the misses twin is counted by the planner in internal/experiments,
+	// which knows when no donor was available).
+	mWarmCellHits = obs.GetCounter("casa_ilp_warm_cell_hits_total")
 )
 
 // Options tunes the solver.
@@ -78,17 +82,12 @@ type Options struct {
 	// cutoff that proves infeasible (a bad transfer) triggers a cold
 	// re-solve without it.
 	Cutoff *float64
-	// Session, when non-nil, reuses presolve reductions across solves of
-	// structurally identical models (see Session).
-	Session *Session
-	// HotStart, when non-nil, carries a donor solve's final basis and
-	// branching statistics (see HotStart). The basis hot-starts the
-	// factored dual simplex instead of the crash basis; the pseudocosts
-	// seed branching variable selection; and together with Cutoff the
-	// root LP's reduced costs fix variables that provably cannot move in
-	// any optimal solution. None of it changes the returned solution —
-	// a basis that cannot be repaired to dual feasibility falls back to
-	// the cold path.
+	// HotStart, when non-nil, carries a donor solve's final basis (see
+	// HotStart). It hot-starts the factored dual simplex instead of the
+	// crash basis, and together with Cutoff the root LP's reduced costs
+	// fix variables that provably cannot move in any optimal solution.
+	// Neither changes the returned solution — a basis that cannot be
+	// repaired to dual feasibility falls back to the cold path.
 	HotStart *HotStart
 }
 
@@ -140,8 +139,7 @@ type Solution struct {
 	// non-negative. Zero for proven-optimal results and for degraded
 	// results with no incumbent.
 	Gap float64
-	// HotStart is the transferable solver state of this solve — final
-	// simplex basis and accumulated pseudocosts — set on proven-optimal
+	// HotStart is this solve's final simplex basis, set on proven-optimal
 	// results solved by the factored engine, for use as a neighbor's
 	// Options.HotStart.
 	HotStart *HotStart
@@ -187,9 +185,10 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 // the dense two-phase simplex (simplex.go) as fallback; a root diving
 // heuristic seeds the incumbent so pruning bites from the first node;
 // the tree itself is explored best-bound-first with depth-first
-// plunging, branching on pseudocost scores. Options.Cutoff, Session and
-// HotStart let a solve reuse work from a neighboring one
-// (incremental.go, hotstart.go) without changing its answer.
+// plunging, branching on pseudocost scores. Options.Cutoff and HotStart
+// let a solve reuse work from a neighboring one in an experiment grid
+// (hotstart.go) without changing its answer; a solve with neither is
+// the cold reference.
 //
 // Solve is anytime: when ctx is canceled, its deadline passes, or
 // opt.Budget expires, the search stops and returns the best incumbent
@@ -231,11 +230,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	var pr *presolveResult
 	work := m
 	if !opt.DisablePresolve {
-		if opt.Session != nil {
-			pr = opt.Session.presolveFor(m, opt.Tol)
-		} else {
-			pr = presolve(m, opt.Tol)
-		}
+		pr = presolve(m, opt.Tol)
 		mPreRows.Add(int64(pr.rowsDropped))
 		mPreCols.Add(int64(pr.colsFixed + pr.colsSubst))
 		switch pr.status {
@@ -334,9 +329,9 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	}
 	if s.eng != nil && sol.Status == Optimal {
 		// Publish this solve's warm state for neighboring cells. Only
-		// proven-optimal results donate: a degraded basis or pseudocost
-		// table depends on where the clock cut the search.
-		sol.HotStart = buildHotStart(s.eng, s.w, s.pr, m, s.pc)
+		// proven-optimal results donate: a degraded basis depends on where
+		// the clock cut the search.
+		sol.HotStart = buildHotStart(s.eng, s.w, s.pr, m)
 	}
 	if s.incumbent != nil {
 		x := s.incumbent
@@ -448,20 +443,15 @@ func (s *bbState) run() {
 		s.eng = newFSX(s.w, s.opt.Tol)
 	}
 	s.pc = newPCTable(s.w.NumVars())
-	if hs := s.opt.HotStart; hs != nil {
-		if s.pc.seed(hs.Pseudo, s.w) {
-			mPseudoTransfer.Inc()
-		}
-		if hs.Basis != nil && s.eng != nil {
-			// Hot-start the factored engine from the donor basis mapped
-			// through shared column/row names. A mapping or repair
-			// failure leaves the engine on its crash basis — the cold
-			// path — and goes uncounted.
-			if basic, atUpper, ok := mapHotBasis(hs.Basis, s.w, s.pr, s.orig); ok {
-				if pivots, installed := s.eng.installBasis(basic, atUpper); installed {
-					mBasisReuse.Inc()
-					mBasisRepair.Add(int64(pivots))
-				}
+	if hs := s.opt.HotStart; hs != nil && s.eng != nil {
+		// Hot-start the factored engine from the donor basis mapped
+		// through shared column/row names. A mapping or repair failure
+		// leaves the engine on its crash basis — the cold path — and
+		// goes uncounted.
+		if basic, atUpper, ok := mapHotBasis(hs, s.w, s.pr, s.orig); ok {
+			if pivots, installed := s.eng.installBasis(basic, atUpper); installed {
+				mBasisReuse.Inc()
+				mBasisRepair.Add(int64(pivots))
 			}
 		}
 	}

@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/ilp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/obs/promexport"
@@ -275,11 +274,9 @@ type Server struct {
 	logger       *slog.Logger
 	accessSample *slogx.Sampler
 
-	// session shares ILP presolve reductions across requests; warm
-	// transfers solved selections between single-parameter-apart
+	// warm transfers solved selections between single-parameter-apart
 	// hierarchies of the same program (DESIGN.md §13).
-	session *ilp.Session
-	warm    experiments.WarmStore
+	warm experiments.WarmStore
 
 	// stop tears down the background goroutines (memory watchdog,
 	// snapshotter) exactly once, on Shutdown.
@@ -307,7 +304,6 @@ func New(cfg Config) *Server {
 		traceEvery:   traceEveryFrom(cfg.TraceSample),
 		logger:       cfg.Logger,
 		accessSample: slogx.NewSampler(cfg.AccessLogEvery),
-		session:      ilp.NewSession(),
 		stop:         make(chan struct{}),
 	}
 	mux := http.NewServeMux()
@@ -692,7 +688,6 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 		return nil, badRequestf("prepare: %v", err)
 	}
 	pipe.SolveBudget = budget
-	pipe.Session = s.session
 	// Cross-request warm start: a CASA solve is seeded from the solved
 	// neighboring hierarchies of the same program, and publishes its
 	// proven-optimal selection for later requests. Neither changes the

@@ -50,8 +50,8 @@ func TestWarmSolvesAcrossRequests(t *testing.T) {
 // TestWarmBasisTransferAcrossRequests drives the warm path where the
 // neighbor differs in cache geometry, not scratchpad size: such donors
 // share the recipient's trace partition (same capacity, same line
-// size), so besides a cutoff the donor hands over its simplex basis and
-// pseudocosts. The transfer must be counted — basis reuse actually
+// size), so besides a cutoff the donor hands over its simplex basis.
+// The transfer must be counted — basis reuse actually
 // fired, the test is not passing vacuously on a cold solve — and the
 // warm response must be identical to a cold server's golden answer.
 func TestWarmBasisTransferAcrossRequests(t *testing.T) {

@@ -117,7 +117,7 @@ if [ "$refresh" = 1 ]; then
   # Mirror the CI report gate exactly (.github/workflows/ci.yml): fig4
   # twice on one suite (round 2 pins the memo rates) plus the
   # sensitivity grid (the study whose cells share a trace partition, so
-  # conflict-graph rebasing fires). Baselines refreshed from any other
+  # basis transfer fires). Baselines refreshed from any other
   # command would gate against the wrong measurements. Three samples,
   # folded to the slowest stage times by benchdiff -refresh, price in
   # the jitter of the few-millisecond stages.
