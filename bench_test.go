@@ -204,8 +204,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 // BenchmarkCacheAccessSameLine measures repeated fetches within one
 // cache line — the case the MRU fast path short-circuits and the
-// line-granular simulator turns into bulk AccessRun accounting. Batched
-// like BenchmarkCacheAccess so a single op is measurable.
+// simulator's probe kernel folds into one probe per line. Batched like
+// BenchmarkCacheAccess so a single op is measurable.
 func BenchmarkCacheAccessSameLine(b *testing.B) {
 	c, err := cache.New(cache.Config{SizeBytes: 2048, LineBytes: 16, Assoc: 2})
 	if err != nil {
@@ -221,10 +221,10 @@ func BenchmarkCacheAccessSameLine(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceReplay measures the line-granular trace-replay engine
-// end to end on the largest workload: the block trace is recorded (and
-// memoized) once, then every iteration replays it through the memory
-// hierarchy under a fresh 2 kB direct-mapped cache.
+// BenchmarkTraceReplay measures the default simulation engine end to end
+// on the largest workload: the block trace is recorded (and memoized)
+// once, then every iteration compiles the layout into cache-line probes
+// and walks the trace through a fresh 2 kB direct-mapped cache.
 func BenchmarkTraceReplay(b *testing.B) {
 	p, err := workload.Load("mpeg")
 	if err != nil {

@@ -2,7 +2,9 @@
 // modes:
 //
 //	benchdiff -parse bench.txt -o BENCH_ci.json
-//	    parse `go test -bench` text output into a JSON results file
+//	    parse `go test -bench` text output into a JSON results file,
+//	    folding repeated samples (go test -count=N) to their median and
+//	    printing each benchmark's spread (interquartile range ÷ median)
 //
 //	benchdiff -from-report report.jsonl -o BENCH_report.json
 //	    aggregate a cmd/experiments -report JSONL file into a results
@@ -32,7 +34,8 @@
 //
 //	benchdiff -refresh BENCH_baseline.json -parse bench.txt -from-report report.jsonl
 //	    rewrite a committed baseline in one step: ns/op from the bench
-//	    text, stage times / memo rates / counters from the report, and
+//	    text (the slowest of its samples, a ceiling), stage times / memo
+//	    rates / counters from the report, and
 //	    the server section carried over unchanged from the existing
 //	    baseline (its values are hand-committed budgets, not
 //	    measurements, so a refresh must never clobber them)
@@ -71,6 +74,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,9 +116,10 @@ type Results struct {
 // deterministic "work done" counters where an increase means the code
 // got algorithmically worse: branch & bound explored more nodes, the
 // simplex ran more pivots, the warm-start engine bailed to the dense
-// fallback more often — or the line-granular simulator lost compression
-// (more trace replays, bulk deliveries or line transitions per run
-// means the engine is sliding back toward per-instruction dispatch).
+// fallback more often — or the simulated fetch stream grew (more trace
+// walks, block runs or cache-line segments per study: the simulator
+// computes the last two from per-block counts, so they move only when
+// the recordings or the layouts do).
 var counterGates = []string{
 	"casa_ilp_nodes_total",
 	"casa_ilp_branches_total",
@@ -190,42 +195,87 @@ func writeResults(res Results, out string) error {
 	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
+// runParse writes the median of each benchmark's samples (go test
+// -count=N prints one line per sample) and reports each benchmark's
+// spread, so a gate run of several samples is judged on its middle, not
+// on one scheduler hiccup.
 func runParse(in, out string) error {
-	res, err := parseBenchFile(in)
+	samples, err := readBenchSamples(in)
 	if err != nil {
 		return err
+	}
+	res := Results{NsPerOp: make(map[string]float64, len(samples))}
+	names := make([]string, 0, len(samples))
+	for name, xs := range samples {
+		res.NsPerOp[name] = quantile(xs, 0.5)
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("%-36s median %14.0f ns/op  spread %5.1f%% (IQR/median, %d samples)\n",
+			name, res.NsPerOp[name], 100*spread(samples[name]), len(samples[name]))
 	}
 	return writeResults(res, out)
 }
 
+// parseBenchFile folds each benchmark's samples to the slowest: a
+// baseline refreshed from several samples is then a conservative
+// ceiling the gate's median is compared against.
 func parseBenchFile(in string) (Results, error) {
-	res := Results{NsPerOp: make(map[string]float64)}
+	samples, err := readBenchSamples(in)
+	if err != nil {
+		return Results{}, err
+	}
+	res := Results{NsPerOp: make(map[string]float64, len(samples))}
+	for name, xs := range samples {
+		res.NsPerOp[name] = slices.Max(xs)
+	}
+	return res, nil
+}
+
+// readBenchSamples collects every ns/op sample per benchmark.
+func readBenchSamples(in string) (map[string][]float64, error) {
 	f, err := os.Open(in)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	defer f.Close()
+	samples := make(map[string][]float64)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		name, ns, ok := parseBenchLine(sc.Text())
-		if !ok {
-			continue
-		}
-		// Repeated samples (go test -count=N) fold to the slowest: a
-		// baseline refreshed from several samples is then a conservative
-		// ceiling, so a later single-sample gate run doesn't trip on the
-		// scheduler jitter of sub-millisecond benchmarks.
-		if ns > res.NsPerOp[name] {
-			res.NsPerOp[name] = ns
+		if name, ns, ok := parseBenchLine(sc.Text()); ok {
+			samples[name] = append(samples[name], ns)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return res, err
+		return nil, err
 	}
-	if len(res.NsPerOp) == 0 {
-		return res, fmt.Errorf("%s: no benchmark lines found", in)
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines found", in)
 	}
-	return res, nil
+	return samples, nil
+}
+
+// quantile returns the q-quantile of xs, interpolating linearly between
+// the two nearest order statistics.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+// spread is the interquartile range over the median: 0 for one sample.
+func spread(xs []float64) float64 {
+	med := quantile(xs, 0.5)
+	if med == 0 {
+		return 0
+	}
+	return (quantile(xs, 0.75) - quantile(xs, 0.25)) / med
 }
 
 func runFromReport(in, out string) error {

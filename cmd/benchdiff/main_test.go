@@ -79,6 +79,47 @@ ok  	repro	3.0s
 	}
 }
 
+// TestParseFoldsSamples: the gate's -parse folds repeated samples to
+// their median, while -refresh keeps the slowest as a ceiling.
+func TestParseFoldsSamples(t *testing.T) {
+	dir := t.TempDir()
+	benchTxt := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(benchTxt, []byte(`BenchmarkA-8   1   500 ns/op
+BenchmarkA-8   1   100 ns/op
+BenchmarkA-8   1   300 ns/op
+BenchmarkA-8   1   200 ns/op
+BenchmarkA-8   1   400 ns/op
+BenchmarkB-8   1   7 ns/op
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cur := filepath.Join(dir, "cur.json")
+	if err := runParse(benchTxt, cur); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readResults(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NsPerOp["BenchmarkA"] != 300 || got.NsPerOp["BenchmarkB"] != 7 {
+		t.Errorf("medians = %v, want A:300 B:7", got.NsPerOp)
+	}
+	ceil, err := parseBenchFile(benchTxt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ceil.NsPerOp["BenchmarkA"] != 500 {
+		t.Errorf("refresh ceiling = %v, want the slowest sample 500", ceil.NsPerOp["BenchmarkA"])
+	}
+	// Quartiles 200 and 400 around a median of 300.
+	if s := spread([]float64{500, 100, 300, 200, 400}); s != 200.0/300 {
+		t.Errorf("spread = %v, want %v", s, 200.0/300)
+	}
+	if s := spread([]float64{7}); s != 0 {
+		t.Errorf("one-sample spread = %v, want 0", s)
+	}
+}
+
 func TestAggregateReports(t *testing.T) {
 	reps := []*obs.Report{
 		{

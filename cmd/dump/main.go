@@ -123,26 +123,35 @@ func dumpTraces(p *ir.Program, spmSize int) error {
 	return nil
 }
 
-// dumpBlockTrace prints the run-length-encoded block trace the
-// simulator records once per program and replays under every layout —
-// the artifact to stare at when the replay engine and the reference
-// engine disagree.
+// dumpBlockTrace prints the block trace the simulator records once per
+// program and walks under every layout — the artifact to stare at when
+// the default engine and the reference engine disagree. Each step is a
+// block, how many times it executes back to back, and the block whose
+// appended jump follows it ("-" when none does).
 func dumpBlockTrace(p *ir.Program) error {
 	tr, err := sim.RecordTrace(p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s block trace: %d RLE entries, %d block executions, %d fetches, %dB encoded\n",
-		p.Name, tr.NumSteps(), tr.Steps(), tr.Fetches(), tr.SizeBytes())
-	fmt.Printf("%8s %10s %7s %-7s %s\n", "entry", "repeat", "instrs", "edge", "block")
-	for i := 0; i < tr.NumSteps(); i++ {
-		ref, instrs, kind, count := tr.Step(i)
+	blocks := tr.Blocks()
+	name := func(i int32) string {
+		ref := blocks[i].Ref
 		fn := p.Func(ref.Func)
 		label := fn.Block(ref.Block).Label
 		if label == "" {
 			label = fmt.Sprintf("bb%d", ref.Block)
 		}
-		fmt.Printf("%8d %10d %7d %-7s %s:%s\n", i, count, instrs, kind, fn.Name, label)
+		return fn.Name + ":" + label
+	}
+	fmt.Printf("%s block trace: %d steps, %d block executions, %d fetches, %dB encoded\n",
+		p.Name, len(tr.Steps()), tr.Executions(), tr.Fetches(), tr.SizeBytes())
+	fmt.Printf("%8s %10s %7s %-24s %s\n", "step", "repeat", "instrs", "block", "jump owner")
+	for i, s := range tr.Steps() {
+		owner := "-"
+		if s.Link >= 0 {
+			owner = name(s.Link)
+		}
+		fmt.Printf("%8d %10d %7d %-24s %s\n", i, s.Repeat(), blocks[s.Block].Instrs, name(s.Block), owner)
 	}
 	return nil
 }

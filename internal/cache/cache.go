@@ -63,6 +63,11 @@ func (c Config) Validate() error {
 	case c.SizeBytes < c.LineBytes*c.Assoc:
 		return fmt.Errorf("cache: %dB cannot hold %d ways of %dB lines",
 			c.SizeBytes, c.Assoc, c.LineBytes)
+	case c.Sets()*c.LineBytes*c.Assoc != c.SizeBytes || c.Sets()&(c.Sets()-1) != 0:
+		// Addresses select a set by masking, so only a power-of-two set
+		// count reaches every set.
+		return fmt.Errorf("cache: %d ways of %dB lines do not split %dB into a power-of-two number of sets",
+			c.Assoc, c.LineBytes, c.SizeBytes)
 	case int(c.Replacement) >= len(policyNames):
 		return fmt.Errorf("cache: unknown replacement policy %d", c.Replacement)
 	}
@@ -93,9 +98,11 @@ func (c Config) Fingerprint() uint64 {
 
 // way is one resident line.
 type way struct {
-	valid bool
-	tag   uint32
-	mo    int
+	// key is the line's tag plus one, and 0 marks an invalid way, so a
+	// lookup is a single compare. Tags never reach the top of the 32-bit
+	// range (lines are at least 4 bytes), so tag+1 cannot wrap.
+	key uint32
+	mo  int32
 	// stamp orders ways for LRU (last use) and FIFO (fill time).
 	stamp uint64
 }
@@ -132,7 +139,7 @@ type Cache struct {
 	sets       []way      // sets*assoc entries, set-major
 	stats      []SetStats // per-set totals, indexed by set
 	setMask    uint32
-	wordMask   uint32 // words per line - 1; segments runs at line ends
+	wordMask   uint32 // words per line - 1; splits runs at line ends
 	lineShift  uint
 	indexShift uint
 	tagShift   uint
@@ -229,16 +236,15 @@ func (c *Cache) Access(addr uint32, mo int) Result {
 }
 
 // accessSlow resolves an access that missed the MRU fast path. The
-// direct-mapped organization — the paper's default and the hot one in
-// every line-transition-heavy replay — gets a dedicated branch with no
-// way loop.
+// direct-mapped organization — the paper's default geometry — gets a
+// dedicated branch with no way loop.
 func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 	set := line & c.setMask
 	tag := addr >> c.tagShift
 	c.clock++
 	if c.assoc == 1 {
 		w := &c.sets[set]
-		if w.valid && w.tag == tag {
+		if w.key == tag+1 {
 			if c.lru {
 				w.stamp = c.clock
 			}
@@ -248,12 +254,12 @@ func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 		}
 		c.stats[set].Misses++
 		res := Result{Hit: false, VictimMO: NoMO}
-		if w.valid {
-			res.VictimMO = w.mo
-			res.SelfEvict = w.mo == mo
+		if w.key != 0 {
+			res.VictimMO = int(w.mo)
+			res.SelfEvict = int(w.mo) == mo
 			c.stats[set].Evictions++
 		}
-		*w = way{valid: true, tag: tag, mo: mo, stamp: c.clock}
+		*w = way{key: tag + 1, mo: int32(mo), stamp: c.clock}
 		c.lastLine, c.lastWay = line, int(set)
 		return res
 	}
@@ -261,7 +267,7 @@ func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 	base := int(set) * c.assoc
 	ways := c.sets[base : base+c.assoc]
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].key == tag+1 {
 			if c.lru {
 				ways[i].stamp = c.clock
 			}
@@ -275,123 +281,154 @@ func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 	c.stats[set].Misses++
 	victim := c.chooseVictim(ways)
 	res := Result{Hit: false, VictimMO: NoMO}
-	if ways[victim].valid {
-		res.VictimMO = ways[victim].mo
-		res.SelfEvict = ways[victim].mo == mo
+	if ways[victim].key != 0 {
+		res.VictimMO = int(ways[victim].mo)
+		res.SelfEvict = int(ways[victim].mo) == mo
 		c.stats[set].Evictions++
 	}
-	ways[victim] = way{valid: true, tag: tag, mo: mo, stamp: c.clock}
+	ways[victim] = way{key: tag + 1, mo: int32(mo), stamp: c.clock}
 	c.lastLine, c.lastWay = line, base+victim
 	return res
 }
 
-// AccessRun drives k consecutive word fetches starting at addr — a whole
-// block run — through the cache, splitting at line boundaries
-// internally. It is exactly equivalent to k sequential Access calls but
-// resolves each line segment with one inline set walk, for every
-// associativity: the first access of a segment decides hit or miss, and
-// the remaining ones are guaranteed same-line hits accounted in bulk (the
-// clock advances by the segment length and an LRU stamp lands on its
-// final value). A direct-mapped hit — the paper's default geometry, and
-// the overwhelmingly common outcome in a warm replay — costs one tag
-// compare. onMiss is invoked once per missing line with the miss address
-// and the access outcome, after the segment is accounted, so the caller
-// can attribute the victim and drive a second level without this loop
-// paying for it on hits. Returns the number of misses and the number of
-// line transitions; hits are k-misses.
-func (c *Cache) AccessRun(addr uint32, k int, mo int, onMiss func(addr uint32, r Result)) (misses, lines int64) {
+// Probe is one compiled cache-line access: N consecutive word fetches by
+// memory object MO that all fall in one line, the first at Addr, with the
+// line's set and tag taken from the cache's own address mapping. The
+// Probe method keeps the last two fields: Way is the way (an index into
+// all ways) where the probe last found or filled its line — lines never
+// move between ways, so while the line stays resident that is where it
+// is — and Misses counts how often the probe missed.
+type Probe struct {
+	Addr   uint32
+	Set    uint32
+	Tag    uint32
+	N      uint32
+	MO     int32
+	Way    int32
+	Misses int64
+}
+
+// AppendProbes compiles k consecutive word fetches starting at addr, all
+// by memory object mo, into line probes appended to dst: one per line the
+// run touches, split where Access would see the line change.
+func (c *Cache) AppendProbes(dst []Probe, addr uint32, k int, mo int) []Probe {
 	for k > 0 {
 		seg := int(c.wordMask + 1 - (addr>>2)&c.wordMask)
 		if seg > k {
 			seg = k
 		}
-		lines++
-		line := addr >> c.lineShift
-		set := line & c.setMask
-		tag := addr >> c.tagShift
-		st := &c.stats[set]
-		base := int(set) * c.assoc
-		end := base + c.assoc
-		i := base
-		for i < end && !(c.sets[i].valid && c.sets[i].tag == tag) {
-			i++
-		}
-		if i < end {
-			c.clock += uint64(seg)
-			if c.lru {
-				c.sets[i].stamp = c.clock
-			}
-			st.Hits += int64(seg)
-			c.lastLine, c.lastWay = line, i
-		} else {
-			i = base
-			if c.assoc > 1 {
-				i += c.chooseVictim(c.sets[base:end])
-			}
-			w := &c.sets[i]
-			c.clock++
-			st.Misses++
-			r := Result{Hit: false, VictimMO: NoMO}
-			if w.valid {
-				r.VictimMO = w.mo
-				r.SelfEvict = w.mo == mo
-				st.Evictions++
-			}
-			*w = way{valid: true, tag: tag, mo: mo, stamp: c.clock}
-			if seg > 1 {
-				c.clock += uint64(seg - 1)
-				if c.lru {
-					w.stamp = c.clock
-				}
-				st.Hits += int64(seg - 1)
-			}
-			c.lastLine, c.lastWay = line, i
-			misses++
-			onMiss(addr, r)
-		}
+		set := (addr >> c.indexShift) & c.setMask
+		dst = append(dst, Probe{
+			Addr: addr,
+			Set:  set,
+			Tag:  addr >> c.tagShift,
+			N:    uint32(seg),
+			MO:   int32(mo),
+			Way:  int32(set) * int32(c.assoc),
+		})
 		addr += uint32(seg) * 4
 		k -= seg
 	}
-	return misses, lines
+	return dst
 }
 
-// SkipHitRuns bulk-accounts `repeats` consecutive passes over the run
-// [addr, addr+4n) under the caller's guarantee that every access hits
-// (i.e. one full pass over the run just completed with zero misses — an
-// all-hit pass evicts nothing, so the run's lines stay resident and all
-// later passes are the same all-hit pass). Per-set hit counters and the
-// clock advance exactly as if the accesses were performed one by one.
-// LRU stamps and the MRU hint are NOT updated: hits only refresh state
-// of lines the run itself touches, so the caller must follow up with one
-// real pass (Access or AccessRun), which re-touches every line and
-// lands each stamp on its exact final clock value.
-func (c *Cache) SkipHitRuns(addr uint32, n int, repeats int64) {
-	c.clock += uint64(n) * uint64(repeats)
-	for n > 0 {
-		seg := int(c.wordMask + 1 - (addr>>2)&c.wordMask)
-		if seg > n {
-			seg = n
-		}
-		c.stats[(addr>>c.lineShift)&c.setMask].Hits += int64(seg) * repeats
-		addr += uint32(seg) * 4
-		n -= seg
+// CreditHits counts times passes over ps as hits in the per-set
+// statistics, in advance of the Probe calls that perform them. Probe
+// itself never counts a hit: which fetches a run of probes makes is fixed
+// once the layout is known, and only the misses among them depend on the
+// cache state, so each miss moves one fetch from its set's hits to its
+// misses.
+func (c *Cache) CreditHits(ps []Probe, times int64) {
+	for i := range ps {
+		c.stats[ps[i].Set].Hits += int64(ps[i].N) * times
 	}
 }
 
+// Skip advances the replacement clock past n fetches that are known to
+// hit and whose hits were credited: the passes of a loop in steady state.
+// Hits refresh only the state of lines the loop itself touches, so the
+// caller must follow up with one real pass, which lands every LRU stamp
+// and the MRU hint on their exact final values.
+func (c *Cache) Skip(n int64) { c.clock += uint64(n) }
+
+// Probe performs the probes in order. With the hits credited in advance
+// (CreditHits), it leaves the cache exactly as the probes' ΣN sequential
+// Access calls would — ways, clock, LRU/FIFO stamps, the Random
+// generator, per-set statistics and the MRU hint. A hit costs a tag
+// compare at the probe's remembered way (the set is walked only when the
+// line is not there) and a clock and LRU-stamp update; the first fetch
+// of a probe decides hit or miss and the rest are same-line hits. A miss counts
+// itself in the probe's Misses and, when onMiss is not nil, calls onMiss
+// after the fill with the outcome Access would have reported for the
+// probe's first fetch, so the caller can attribute the victim or drive a
+// second level. Returns the number of misses.
+func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64) {
+	if len(ps) == 0 {
+		return 0
+	}
+	sets, assoc, lru := c.sets, c.assoc, c.lru
+	clock := c.clock
+	last := 0
+	for i := range ps {
+		p := &ps[i]
+		key := p.Tag + 1
+		w := int(p.Way)
+		if sets[w].key != key && assoc > 1 {
+			// Not where the probe last saw its line: walk the set, and
+			// choose a victim if the line is not resident.
+			base := int(p.Set) * assoc
+			end := base + assoc
+			for w = base; w < end && sets[w].key != key; w++ {
+			}
+			if w == end {
+				w = base + c.chooseVictim(sets[base:end])
+			}
+			p.Way = int32(w)
+		}
+		if sets[w].key == key {
+			clock += uint64(p.N)
+			if lru {
+				sets[w].stamp = clock
+			}
+			last = w
+			continue
+		}
+		wy := &sets[w]
+		st := &c.stats[p.Set]
+		st.Hits--
+		st.Misses++
+		r := Result{Hit: false, VictimMO: NoMO}
+		if wy.key != 0 {
+			r.VictimMO = int(wy.mo)
+			r.SelfEvict = wy.mo == p.MO
+			st.Evictions++
+		}
+		clock++
+		*wy = way{key: key, mo: p.MO, stamp: clock}
+		clock += uint64(p.N - 1)
+		if lru {
+			wy.stamp = clock
+		}
+		last = w
+		misses++
+		p.Misses++
+		if onMiss != nil {
+			c.clock = clock
+			onMiss(p, r)
+		}
+	}
+	c.clock = clock
+	c.lastLine, c.lastWay = ps[len(ps)-1].Addr>>c.lineShift, last
+	return misses
+}
+
+// chooseVictim picks the way a miss fills: the first invalid way if any,
+// else the policy's choice.
 func (c *Cache) chooseVictim(ways []way) int {
-	// Prefer an invalid way.
-	for i := range ways {
-		if !ways[i].valid {
-			return i
-		}
-	}
-	switch c.cfg.Replacement {
-	case Random:
-		c.rng ^= c.rng << 13
-		c.rng ^= c.rng >> 7
-		c.rng ^= c.rng << 17
-		return int(c.rng % uint64(len(ways)))
-	default: // LRU and FIFO both evict the smallest stamp.
+	if c.cfg.Replacement != Random {
+		// LRU and FIFO evict the smallest stamp. Fills stamp a clock of at
+		// least 1 and invalid ways keep stamp 0, so the first invalid way
+		// is the first smallest.
 		victim := 0
 		for i := 1; i < len(ways); i++ {
 			if ways[i].stamp < ways[victim].stamp {
@@ -400,6 +437,15 @@ func (c *Cache) chooseVictim(ways []way) int {
 		}
 		return victim
 	}
+	for i := range ways {
+		if ways[i].key == 0 {
+			return i
+		}
+	}
+	c.rng ^= c.rng << 13
+	c.rng ^= c.rng >> 7
+	c.rng ^= c.rng << 17
+	return int(c.rng & uint64(len(ways)-1)) // ways are a power of two
 }
 
 // Resident reports whether the line containing addr is currently cached
@@ -409,7 +455,7 @@ func (c *Cache) Resident(addr uint32) bool {
 	tag := addr >> c.tagShift
 	base := int(set) * c.cfg.Assoc
 	for _, w := range c.sets[base : base+c.cfg.Assoc] {
-		if w.valid && w.tag == tag {
+		if w.key == tag+1 {
 			return true
 		}
 	}
@@ -421,7 +467,7 @@ func (c *Cache) Resident(addr uint32) bool {
 func (c *Cache) LinesOf(mo int) int {
 	n := 0
 	for _, w := range c.sets {
-		if w.valid && w.mo == mo {
+		if w.key != 0 && int(w.mo) == mo {
 			n++
 		}
 	}
@@ -461,7 +507,7 @@ func (c *Cache) DumpState(w io.Writer) error {
 		ways := c.sets[base : base+c.cfg.Assoc]
 		occupied := 0
 		for _, wy := range ways {
-			if wy.valid {
+			if wy.key != 0 {
 				occupied++
 			}
 		}
@@ -473,10 +519,10 @@ func (c *Cache) DumpState(w io.Writer) error {
 			return err
 		}
 		for wi, wy := range ways {
-			if !wy.valid {
+			if wy.key == 0 {
 				continue
 			}
-			addr := (wy.tag<<setBits | uint32(set)) << c.indexShift
+			addr := ((wy.key-1)<<setBits | uint32(set)) << c.indexShift
 			mo := "cold"
 			if wy.mo != NoMO {
 				mo = fmt.Sprintf("mo=%d", wy.mo)

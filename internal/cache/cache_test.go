@@ -20,6 +20,10 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 128, LineBytes: 16, Assoc: 0},
 		{SizeBytes: 16, LineBytes: 16, Assoc: 4},
 		{SizeBytes: 128, LineBytes: 16, Assoc: 1, Replacement: Policy(9)},
+		// 21 sets: a mask reaches only 4 of them.
+		{SizeBytes: 1024, LineBytes: 16, Assoc: 3},
+		// 1 set of 3 ways holds 48 of the 64 bytes.
+		{SizeBytes: 64, LineBytes: 16, Assoc: 3},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -383,64 +387,132 @@ type missEvent struct {
 	r    Result
 }
 
-// TestAccessRunMatchesSequential checks the run-granular entry point the
-// memory-hierarchy simulator drives: AccessRun(addr, k) must leave the
-// cache in exactly the state of k sequential Access calls — every way,
-// the clock, the Random generator, per-set statistics and the MRU hint —
-// and report exactly the sequential misses, in order, through onMiss.
-// Runs start anywhere in a line and cross line boundaries.
+// TestAccessRunMatchesSequential checks the probe kernel the
+// memory-hierarchy simulator drives: a run of k fetches compiled by
+// AppendProbes, credited by CreditHits and performed by Probe must leave
+// the cache in exactly the state of k sequential Access calls — every
+// way, the clock, LRU/FIFO stamps, the Random generator, per-set
+// statistics and the MRU hint — and report exactly the sequential
+// misses, in order, through onMiss (which may also be nil) and in the
+// probes' Misses. Runs start anywhere in a line and cross line
+// boundaries. Some runs repeat back to back, taking the
+// steady-state path: probe passes until one misses nowhere, Skip all
+// remaining passes but the last, probe the last.
 func TestAccessRunMatchesSequential(t *testing.T) {
 	for _, assoc := range []int{1, 2, 4, 8} {
 		for _, pol := range []Policy{LRU, FIFO, Random} {
 			for _, line := range []int{4, 8, 16, 32, 64} {
 				cfg := Config{SizeBytes: 1024, LineBytes: line, Assoc: assoc, Replacement: pol, Seed: 7}
 				t.Run(fmt.Sprintf("%dway-%s-%dB", assoc, pol, line), func(t *testing.T) {
-					accessRunMatchesSequential(t, cfg)
+					probeMatchesSequential(t, cfg)
 				})
 			}
 		}
 	}
 }
 
-func accessRunMatchesSequential(t *testing.T, cfg Config) {
+func probeMatchesSequential(t *testing.T, cfg Config) {
 	run := mustNew(t, cfg)
 	seq := mustNew(t, cfg)
 	var got, want []missEvent
-	onMiss := func(addr uint32, r Result) { got = append(got, missEvent{addr, r}) }
+	onMiss := func(p *Probe, r Result) { got = append(got, missEvent{p.Addr, r}) }
+	// A pool of compiled runs over a 4 KiB code region and a 1 KiB cache
+	// (plenty of conflicts), reused the way the simulator reuses a
+	// block's probes, so their remembered ways go stale between uses.
+	type compiledRun struct {
+		addr  uint32
+		k, mo int
+		ps    []Probe
+	}
+	pool := make([]compiledRun, 48)
 	rng := uint64(0x5eed_0f_ca5e)
-	for i := 0; i < 3000; i++ {
+	next := func() uint64 {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		// A 4 KiB code region over a 1 KiB cache: plenty of conflicts.
-		addr := uint32(rng>>20) % 4096 &^ 3
-		k := int(rng>>40) % 40
-		mo := int(rng>>8) % 6
-		misses, lines := run.AccessRun(addr, k, mo, onMiss)
+		return rng
+	}
+	for i := range pool {
+		x := next()
+		cr := &pool[i]
+		cr.addr, cr.k, cr.mo = uint32(x>>20)%4096&^3, int(x>>40)%40, int(x>>8)%6
+		cr.ps = run.AppendProbes(nil, cr.addr, cr.k, cr.mo)
+	}
+	for i := 0; i < 3000; i++ {
+		x := next()
+		cr := &pool[x%uint64(len(pool))]
+		addr, k, mo, ps := cr.addr, cr.k, cr.mo, cr.ps
+		reps := int64(1)
+		if x>>10%4 == 0 {
+			reps = 1 + int64(x>>50)%9
+		}
+		var missesBefore int64
+		for _, p := range ps {
+			missesBefore += p.Misses
+		}
+
+		run.CreditHits(ps, reps)
+		cb := onMiss
+		if i%5 == 0 {
+			cb = nil
+		}
+		var misses int64
+		rem := reps
+		for rem > 0 {
+			rem--
+			m := run.Probe(ps, cb)
+			misses += m
+			if m == 0 {
+				break
+			}
+		}
+		if rem > 0 {
+			var fetches int64
+			for _, p := range ps {
+				fetches += int64(p.N)
+			}
+			run.Skip((rem - 1) * fetches)
+			misses += run.Probe(ps, cb)
+		}
 
 		var wantMisses, wantLines int64
-		for j := 0; j < k; j++ {
-			a := addr + uint32(4*j)
-			if j == 0 || a%uint32(cfg.LineBytes) == 0 {
-				wantLines++
-			}
-			if r := seq.Access(a, mo); !r.Hit {
-				wantMisses++
-				want = append(want, missEvent{a, r})
+		for r := int64(0); r < reps; r++ {
+			for j := 0; j < k; j++ {
+				a := addr + uint32(4*j)
+				if r == 0 && (j == 0 || a%uint32(cfg.LineBytes) == 0) {
+					wantLines++
+				}
+				if r := seq.Access(a, mo); !r.Hit {
+					wantMisses++
+					want = append(want, missEvent{a, r})
+				}
 			}
 		}
-		if misses != wantMisses || lines != wantLines {
-			t.Fatalf("run %d (%#x, %d): misses/lines %d/%d, sequential %d/%d",
-				i, addr, k, misses, lines, wantMisses, wantLines)
+		if misses != wantMisses || int64(len(ps)) != wantLines {
+			t.Fatalf("run %d (%#x, %d×%d): misses/probes %d/%d, sequential %d/%d",
+				i, addr, k, reps, misses, len(ps), wantMisses, wantLines)
+		}
+		probeMisses := -missesBefore
+		for _, p := range ps {
+			if p.Set != seq.Set(p.Addr) || p.Tag != p.Addr>>seq.tagShift || p.MO != int32(mo) {
+				t.Fatalf("run %d: probe %+v does not follow the cache's mapping", i, p)
+			}
+			probeMisses += p.Misses
+		}
+		if probeMisses != wantMisses {
+			t.Fatalf("run %d: probes count %d misses, sequential %d", i, probeMisses, wantMisses)
+		}
+		if cb == nil {
+			want = want[:0]
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("run %d (%#x, %d): onMiss sequence\n got %+v\nwant %+v", i, addr, k, got, want)
+			t.Fatalf("run %d (%#x, %d×%d): onMiss sequence\n got %+v\nwant %+v", i, addr, k, reps, got, want)
 		}
 		if !slices.Equal(run.sets, seq.sets) {
-			t.Fatalf("run %d (%#x, %d): ways differ", i, addr, k)
+			t.Fatalf("run %d (%#x, %d×%d): ways differ", i, addr, k, reps)
 		}
 		if !slices.Equal(run.stats, seq.stats) {
-			t.Fatalf("run %d (%#x, %d): per-set stats differ", i, addr, k)
+			t.Fatalf("run %d (%#x, %d×%d): per-set stats differ", i, addr, k, reps)
 		}
 		if run.clock != seq.clock || run.rng != seq.rng {
 			t.Fatalf("run %d: clock/rng %d/%#x, sequential %d/%#x", i, run.clock, run.rng, seq.clock, seq.rng)

@@ -1,7 +1,8 @@
 package memsim
 
-// Differential validation of the line-granular trace-replay engine
-// against the instruction-granular reference: both engines must produce
+// Differential validation of the default engine (recorded trace,
+// compiled cache-line probes, derived counters) against the
+// instruction-granular reference: both engines must produce
 // bit-identical Results — every counter, per-MO split, conflict edge,
 // per-set cache statistic and (since energy derives from the counters)
 // every float — on a deterministic battery and on fuzz-generated
@@ -21,7 +22,7 @@ import (
 )
 
 // runEngines runs the same (program, layout, hierarchy) through the
-// reference and the trace-replay engine and returns both results with
+// reference and the default engine and returns both results with
 // the final cache state retained.
 func runEngines(t testing.TB, p *ir.Program, lay *layout.Layout, cfg Config) (ref, got *Result) {
 	t.Helper()
@@ -113,9 +114,9 @@ func diffResults(t testing.TB, ref, got *Result) {
 	}
 }
 
-// callFixture builds a program whose caller blocks end in calls, so the
-// replay must reconstruct the call stack and charge the caller's
-// appended jump to the caller's memory object.
+// callFixture builds a program whose caller blocks end in calls, so a
+// return must fetch the caller's appended jump and charge it to the
+// caller's memory object.
 func callFixture(t testing.TB) (*ir.Program, *trace.Set) {
 	t.Helper()
 	pb := ir.NewProgramBuilder("calls")

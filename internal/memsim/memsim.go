@@ -35,13 +35,15 @@ var (
 	mSimMisses  = obs.GetCounter("casa_sim_cache_misses_total")
 	mSimSPM     = obs.GetCounter("casa_sim_spm_accesses_total")
 	mSimEvicts  = obs.GetCounter("casa_sim_cache_evictions_total")
-	// Line-granular engine work counters: cache-line transitions driven
-	// and bulk run deliveries received. Together with
-	// casa_trace_replays_total they are the benchdiff-gated evidence that
-	// the fast path is actually taken (a regression to per-instruction
-	// dispatch shows up as bulk fetches collapsing toward fetch counts).
-	mSimLines = obs.GetCounter("casa_sim_lines_total")
-	mSimBulk  = obs.GetCounter("casa_sim_bulk_fetches_total")
+	// Fetch-stream shape counters: the cache-line segments and the block
+	// runs plus appended jumps the simulated fetch stream consists of,
+	// computed from per-block counts. Together with
+	// casa_trace_replays_total (runs that walked the recorded trace
+	// instead of re-executing the interpreter) they are benchdiff-gated:
+	// they change only when the recording or the layouts change.
+	mSimLines     = obs.GetCounter("casa_sim_lines_total")
+	mSimBulk      = obs.GetCounter("casa_sim_bulk_fetches_total")
+	mTraceReplays = obs.GetCounter("casa_trace_replays_total")
 	// mSimDerived counts outcomes re-priced from an earlier run instead of
 	// simulated (Reprice); the counters above cover simulations only.
 	mSimDerived = obs.GetCounter("casa_sim_derived_total")
@@ -73,10 +75,11 @@ type Config struct {
 	Timing *Timing
 	// Reference selects the instruction-granular reference engine: the
 	// interpreter is re-executed and every fetch is classified and
-	// accounted one instruction at a time. The default line-granular
-	// trace-replay engine is defined to be bit-identical to it (the
-	// differential tests enforce this); the reference survives as their
-	// oracle and as a debugging fallback.
+	// accounted one instruction at a time. The default engine, which
+	// walks the recorded block trace through compiled cache-line probes,
+	// is defined to be bit-identical to it (the differential tests
+	// enforce this); the reference survives as their oracle and as a
+	// debugging fallback.
 	Reference bool
 }
 
@@ -197,270 +200,220 @@ func (r *Result) TotalEnergyNJ() float64 { return r.Energy.Total() }
 // unit of the paper's Table 1.
 func (r *Result) TotalEnergyMicroJ() float64 { return r.Energy.Total() / 1000 }
 
-// hier drives the hierarchy at cache-line granularity. It implements
-// sim.RunFetcher, so whole same-block instruction runs arrive as one
-// dynamic dispatch; each run is split at scratchpad-window, loop-cache-
-// region and cache-line boundaries and every segment is accounted in
-// bulk — cache.AccessRun touches the tag array once per line instead of
-// once per instruction. The splits reproduce the per-instruction
-// classification exactly: a fetch at address a+4i belongs to a segment
-// iff the scalar reference would classify it the same way, because
-// segment lengths are computed as the count of fetch addresses strictly
-// below the next boundary (ceil((boundary-addr)/4)).
-type hier struct {
-	res   *Result
-	ic    *cache.Cache
-	l2    *cache.Cache
-	lc    *loopcache.Controller
-	track bool
-
-	hasSPM   bool
-	spmBase  uint64
-	spmEnd   uint64
-	lineMask uint64 // LineBytes-1; lines are power-of-two sized
-
-	// conf densely accumulates m_ij (victim-major) during the run; the
-	// map the Result exposes is folded from it afterwards, keeping hash
-	// work out of the per-miss path.
-	conf []int64
-	nMO  int
-
-	// missFn is the L1 miss handler bound once per run (L2 access,
-	// cold/conflict classification, m_ij attribution), so cacheRun can
-	// hand cache.AccessRun a callback without allocating per call.
-	missFn func(addr uint32, r cache.Result)
-	missMO int // memory object missFn attributes to; set by cacheRun
-
-	lines int64 // cache-line transitions driven (casa_sim_lines_total)
-	bulk  int64 // bulk run deliveries (casa_sim_bulk_fetches_total)
+// compiled is one executed block resolved under the layout and the
+// hierarchy: where its fetches go per execution, and where its appended
+// jump's single fetch goes.
+type compiled struct {
+	// probes[lo:hi] are the block's I-cache line probes; probes[hi:jend]
+	// holds its appended jump's probe when the jump is fetched through
+	// the I-cache (so a fall exit probes probes[lo:jend] in one call).
+	lo, hi, jend int32
+	mo           int32
+	n            int64 // instructions per execution
+	// blk splits one execution's fetches (blk.cache = Σ probes' N); jmp
+	// splits the appended jump's single fetch when jok (materialized).
+	// The jump belongs to the block's memory object.
+	blk, jmp fetchSplit
+	jok      bool
 }
 
-// Fetch implements sim.Fetcher for the stray single fetches (appended
-// jumps) the trace replay delivers individually.
-func (h *hier) Fetch(addr uint32, mo int) { h.FetchRun(addr, 1, mo) }
+// fetchSplit divides a run's fetches among the hierarchy's components.
+type fetchSplit struct{ spm, lc, mm, cache int64 }
 
-// segLen returns how many 4-byte fetches starting at addr precede the
-// boundary: the count of i ≥ 0 with addr+4i < end.
-func segLen(addr, end uint64) int {
+// compiler splits fetch runs into the hierarchy's components.
+type compiler struct {
+	ic      *cache.Cache
+	lc      *loopcache.Controller
+	hasSPM  bool
+	spmBase uint64
+	spmEnd  uint64
+	probes  []cache.Probe
+}
+
+// fetchesBelow returns how many 4-byte fetches starting at addr precede
+// the boundary: the count of i ≥ 0 with addr+4i < end.
+func fetchesBelow(addr, end uint64) int {
 	return int((end - addr + 3) / 4)
 }
 
-// FetchRun implements sim.RunFetcher: n consecutive instruction fetches
-// from base, all owned by mo, accounted exactly as n scalar fetches.
-func (h *hier) FetchRun(base uint32, n int, mo int) {
-	if n <= 0 {
-		return
-	}
-	h.bulk++
-	res := h.res
-	st := &res.PerMO[mo]
-	res.Fetches += int64(n)
-	st.Fetches += int64(n)
-	if !h.hasSPM && h.lc == nil && h.ic != nil {
-		// Cache-only hierarchy (the baseline and conflict-profiling
-		// configuration): the whole run goes to the I-cache.
-		h.cacheRun(base, n, mo)
-		return
-	}
+// split classifies n consecutive fetches from base, all owned by mo,
+// exactly as the reference classifies them one at a time: the run is cut
+// at scratchpad-window and loop-cache-region boundaries, and the I-cache
+// part is compiled into line probes appended to cp.probes. Segment
+// lengths count the fetch addresses strictly below the next boundary
+// (ceil((boundary-addr)/4)), so every fetch lands where the reference
+// puts it.
+func (cp *compiler) split(base uint32, n int, mo int) (f fetchSplit) {
 	// Addresses are widened to uint64 so boundary arithmetic cannot wrap;
 	// layouts never place a block across the top of the address space.
 	addr := uint64(base)
 	for n > 0 {
 		k := n
-		if h.hasSPM {
-			if addr >= h.spmBase && addr < h.spmEnd {
+		if cp.hasSPM {
+			if addr >= cp.spmBase && addr < cp.spmEnd {
 				// Inside the scratchpad window: serve up to its end.
-				if kw := segLen(addr, h.spmEnd); kw < k {
-					k = kw
-				}
-				res.SPMAccesses += int64(k)
-				st.SPM += int64(k)
+				k = min(k, fetchesBelow(addr, cp.spmEnd))
+				f.spm += int64(k)
 				addr += uint64(k) * 4
 				n -= k
 				continue
 			}
-			if addr < h.spmBase {
+			if addr < cp.spmBase {
 				// Below the window: the segment may not cross into it.
-				if kw := segLen(addr, h.spmBase); kw < k {
-					k = kw
-				}
+				k = min(k, fetchesBelow(addr, cp.spmBase))
 			}
 		}
 		// [addr, addr+4k) now lies entirely outside the scratchpad window.
-		if h.lc != nil {
-			match, boundary := h.lc.Segment(uint32(addr))
-			if kr := segLen(addr, uint64(boundary)); kr < k {
-				k = kr
-			}
+		if cp.lc != nil {
+			match, boundary := cp.lc.Segment(uint32(addr))
+			k = min(k, fetchesBelow(addr, uint64(boundary)))
 			if match {
-				res.LoopCacheAccesses += int64(k)
-				st.LoopCache += int64(k)
+				f.lc += int64(k)
 				addr += uint64(k) * 4
 				n -= k
 				continue
 			}
 		}
-		if h.ic == nil {
-			res.MainMemoryFetches += int64(k)
-			addr += uint64(k) * 4
-			n -= k
-			continue
+		if cp.ic == nil {
+			f.mm += int64(k)
+		} else {
+			cp.probes = cp.ic.AppendProbes(cp.probes, uint32(addr), k, mo)
+			f.cache += int64(k)
 		}
-		h.cacheRun(uint32(addr), k, mo)
 		addr += uint64(k) * 4
 		n -= k
 	}
+	return f
 }
 
-// FetchRunRepeat implements sim.RunRepeater: count back-to-back
-// deliveries of the same block run (a taken self-loop). Hot loops spend
-// almost all their iterations in a steady state the simulator can prove
-// and then skip:
-//
-//   - If every fetch of the run goes to the I-cache, passes are simulated
-//     one at a time until one completes with zero misses. An all-hit pass
-//     evicts nothing, so the resident set — and therefore the outcome of
-//     every later pass — is unchanged: the remaining passes are accounted
-//     in bulk (SkipHitRuns keeps the per-set counters and the replacement
-//     clock exact) and the final pass is simulated for real so every LRU
-//     stamp and the MRU hint land on their exact end-of-run values.
-//
-//   - If a pass drives no I-cache access at all (the run sits in the
-//     scratchpad window, in loop-cache regions, or there is no cache),
-//     the components it touches are stateless per access, so each pass
-//     adds one fixed counter delta — measured on the first pass and
-//     multiplied out.
-//
-// Runs that mix cache and non-cache segments, and loops that never reach
-// an all-hit pass (working set larger than the cache), fall back to
-// simulating every pass. All paths are exactly equivalent to count
-// successive FetchRun calls.
-func (h *hier) FetchRunRepeat(base uint32, n int, mo int, count int64) {
-	if n <= 0 || count <= 0 {
-		return
+// compile resolves every executed block of tr under lay and the
+// hierarchy once per run.
+func (cp *compiler) compile(tr *sim.Trace, lay *layout.Layout) []compiled {
+	blocks := tr.Blocks()
+	tab := make([]compiled, len(blocks))
+	for i, b := range blocks {
+		c := &tab[i]
+		mo := lay.BlockMO(b.Ref)
+		c.mo, c.n = int32(mo), int64(b.Instrs)
+		c.lo = int32(len(cp.probes))
+		c.blk = cp.split(lay.BlockBase(b.Ref), int(b.Instrs), mo)
+		c.hi = int32(len(cp.probes))
+		if jaddr, ok := lay.FallJump(b.Ref); ok {
+			c.jok = true
+			c.jmp = cp.split(jaddr, 1, mo)
+		}
+		c.jend = int32(len(cp.probes))
 	}
-	res := h.res
-	end := uint64(base) + 4*uint64(n)
-	if h.ic != nil && h.lc == nil &&
-		(!h.hasSPM || end <= h.spmBase || uint64(base) >= h.spmEnd) {
-		done, steady := int64(0), false
-		for ; done < count; done++ {
-			m0 := res.CacheMisses
-			h.FetchRun(base, n, mo)
-			if res.CacheMisses == m0 {
-				done++
-				steady = true
+	return tab
+}
+
+// derive accounts every counter the layout alone determines — fetches,
+// the scratchpad / loop-cache / main-memory / I-cache split, per-object
+// fetches, line transitions and bulk deliveries — as per-block execution
+// and jump counts times the compiled per-execution splits, and credits
+// every I-cache fetch as a hit (the probe walk moves each miss back).
+// It returns the line transitions and bulk deliveries: the cache-line
+// segments and the non-empty block runs plus jumps the fetch stream
+// consists of.
+func derive(res *Result, tr *sim.Trace, tab []compiled, probes []cache.Probe, ic *cache.Cache) (lines, bulk int64) {
+	for i, b := range tr.Blocks() {
+		c := &tab[i]
+		st := &res.PerMO[c.mo]
+		x, j := b.Execs, int64(0)
+		if c.jok {
+			j = b.Jumps
+		}
+		fetches := x*c.n + j
+		res.Fetches += fetches
+		st.Fetches += fetches
+		spm := x*c.blk.spm + j*c.jmp.spm
+		lc := x*c.blk.lc + j*c.jmp.lc
+		cached := x*c.blk.cache + j*c.jmp.cache
+		res.SPMAccesses += spm
+		st.SPM += spm
+		res.LoopCacheAccesses += lc
+		st.LoopCache += lc
+		res.MainMemoryFetches += x*c.blk.mm + j*c.jmp.mm
+		res.CacheAccesses += cached
+		st.Hits += cached // minus the object's misses once they are known
+		lines += x*int64(c.hi-c.lo) + j*int64(c.jend-c.hi)
+		bulk += j
+		if c.n > 0 {
+			bulk += x
+		}
+		if ic != nil {
+			ic.CreditHits(probes[c.lo:c.hi], x)
+			ic.CreditHits(probes[c.hi:c.jend], j)
+		}
+	}
+	return lines, bulk
+}
+
+// walk drives the I-cache with the recorded steps: per step, the
+// block's line probes (repeat times), then its jump owner's appended
+// jump probe. Scratchpad, loop-cache and main-memory fetches were
+// accounted by derive and cost nothing here.
+//
+// A taken self-loop repeats one block back to back, and a pass over it
+// that misses nowhere evicts nothing, so the resident set — and with it
+// the outcome of every later pass — is unchanged. Passes are probed
+// until one misses nowhere; the clock is then advanced past the
+// remaining passes but one, whose hits derive already credited, and the
+// final pass is probed for real so every LRU stamp and the MRU hint land
+// on their exact final values. A loop whose working set never fits
+// probes every pass.
+func walk(tr *sim.Trace, tab []compiled, probes []cache.Probe, ic *cache.Cache, onMiss func(*cache.Probe, cache.Result)) {
+	for _, s := range tr.Steps() {
+		c := &tab[s.Block]
+		if s.Link >= 0 {
+			if s.Link == s.Block {
+				// Fall exit: the block's own jump follows it.
+				if c.jend > c.lo {
+					ic.Probe(probes[c.lo:c.jend], onMiss)
+				}
+				continue
+			}
+			if c.hi > c.lo {
+				ic.Probe(probes[c.lo:c.hi], onMiss)
+			}
+			if o := &tab[s.Link]; o.jend > o.hi {
+				ic.Probe(probes[o.hi:o.jend], onMiss)
+			}
+			continue
+		}
+		if c.hi == c.lo {
+			continue
+		}
+		ps := probes[c.lo:c.hi]
+		if s.Link == -1 {
+			ic.Probe(ps, onMiss)
+			continue
+		}
+		rem := s.Repeat()
+		for rem > 0 {
+			rem--
+			if ic.Probe(ps, onMiss) == 0 {
 				break
 			}
 		}
-		rem := count - done
-		if !steady || rem == 0 {
-			return
-		}
-		if skip := rem - 1; skip > 0 {
-			res.Fetches += skip * int64(n)
-			res.CacheAccesses += skip * int64(n)
-			res.CacheHits += skip * int64(n)
-			st := &res.PerMO[mo]
-			st.Fetches += skip * int64(n)
-			st.Hits += skip * int64(n)
-			firstLine := uint64(base) &^ h.lineMask
-			lastLine := (uint64(base) + 4*uint64(n-1)) &^ h.lineMask
-			h.lines += skip * int64((lastLine-firstLine)/(h.lineMask+1)+1)
-			h.bulk += skip
-			h.ic.SkipHitRuns(base, n, skip)
-		}
-		h.FetchRun(base, n, mo) // final pass: exact stamps and MRU hint
-		return
-	}
-
-	st := &res.PerMO[mo]
-	f0, s0, l0, m0, ca0 := res.Fetches, res.SPMAccesses, res.LoopCacheAccesses,
-		res.MainMemoryFetches, res.CacheAccesses
-	stF0, stS0, stL0 := st.Fetches, st.SPM, st.LoopCache
-	h.FetchRun(base, n, mo)
-	if res.CacheAccesses != ca0 {
-		// The run reaches the I-cache (mixed segments): simulate every pass.
-		for j := int64(1); j < count; j++ {
-			h.FetchRun(base, n, mo)
-		}
-		return
-	}
-	k := count - 1
-	res.Fetches += k * (res.Fetches - f0)
-	res.SPMAccesses += k * (res.SPMAccesses - s0)
-	res.LoopCacheAccesses += k * (res.LoopCacheAccesses - l0)
-	res.MainMemoryFetches += k * (res.MainMemoryFetches - m0)
-	st.Fetches += k * (st.Fetches - stF0)
-	st.SPM += k * (st.SPM - stS0)
-	st.LoopCache += k * (st.LoopCache - stL0)
-	h.bulk += k
-}
-
-// cacheRun sends k consecutive fetches at addr through the I-cache,
-// splitting at line boundaries: within one line the first access decides
-// hit or miss and the rest are guaranteed hits, so cache.AccessRun
-// accounts them in bulk while this level attributes the outcome — the
-// per-MO split, cold/conflict classification and m_ij edges — exactly
-// as the scalar reference does per instruction.
-func (h *hier) cacheRun(addr uint32, k int, mo int) {
-	res := h.res
-	res.CacheAccesses += int64(k)
-	h.missMO = mo
-	misses, lines := h.ic.AccessRun(addr, k, mo, h.missFn)
-	hits := int64(k) - misses
-	h.lines += lines
-	res.CacheHits += hits
-	res.CacheMisses += misses
-	st := &res.PerMO[mo]
-	st.Hits += hits
-	st.Misses += misses
-}
-
-// onMiss attributes one L1 miss: second-level access, cold/conflict
-// classification and (when profiling) the m_ij edge. Bound once per run
-// as h.missFn.
-func (h *hier) onMiss(addr uint32, r cache.Result) {
-	res := h.res
-	if h.l2 != nil {
-		res.L2Accesses++
-		if h.l2.Access(addr, h.missMO).Hit {
-			res.L2Hits++
-		} else {
-			res.L2Misses++
-		}
-	}
-	if r.VictimMO == cache.NoMO {
-		res.ColdMisses++
-	} else {
-		res.ConflictMisses++
-		if h.track {
-			h.conf[h.missMO*h.nMO+r.VictimMO]++
-		}
-	}
-}
-
-// foldConflicts converts the dense m_ij accumulator into the Result's
-// sparse map, identical in content to per-miss map updates.
-func (h *hier) foldConflicts() {
-	for v := 0; v < h.nMO; v++ {
-		row := h.conf[v*h.nMO : (v+1)*h.nMO]
-		for e, n := range row {
-			if n > 0 {
-				h.res.Conflicts[ConflictKey{Victim: v, Evictor: e}] = n
-			}
+		if rem > 0 {
+			ic.Skip((rem - 1) * c.blk.cache)
+			ic.Probe(ps, onMiss)
 		}
 	}
 }
 
 // Run simulates the program under the given layout and hierarchy.
 //
-// The default engine replays the memoized execute-once block trace at
-// line granularity; Config.Reference re-executes the interpreter and
-// accounts per instruction. Both engines produce bit-identical Results —
-// every counter, attribution and (because energy and cycles are derived
-// from the counters after the run) every float.
-func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (*Result, error) {
+// The default engine compiles each block of the memoized execute-once
+// block trace into cache-line probes under this layout and hierarchy,
+// derives every layout-determined counter from per-block counts, and
+// walks the recorded steps through the I-cache to find the misses;
+// Config.Reference re-executes the interpreter and accounts per
+// instruction. Both engines produce bit-identical Results — every
+// counter, attribution and (because energy and cycles are derived from
+// the counters after the run) every float.
+func Run(prog *ir.Program, lay *layout.Layout, cfg Config) (*Result, error) {
 	res := &Result{PerMO: make([]MOStats, len(lay.Set().Traces))}
 	if cfg.TrackConflicts {
 		res.Conflicts = make(map[ConflictKey]int64)
@@ -485,100 +438,142 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 			return nil, fmt.Errorf("memsim: L2: %w", err)
 		}
 	}
-	lc := cfg.LoopCache
+	var lines, bulk int64
+	var err error
+	if cfg.Reference {
+		err = reference(prog, lay, cfg, res, ic, l2)
+	} else {
+		lines, bulk, err = simulate(prog, lay, cfg, res, ic, l2)
+	}
+	if err != nil {
+		return nil, err
+	}
 
-	h := &hier{res: res, ic: ic, l2: l2, lc: lc, track: cfg.TrackConflicts}
-	h.missFn = h.onMiss
+	finalize(res, cfg, cfg.LoopCache != nil, l2 != nil)
+	if cfg.KeepCache {
+		res.Cache = ic
+	}
+	flushMetrics(res, ic, lines, bulk)
+	return res, nil
+}
+
+// simulate is the default engine: it compiles the layout into probes,
+// derives every layout-determined counter, and walks the memoized trace
+// through the I-cache for the misses. It returns the line transitions
+// and bulk deliveries derive computed.
+func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic, l2 *cache.Cache) (lines, bulk int64, err error) {
+	tr, err := sim.CachedTrace(prog)
+	if err != nil {
+		return 0, 0, err
+	}
+	mTraceReplays.Inc()
+	cp := &compiler{ic: ic, lc: cfg.LoopCache}
 	if base, size := lay.SPMWindow(); size > 0 {
-		h.hasSPM = true
-		h.spmBase = uint64(base)
-		h.spmEnd = uint64(base) + uint64(size)
+		cp.hasSPM = true
+		cp.spmBase = uint64(base)
+		cp.spmEnd = uint64(base) + uint64(size)
 	}
-	if ic != nil {
-		h.lineMask = uint64(cfg.Cache.LineBytes) - 1
-	}
-	if cfg.TrackConflicts {
-		h.nMO = len(res.PerMO)
-		h.conf = make([]int64, h.nMO*h.nMO)
+	tab := cp.compile(tr, lay)
+	lines, bulk = derive(res, tr, tab, cp.probes, ic)
+	if ic == nil {
+		return lines, bulk, nil // no cache: nothing depends on cache state
 	}
 
-	switch {
-	case cfg.Reference:
-		// Instruction-granular oracle: re-execute the interpreter and
-		// classify every fetch individually.
-		fetch := func(addr uint32, mo int) {
-			res.Fetches++
-			st := &res.PerMO[mo]
-			st.Fetches++
-			if lay.IsSPMAddr(addr) {
-				res.SPMAccesses++
-				st.SPM++
-				return
-			}
-			if lc != nil && lc.Match(addr) {
-				res.LoopCacheAccesses++
-				st.LoopCache++
-				return
-			}
-			if ic == nil {
-				res.MainMemoryFetches++
-				return
-			}
-			res.CacheAccesses++
-			r := ic.Access(addr, mo)
-			if r.Hit {
-				res.CacheHits++
-				st.Hits++
-				return
-			}
-			res.CacheMisses++
-			st.Misses++
+	// Only a second level and m_ij attribution need each miss as it
+	// happens; the walk counts the rest per probe and per set.
+	var onMiss func(*cache.Probe, cache.Result)
+	nMO := len(res.PerMO)
+	var conf []int64 // dense m_ij, victim-major, folded into the map below
+	if cfg.TrackConflicts {
+		conf = make([]int64, nMO*nMO)
+	}
+	if l2 != nil || conf != nil {
+		onMiss = func(p *cache.Probe, r cache.Result) {
 			if l2 != nil {
 				res.L2Accesses++
-				if l2.Access(addr, mo).Hit {
+				if l2.Access(p.Addr, int(p.MO)).Hit {
 					res.L2Hits++
 				} else {
 					res.L2Misses++
 				}
 			}
-			if r.VictimMO == cache.NoMO {
-				res.ColdMisses++
-			} else {
-				res.ConflictMisses++
-				if cfg.TrackConflicts {
-					res.Conflicts[ConflictKey{Victim: mo, Evictor: r.VictimMO}]++
-				}
+			if conf != nil && r.VictimMO != cache.NoMO {
+				conf[int(p.MO)*nMO+r.VictimMO]++
 			}
 		}
-		if _, err := sim.Run(prog, lay, sim.FetcherFunc(fetch), opts...); err != nil {
-			return nil, err
-		}
-	case len(opts) == 0:
-		// With default run limits the block trace depends only on the
-		// program, so replay the memoized execute-once recording under
-		// this layout; results are bit-identical to a live run.
-		tr, err := sim.CachedTrace(prog)
-		if err != nil {
-			return nil, err
-		}
-		tr.Replay(lay, h)
-	default:
-		// Custom run options bypass the trace cache: re-execute the
-		// interpreter, still at line granularity.
-		if _, err := sim.Run(prog, lay, h, opts...); err != nil {
-			return nil, err
-		}
 	}
+	walk(tr, tab, cp.probes, ic, onMiss)
 
-	if cfg.TrackConflicts && !cfg.Reference {
-		h.foldConflicts()
+	for _, p := range cp.probes {
+		res.CacheMisses += p.Misses
+		res.PerMO[p.MO].Misses += p.Misses
 	}
-	finalize(res, cfg, lc != nil, l2 != nil)
-	if cfg.KeepCache {
-		res.Cache = ic
+	res.CacheHits = res.CacheAccesses - res.CacheMisses
+	for i := range res.PerMO {
+		res.PerMO[i].Hits -= res.PerMO[i].Misses
 	}
-	flushMetrics(res, ic, h)
-	return res, nil
+	// Every miss that replaced a valid line is a conflict miss; the rest
+	// filled an empty way.
+	res.ConflictMisses = ic.TotalStats().Evictions
+	res.ColdMisses = res.CacheMisses - res.ConflictMisses
+	for k, n := range conf {
+		if n > 0 {
+			res.Conflicts[ConflictKey{Victim: k / nMO, Evictor: k % nMO}] = n
+		}
+	}
+	return lines, bulk, nil
+}
+
+// reference is the instruction-granular oracle: it re-executes the
+// interpreter and classifies and accounts every fetch individually.
+func reference(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic, l2 *cache.Cache) error {
+	lc := cfg.LoopCache
+	fetch := func(addr uint32, mo int) {
+		res.Fetches++
+		st := &res.PerMO[mo]
+		st.Fetches++
+		if lay.IsSPMAddr(addr) {
+			res.SPMAccesses++
+			st.SPM++
+			return
+		}
+		if lc != nil && lc.Match(addr) {
+			res.LoopCacheAccesses++
+			st.LoopCache++
+			return
+		}
+		if ic == nil {
+			res.MainMemoryFetches++
+			return
+		}
+		res.CacheAccesses++
+		r := ic.Access(addr, mo)
+		if r.Hit {
+			res.CacheHits++
+			st.Hits++
+			return
+		}
+		res.CacheMisses++
+		st.Misses++
+		if l2 != nil {
+			res.L2Accesses++
+			if l2.Access(addr, mo).Hit {
+				res.L2Hits++
+			} else {
+				res.L2Misses++
+			}
+		}
+		if r.VictimMO == cache.NoMO {
+			res.ColdMisses++
+		} else {
+			res.ConflictMisses++
+			if cfg.TrackConflicts {
+				res.Conflicts[ConflictKey{Victim: mo, Evictor: r.VictimMO}]++
+			}
+		}
+	}
+	_, err := sim.Run(prog, lay, sim.FetcherFunc(fetch))
+	return err
 }
 
 // Reprice returns the outcome of simulating again what run simulated —
@@ -649,7 +644,7 @@ func finalize(res *Result, cfg Config, hasLC, hasL2 bool) {
 
 // flushMetrics records the run's totals into the default registry — once
 // per run, at the end, so the per-fetch path stays metric-free.
-func flushMetrics(res *Result, ic *cache.Cache, h *hier) {
+func flushMetrics(res *Result, ic *cache.Cache, lines, bulk int64) {
 	mSimRuns.Inc()
 	mSimFetches.Add(res.Fetches)
 	mSimHits.Add(res.CacheHits)
@@ -658,10 +653,10 @@ func flushMetrics(res *Result, ic *cache.Cache, h *hier) {
 	if ic != nil {
 		mSimEvicts.Add(ic.TotalStats().Evictions)
 	}
-	if h.lines > 0 {
-		mSimLines.Add(h.lines)
+	if lines > 0 {
+		mSimLines.Add(lines)
 	}
-	if h.bulk > 0 {
-		mSimBulk.Add(h.bulk)
+	if bulk > 0 {
+		mSimBulk.Add(bulk)
 	}
 }

@@ -2,7 +2,7 @@
 // deterministic, a program fully determines its profile and its dynamic
 // block trace. The experiment engine runs the same workloads many times
 // across figures — every study re-profiles its workload, and each grid
-// cell replays the workload under several layouts — so both results are
+// cell simulates the workload under several layouts — so both results are
 // cached process-wide and shared across concurrent experiment cells.
 //
 // Keys: profiles and traces are both keyed by program identity
@@ -15,7 +15,7 @@
 // every pipeline consumer already are.
 //
 // All entries are built exactly once (singleflight) and are safe for
-// concurrent use; recorded traces are immutable and replayed without
+// concurrent use; recorded traces are immutable and read without
 // locking. The trace cache keeps the byte-bounded LRU shape of the old
 // stream cache (counting slice *capacity*, since that is what the
 // allocator actually committed) so the bound and its metrics stay

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/ir"
+	"repro/internal/workload"
 )
 
 func TestCachedProfileMatchesProfileProgram(t *testing.T) {
@@ -63,19 +66,35 @@ func TestCachedProfileSingleflight(t *testing.T) {
 	}
 }
 
-// recordingSink collects the fetch stream for comparisons.
-type recordingSink struct {
-	addrs []uint32
-	mos   []int
+// expand writes the fetch stream a recording stands for under lay: per
+// step, the block's instructions repeat times, then the jump owner's
+// appended jump when lay materialized one. It returns the fetch count.
+func expand(tr *Trace, lay Layout, sink Fetcher) int64 {
+	blocks := tr.Blocks()
+	var n int64
+	for _, s := range tr.Steps() {
+		b := blocks[s.Block]
+		base, mo := lay.BlockBase(b.Ref), lay.BlockMO(b.Ref)
+		for r := s.Repeat(); r > 0; r-- {
+			for i := 0; i < int(b.Instrs); i++ {
+				sink.Fetch(base+uint32(i*ir.InstrSize), mo)
+			}
+			n += int64(b.Instrs)
+		}
+		if s.Link >= 0 {
+			o := blocks[s.Link].Ref
+			if addr, ok := lay.FallJump(o); ok {
+				sink.Fetch(addr, lay.BlockMO(o))
+				n++
+			}
+		}
+	}
+	return n
 }
 
-func (r *recordingSink) Fetch(addr uint32, mo int) {
-	r.addrs = append(r.addrs, addr)
-	r.mos = append(r.mos, mo)
-}
-
-// callProgram builds a program with calls, branches and room for a
-// layout-appended jump, so recorded traces cover every step kind.
+// callProgram builds a program with calls, a callee self-loop, branches
+// and room for layout-appended jumps, so recorded traces cover every way
+// control leaves a block.
 func callProgram(t *testing.T) *ir.Program {
 	t.Helper()
 	pb := ir.NewProgramBuilder("memo-calls")
@@ -85,46 +104,101 @@ func callProgram(t *testing.T) *ir.Program {
 	main.Block("after").ALU(1).Branch("loop", "done", ir.Loop{Trips: 7})
 	main.Block("done").Return()
 	leaf := pb.Func("leaf")
-	leaf.Block("body").ALU(3).Return()
+	leaf.Block("body").ALU(3).Branch("body", "out", ir.Loop{Trips: 4})
+	leaf.Block("out").Return()
 	return mustBuild(t, pb)
 }
 
-func TestCachedTraceReplayMatchesRun(t *testing.T) {
-	p := callProgram(t)
-	lay := newTestLayout(p)
-	// Jumps on both a fall-through block and a call block: the call
-	// block's jump is fetched when its *callee returns*, the trickiest
-	// replay case.
-	lay.jumps[ir.BlockRef{Func: 0, Block: 2}] = 0x400
-	lay.jumps[ir.BlockRef{Func: 0, Block: 1}] = 0x440
-
-	direct := &recordingSink{}
-	n, err := Run(p, lay, direct)
-	if err != nil {
-		t.Fatal(err)
+// jumpEverywhere materializes an appended jump after every other block
+// of p, far above the code, so expansions fetch jumps both on fall exits
+// and on returns into a caller while other exits fetch none.
+func jumpEverywhere(p *ir.Program, lay *testLayout) {
+	i := uint32(0)
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if i%2 == 0 {
+				lay.jumps[ir.BlockRef{Func: f.ID, Block: b.ID}] = 0x8000_0000 + 4*i
+			}
+			i++
+		}
 	}
+}
 
-	tr, err := CachedTrace(p)
+// streamMatchesRun checks fetch for fetch that the recording of p,
+// expanded under lay, is Run's stream, and that its per-block counts are
+// the profile's execution counts and its steps' jump owners. It reports
+// whether any step repeats.
+func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repeated bool) {
+	t.Helper()
+	want := &packedSink{}
+	n, err := Run(p, lay, want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Fetches() >= n {
 		t.Fatalf("trace fetches %d should exclude the %d-total run's jumps", tr.Fetches(), n)
 	}
-	replayed := &recordingSink{}
-	if got := tr.Replay(lay, replayed); got != n {
-		t.Fatalf("replay delivered %d fetches, want %d", got, n)
+	got := &packedSink{}
+	if m := expand(tr, lay, got); m != n || int64(len(got.fetches)) != n {
+		t.Fatalf("expansion delivered %d (%d seen) fetches, want %d", m, len(got.fetches), n)
 	}
-	if len(replayed.addrs) != int(n) {
-		t.Fatalf("sink saw %d fetches, want %d", len(replayed.addrs), n)
-	}
-	for i := range direct.addrs {
-		if direct.addrs[i] != replayed.addrs[i] || direct.mos[i] != replayed.mos[i] {
-			t.Fatalf("fetch %d differs: (%#x,%d) vs (%#x,%d)",
-				i, direct.addrs[i], direct.mos[i], replayed.addrs[i], replayed.mos[i])
+	for i := range want.fetches {
+		if got.fetches[i] != want.fetches[i] {
+			t.Fatalf("fetch %d differs: expanded %#x, Run %#x", i, got.fetches[i], want.fetches[i])
 		}
 	}
 
+	prof, err := ProfileProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jumps := make([]int64, len(tr.Blocks()))
+	for _, s := range tr.Steps() {
+		if s.Link >= 0 {
+			jumps[s.Link]++
+		}
+		repeated = repeated || s.Repeat() > 1
+	}
+	var execs int64
+	for i, b := range tr.Blocks() {
+		execs += b.Execs
+		if b.Execs != prof.BlockCount(b.Ref) || b.Jumps != jumps[i] {
+			t.Fatalf("block %v: execs/jumps %d/%d, want %d/%d",
+				b.Ref, b.Execs, b.Jumps, prof.BlockCount(b.Ref), jumps[i])
+		}
+	}
+	if execs != tr.Executions() {
+		t.Fatalf("per-block execs sum to %d, trace counts %d", execs, tr.Executions())
+	}
+	return repeated
+}
+
+// packedSink collects a fetch stream as address<<32 | memory object.
+type packedSink struct{ fetches []uint64 }
+
+func (s *packedSink) Fetch(addr uint32, mo int) {
+	s.fetches = append(s.fetches, uint64(addr)<<32|uint64(uint32(mo)))
+}
+
+// TestCachedTraceReplayMatchesRun: the stack-free recording, expanded
+// under a layout, is exactly Run's fetch stream on a fixture with calls,
+// returns that fetch the caller's jump and taken self-loops, on every
+// bundled workload and on random programs.
+func TestCachedTraceReplayMatchesRun(t *testing.T) {
+	p := callProgram(t)
+	lay := newTestLayout(p)
+	// The call block's jump is fetched when its *callee returns*; the
+	// fall-through blocks' jumps on their own exits.
+	lay.jumps[ir.BlockRef{Func: 0, Block: 0}] = 0x400
+	lay.jumps[ir.BlockRef{Func: 0, Block: 1}] = 0x440
+	lay.jumps[ir.BlockRef{Func: 0, Block: 2}] = 0x480
+	tr, err := CachedTrace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !streamMatchesRun(t, p, tr, lay) {
+		t.Error("no step repeats; the fixture's taken self-loop was not compressed")
+	}
 	// Same program → same cached instance; the trace is layout-free, so a
 	// different layout shares it too.
 	again, err := CachedTrace(p)
@@ -134,56 +208,37 @@ func TestCachedTraceReplayMatchesRun(t *testing.T) {
 	if again != tr {
 		t.Error("trace not memoized")
 	}
-}
 
-// TestTraceReplayBulkMatchesScalar: a RunFetcher sink must see the same
-// fetch stream as a scalar Fetcher, just batched per block.
-func TestTraceReplayBulkMatchesScalar(t *testing.T) {
-	p := callProgram(t)
-	lay := newTestLayout(p)
-	lay.jumps[ir.BlockRef{Func: 0, Block: 2}] = 0x400
-
-	tr, err := RecordTrace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar := &recordingSink{}
-	tr.Replay(lay, scalar)
-
-	bulk := &bulkRecordingSink{}
-	if n := tr.Replay(lay, bulk); n != int64(len(scalar.addrs)) {
-		t.Fatalf("bulk replay count %d, want %d", n, len(scalar.addrs))
-	}
-	if bulk.runs == 0 {
-		t.Fatal("RunFetcher sink never received a bulk run")
-	}
-	if len(bulk.addrs) != len(scalar.addrs) {
-		t.Fatalf("bulk saw %d fetches, scalar %d", len(bulk.addrs), len(scalar.addrs))
-	}
-	for i := range scalar.addrs {
-		if bulk.addrs[i] != scalar.addrs[i] || bulk.mos[i] != scalar.mos[i] {
-			t.Fatalf("fetch %d differs: (%#x,%d) vs (%#x,%d)",
-				i, bulk.addrs[i], bulk.mos[i], scalar.addrs[i], scalar.mos[i])
+	var progs []*ir.Program
+	for _, name := range workload.Names() {
+		p, err := workload.Load(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		progs = append(progs, p)
 	}
-}
-
-// bulkRecordingSink implements RunFetcher, expanding runs so the stream
-// can be compared fetch-for-fetch, while counting the bulk deliveries.
-type bulkRecordingSink struct {
-	recordingSink
-	runs int
-}
-
-func (b *bulkRecordingSink) FetchRun(base uint32, n int, mo int) {
-	b.runs++
-	for i := 0; i < n; i++ {
-		b.Fetch(base+uint32(i*ir.InstrSize), mo)
+	for seed := uint64(1); seed <= 6; seed++ {
+		p, err := workload.Random(workload.RandomSpec{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		t.Run(p.Name, func(t *testing.T) {
+			tr, err := RecordTrace(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay := newTestLayout(p)
+			jumpEverywhere(p, lay)
+			streamMatchesRun(t, p, tr, lay)
+		})
 	}
 }
 
 // TestTraceRLECompression: a hot self-loop must collapse to a handful of
-// RLE entries, and the step accessors must expose it faithfully.
+// steps, and the step accessors must expose it faithfully.
 func TestTraceRLECompression(t *testing.T) {
 	const trips = 1000
 	p := loopProgram(t, trips)
@@ -191,28 +246,27 @@ func TestTraceRLECompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// entry(fall), body×trips(taken self-loop RLE + final fall), exit:
-	// far fewer entries than dynamic steps.
-	if tr.NumSteps() >= 10 {
-		t.Fatalf("RLE failed: %d entries for a %d-trip loop", tr.NumSteps(), trips)
+	// entry(fall), body×trips(taken self-loop repeat + final fall), exit:
+	// far fewer steps than block executions.
+	steps := tr.Steps()
+	if len(steps) >= 10 {
+		t.Fatalf("compression failed: %d steps for a %d-trip loop", len(steps), trips)
 	}
-	if tr.Steps() != int64(trips)+2 {
-		t.Fatalf("steps %d, want %d", tr.Steps(), trips+2)
+	if tr.Executions() != int64(trips)+2 {
+		t.Fatalf("executions %d, want %d", tr.Executions(), trips+2)
 	}
-	var maxCount int64
-	var kinds []StepKind
-	for i := 0; i < tr.NumSteps(); i++ {
-		_, _, kind, count := tr.Step(i)
-		kinds = append(kinds, kind)
-		if count > maxCount {
-			maxCount = count
-		}
+	var maxRepeat int64
+	for _, s := range steps {
+		maxRepeat = max(maxRepeat, s.Repeat())
 	}
-	if maxCount != int64(trips)-1 {
-		t.Errorf("hottest RLE count %d, want %d", maxCount, trips-1)
+	if maxRepeat != int64(trips)-1 {
+		t.Errorf("hottest repeat %d, want %d", maxRepeat, trips-1)
 	}
-	if kinds[len(kinds)-1] != StepReturn {
-		t.Errorf("last step kind %v, want return", kinds[len(kinds)-1])
+	if last := steps[len(steps)-1]; last.Link >= 0 {
+		t.Errorf("program-ending return has jump owner %d, want none", last.Link)
+	}
+	if body := tr.Blocks()[1]; body.Execs != trips || body.Jumps != 1 {
+		t.Errorf("loop body execs/jumps %d/%d, want %d/1", body.Execs, body.Jumps, trips)
 	}
 	if tr.SizeBytes() <= 0 {
 		t.Error("SizeBytes not positive")
@@ -234,8 +288,7 @@ func TestCachedTraceConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			sink := &recordingSink{}
-			tr.Replay(lay, sink)
+			expand(tr, lay, &packedSink{})
 			traces[i] = tr
 		}(i)
 	}
@@ -249,16 +302,16 @@ func TestCachedTraceConcurrent(t *testing.T) {
 
 func TestTraceCacheEviction(t *testing.T) {
 	oldCap := traceCacheCapBytes
-	traceCacheCapBytes = 2560 // roughly one irregular trace's worth
+	traceCacheCapBytes = 2560 // under two irregular traces' worth
 	defer func() { traceCacheCapBytes = oldCap }()
 
 	// Programs with distinct irregular step sequences, each exceeding
 	// half the tiny budget, so the third insert must evict the
 	// least-recently-used entry.
 	progs := []*ir.Program{
-		irregularProgram(t, 20),
-		irregularProgram(t, 21),
-		irregularProgram(t, 22),
+		irregularProgram(t, 40),
+		irregularProgram(t, 41),
+		irregularProgram(t, 42),
 	}
 	evictsBefore := mStreamEvicts.Value()
 	var first *Trace
@@ -284,14 +337,13 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Error("eviction not counted in casa_stream_cache_evictions_total")
 	}
 	// The evicted trace stays usable for existing holders.
-	sink := &recordingSink{}
-	if first.Replay(newTestLayout(progs[0]), sink) == 0 {
+	if expand(first, newTestLayout(progs[0]), &packedSink{}) == 0 {
 		t.Error("evicted trace lost its recording")
 	}
 }
 
 // irregularProgram alternates between distinct blocks so its trace does
-// not RLE-compress to nothing (unlike a plain self-loop).
+// not compress to nothing (unlike a plain self-loop).
 func irregularProgram(t *testing.T, trips int) *ir.Program {
 	t.Helper()
 	pb := ir.NewProgramBuilder("irregular")
@@ -307,17 +359,14 @@ func irregularProgram(t *testing.T, trips int) *ir.Program {
 // the allocator committed (slice capacity), not the logical length.
 func TestTraceSizeBytesCountsCapacity(t *testing.T) {
 	tr := &Trace{
-		blocks: make([]ir.BlockRef, 1, 10),
-		instrs: make([]int32, 1, 10),
-		idx:    make([]int32, 2, 100),
-		kinds:  make([]StepKind, 2, 100),
-		counts: make([]int64, 2, 100),
+		blocks: make([]Block, 1, 10),
+		steps:  make([]Step, 2, 100),
 	}
-	if got, want := tr.SizeBytes(), 10*(8+4)+100*(4+1+8); got != want {
+	if got, want := tr.SizeBytes(), 10*int(unsafe.Sizeof(Block{}))+100*8; got != want {
 		t.Fatalf("SizeBytes = %d, want %d (capacity-based)", got, want)
 	}
-	if tr.NumSteps() != 2 {
-		t.Fatalf("NumSteps = %d, want 2", tr.NumSteps())
+	if len(tr.Steps()) != 2 {
+		t.Fatalf("len(Steps) = %d, want 2", len(tr.Steps()))
 	}
 }
 
@@ -334,8 +383,8 @@ func TestTraceCacheBytesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.SizeBytes() < 13*tr.NumSteps() {
-		t.Fatalf("SizeBytes %d below the 13·steps floor %d", tr.SizeBytes(), 13*tr.NumSteps())
+	if n := len(tr.Steps()); tr.SizeBytes() < 8*n {
+		t.Fatalf("SizeBytes %d below the 8·steps floor %d", tr.SizeBytes(), 8*n)
 	}
 
 	// The gauge must equal the locked byte total, and that total must be
@@ -377,7 +426,7 @@ func TestCachedTraceInjectedReadFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-fault call: %v", err)
 	}
-	if tr.Steps() == 0 {
+	if tr.Executions() == 0 {
 		t.Fatal("post-fault trace empty")
 	}
 }
@@ -399,17 +448,12 @@ func TestCachedTraceInjectedMemoMissBypassesCache(t *testing.T) {
 	if fresh == cached {
 		t.Fatal("injected memo miss still served the cached instance")
 	}
-	// Determinism: the bypassed recording replays byte-identically.
-	a, b := &recordingSink{}, &recordingSink{}
-	cached.Replay(lay, a)
-	fresh.Replay(lay, b)
-	if len(a.addrs) != len(b.addrs) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.addrs), len(b.addrs))
-	}
-	for i := range a.addrs {
-		if a.addrs[i] != b.addrs[i] || a.mos[i] != b.mos[i] {
-			t.Fatalf("fetch %d differs under memo-miss bypass", i)
-		}
+	// Determinism: the bypassed recording expands byte-identically.
+	a, b := &packedSink{}, &packedSink{}
+	expand(cached, lay, a)
+	expand(fresh, lay, b)
+	if !slices.Equal(a.fetches, b.fetches) {
+		t.Fatal("fetch streams differ under memo-miss bypass")
 	}
 }
 

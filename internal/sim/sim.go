@@ -62,43 +62,6 @@ type FetcherFunc func(addr uint32, mo int)
 // Fetch implements Fetcher.
 func (f FetcherFunc) Fetch(addr uint32, mo int) { f(addr, mo) }
 
-// RunFetcher is an optional extension of Fetcher. A sink that implements
-// it receives each block's consecutive instruction fetches as a single
-// call — one dynamic dispatch per executed block instead of one per
-// instruction — which is what makes line-granular hierarchy simulation
-// cheap. FetchRun(base, n, mo) is defined to be exactly equivalent to
-//
-//	for i := 0; i < n; i++ { Fetch(base+uint32(i*ir.InstrSize), mo) }
-//
-// and both Run and Trace.Replay use it whenever the sink supports it.
-// Layout-appended jump fetches are always delivered through Fetch: a
-// jump is not guaranteed to be contiguous with its block under every
-// Layout implementation.
-type RunFetcher interface {
-	Fetcher
-	// FetchRun delivers n consecutive instruction fetches starting at
-	// base, all owned by memory object mo. n may be zero (empty block).
-	FetchRun(base uint32, n int, mo int)
-}
-
-// RunRepeater is an optional extension of RunFetcher. A sink that
-// implements it receives a run-length-compressed taken self-loop — the
-// same block run executed count times back to back, with nothing fetched
-// in between — as a single call. FetchRunRepeat(base, n, mo, count) is
-// defined to be exactly equivalent to count successive FetchRun(base, n,
-// mo) calls; the point of the wider contract is that the sink sees the
-// repeat count up front and may exploit the guaranteed periodicity (a
-// cache pass with zero misses leaves the resident set unchanged, so
-// every later pass is the same all-hit pass) instead of re-simulating
-// identical iterations. Trace.Replay uses it for StepTaken entries —
-// the only step kind run-length encoding ever merges.
-type RunRepeater interface {
-	RunFetcher
-	// FetchRunRepeat delivers count consecutive repetitions of the run
-	// [base, base+n*InstrSize), all owned by memory object mo.
-	FetchRunRepeat(base uint32, n int, mo int, count int64)
-}
-
 // EdgeKind classifies a dynamic control-flow edge.
 type EdgeKind uint8
 
@@ -121,39 +84,6 @@ func (k EdgeKind) String() string {
 		return edgeKindNames[k]
 	}
 	return fmt.Sprintf("edgekind(%d)", uint8(k))
-}
-
-// StepKind classifies how control leaves a block in a recorded trace.
-// It is finer-grained than EdgeKind: replay needs to distinguish returns
-// (which pop a call continuation and fetch the *caller's* appended jump)
-// from ordinary fall-through exits, and the profile's dense edge arrays
-// stay three-kinded.
-type StepKind uint8
-
-const (
-	// StepFall leaves along the fall-through path (a fall-through block
-	// or a not-taken branch); the block's appended jump, if materialized,
-	// is fetched.
-	StepFall StepKind = iota
-	// StepTaken leaves along a taken branch or jump; no appended jump.
-	StepTaken
-	// StepCall enters a callee, pushing this block as the return
-	// continuation.
-	StepCall
-	// StepReturn returns to the most recent continuation (or terminates
-	// the program when none is pending); the popped caller's appended
-	// jump, if materialized, is fetched.
-	StepReturn
-)
-
-var stepKindNames = [...]string{StepFall: "fall", StepTaken: "taken", StepCall: "call", StepReturn: "return"}
-
-// String returns the step kind's name.
-func (k StepKind) String() string {
-	if int(k) < len(stepKindNames) {
-		return stepKindNames[k]
-	}
-	return fmt.Sprintf("stepkind(%d)", uint8(k))
 }
 
 // Edge is a dynamic control-flow edge between two blocks.
@@ -316,29 +246,19 @@ func ProfileProgram(p *ir.Program, opts ...Option) (*Profile, error) {
 
 // Run executes p under the given layout, streaming every instruction fetch
 // (including layout-appended jump fetches) to sink. It returns the total
-// number of fetches delivered. Sinks implementing RunFetcher receive each
-// block's fetches as a single FetchRun call.
+// number of fetches delivered.
 func Run(p *ir.Program, lay Layout, sink Fetcher, opts ...Option) (int64, error) {
 	e := newExec(p, opts)
 	var total int64
-	var onBlock func(ref ir.BlockRef, n int)
-	if rf, ok := sink.(RunFetcher); ok {
-		onBlock = func(ref ir.BlockRef, n int) {
-			rf.FetchRun(lay.BlockBase(ref), n, lay.BlockMO(ref))
-			total += int64(n)
-		}
-	} else {
-		onBlock = func(ref ir.BlockRef, n int) {
+	err := e.run(
+		func(ref ir.BlockRef, n int) {
 			base := lay.BlockBase(ref)
 			mo := lay.BlockMO(ref)
 			for i := 0; i < n; i++ {
 				sink.Fetch(base+uint32(i*ir.InstrSize), mo)
 			}
 			total += int64(n)
-		}
-	}
-	err := e.run(
-		onBlock,
+		},
 		nil,
 		func(ref ir.BlockRef) {
 			if addr, ok := lay.FallJump(ref); ok {
@@ -386,14 +306,14 @@ func newExec(p *ir.Program, opts []Option) *exec {
 // dynamic edge; onFallExit (optional) is called when control leaves a block
 // along its fall-through path, letting Run account for appended jumps;
 // onStep (optional) is called once per dynamic block execution with the
-// exit kind, which is what trace recording consumes (a return's fall-exit
-// is charged to the popped caller, so StepReturn carries enough
-// information for replay to reconstruct it from its own call stack).
+// block's jump owner, which is what trace recording consumes: the block
+// itself on a fall exit, the popped caller on a return (its fall-exit is
+// the one whose appended jump follows), and none otherwise.
 func (e *exec) run(
 	onBlock func(ref ir.BlockRef, instrs int),
 	onEdge func(Edge),
 	onFallExit func(ref ir.BlockRef),
-	onStep func(ref ir.BlockRef, instrs int, kind StepKind),
+	onStep func(ref ir.BlockRef, instrs int, owner ir.BlockRef, hasOwner bool),
 ) error {
 	cur := ir.BlockRef{Func: e.p.Entry, Block: e.p.Func(e.p.Entry).Entry}
 	var stack []ir.BlockRef // return continuations
@@ -407,9 +327,9 @@ func (e *exec) run(
 			onFallExit(from)
 		}
 	}
-	step := func(ref ir.BlockRef, instrs int, kind StepKind) {
+	step := func(ref ir.BlockRef, instrs int, owner ir.BlockRef, hasOwner bool) {
 		if onStep != nil {
-			onStep(ref, instrs, kind)
+			onStep(ref, instrs, owner, hasOwner)
 		}
 	}
 	for {
@@ -426,25 +346,25 @@ func (e *exec) run(
 			next := ir.BlockRef{Func: cur.Func, Block: b.FallThrough}
 			edge(cur, next, EdgeFall)
 			fallExit(cur)
-			step(cur, n, StepFall)
+			step(cur, n, cur, true)
 			cur = next
 		case ir.TermBranch:
 			if e.behaviors[cur.Func][cur.Block].Next() {
 				next := ir.BlockRef{Func: cur.Func, Block: b.Taken}
 				edge(cur, next, EdgeTaken)
-				step(cur, n, StepTaken)
+				step(cur, n, ir.BlockRef{}, false)
 				cur = next
 			} else {
 				next := ir.BlockRef{Func: cur.Func, Block: b.FallThrough}
 				edge(cur, next, EdgeFall)
 				fallExit(cur)
-				step(cur, n, StepFall)
+				step(cur, n, cur, true)
 				cur = next
 			}
 		case ir.TermJump:
 			next := ir.BlockRef{Func: cur.Func, Block: b.Taken}
 			edge(cur, next, EdgeTaken)
-			step(cur, n, StepTaken)
+			step(cur, n, ir.BlockRef{}, false)
 			cur = next
 		case ir.TermCall:
 			callee := e.p.Func(b.CallTarget)
@@ -453,16 +373,17 @@ func (e *exec) run(
 			if len(stack) >= maxCallDepth {
 				return fmt.Errorf("%w (%d)", ErrCallDepth, maxCallDepth)
 			}
-			step(cur, n, StepCall)
+			step(cur, n, ir.BlockRef{}, false)
 			stack = append(stack, cur)
 			cur = next
 		case ir.TermReturn:
-			step(cur, n, StepReturn)
 			if len(stack) == 0 {
+				step(cur, n, ir.BlockRef{}, false)
 				return nil // program terminates: return from entry function
 			}
 			caller := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			step(cur, n, caller, true)
 			cb := e.p.Func(caller.Func).Block(caller.Block)
 			next := ir.BlockRef{Func: caller.Func, Block: cb.FallThrough}
 			edge(caller, next, EdgeFall)

@@ -1,58 +1,91 @@
 // Trace: the compressed, execute-once form of a program run. The
 // interpreter walks a workload exactly once and records the dynamic
-// block sequence — not individual fetch addresses — as a run-length-
-// encoded step list. Because blocks and step kinds are layout-
-// independent, one Trace replays under any Layout: the memory-hierarchy
-// simulator decodes it once per layout/cache configuration instead of
-// re-executing the interpreter or storing a per-layout 4-byte-granular
-// address stream (the pre-trace design cached ~20MB of raw addresses
-// per (program, layout); a trace is a few kilobytes per program).
+// block sequence — not individual fetch addresses. Because blocks and
+// jump owners are layout-independent, one Trace serves every Layout: the
+// memory-hierarchy simulator compiles each executed block under a layout
+// once and then walks the recorded steps, instead of re-executing the
+// interpreter or storing a per-layout 4-byte-granular address stream
+// (the pre-trace design cached ~20MB of raw addresses per (program,
+// layout); a trace is a few kilobytes per program).
 //
-// Replay reproduces the exact fetch stream of Run: per step it emits the
-// block's instruction run (bulk, via RunFetcher, when the sink supports
-// it), and reconstructs the call stack so that appended fall-through
-// jumps — including the subtle case of a return, whose jump belongs to
-// the *popped caller*, not the returning block — are fetched at the
-// same position and with the same memory object as a live run.
+// The recording is stack-free: each step names its block, and either
+// the block whose appended fall-through jump follows it (its jump owner)
+// or how many times it repeats back to back. The interpreter resolves the
+// one case that needs the call stack — a return, whose jump belongs to
+// the *popped caller*, not the returning block — while recording, so a
+// consumer never rebuilds the stack. Expanding the steps under a layout
+// reproduces Run's fetch stream exactly: per step, the block's
+// instructions (repeat times), then the owner's appended jump, if the
+// layout materialized one.
 package sim
 
 import (
+	"slices"
+	"unsafe"
+
 	"repro/internal/ir"
-	"repro/internal/obs"
 )
 
-// mTraceReplays counts trace replays process-wide
-// (casa_trace_replays_total): each one stands for a full simulation run
-// that skipped re-executing the interpreter.
-var mTraceReplays = obs.GetCounter("casa_trace_replays_total")
+// Block is one executed block of a Trace, with the counts a simulator
+// needs to account every fetch the layout alone determines.
+type Block struct {
+	Ref ir.BlockRef
+	// Instrs is the block's instruction count.
+	Instrs int32
+	// Execs counts the block's executions, repeats included.
+	Execs int64
+	// Jumps counts the steps this block is the jump owner of: how many
+	// times its appended fall-through jump is fetched when the layout
+	// materializes one.
+	Jumps int64
+}
 
-// Trace is a run-length-encoded recording of one program execution: the
-// dynamic block sequence with exit kinds. It is layout-independent and
-// immutable once recorded; Replay is safe for concurrent use.
+// Step is one recorded entry. Block indexes Trace.Blocks. Link ≥ 0 is
+// the index of the jump owner: its appended jump, if materialized, is
+// fetched right after the block (the block itself for a fall exit, the
+// popped caller for a return). Link < 0 means no jump follows and the
+// block executes −Link times back to back; a repeat above one only ever
+// comes from a taken self-loop.
+type Step struct {
+	Block int32
+	Link  int32
+}
+
+// Repeat returns how many times the step's block executes back to back.
+func (s Step) Repeat() int64 {
+	if s.Link >= 0 {
+		return 1
+	}
+	return -int64(s.Link)
+}
+
+// Trace is a recording of one program execution: the executed blocks and
+// the dynamic step sequence over them. It is layout-independent and
+// immutable once recorded, and safe for concurrent use.
 type Trace struct {
-	// blocks lists every executed block once, in first-execution order,
-	// with its instruction count in instrs; steps name blocks by their
-	// dense index into these tables.
-	blocks []ir.BlockRef
-	instrs []int32
+	// blocks lists every executed block once, in first-execution order.
+	blocks []Block
+	steps  []Step
 
-	// Parallel arrays, one entry per RLE step: the executed block's dense
-	// index, how control left it, and how many times the step repeats
-	// consecutively (taken self-loops compress to a single entry).
-	idx    []int32
-	kinds  []StepKind
-	counts []int64
-
-	steps   int64 // total dynamic steps (sum of counts)
+	execs   int64 // total block executions (sum of repeats)
 	fetches int64 // total block-instruction fetches (appended jumps excluded)
 }
 
 // recorder builds a Trace, assigning dense block indices on first
-// execution through a per-function slot table.
+// execution through a per-function slot table. Steps are collected in
+// bounded chunks and copied once into an exactly sized slice when the
+// run ends: a recording of n steps allocates about 2n steps, where
+// growing one slice by append would allocate about 5n and leave up to a
+// quarter of it unused.
 type recorder struct {
 	t    *Trace
 	slot [][]int32 // [func][block] → dense index + 1 (0 = not yet seen)
+	full [][]Step  // filled chunks, in recording order
+	cur  []Step    // the chunk being filled; holds the last step once one is pushed
 }
+
+// maxChunkSteps bounds a recording chunk (256 KiB of steps).
+const maxChunkSteps = 1 << 15
 
 func newRecorder(p *ir.Program) *recorder {
 	r := &recorder{t: &Trace{}, slot: make([][]int32, len(p.Funcs))}
@@ -62,42 +95,66 @@ func newRecorder(p *ir.Program) *recorder {
 	return r
 }
 
-// push appends one dynamic step, run-length-merging it into the previous
-// entry when it repeats the same block and exit kind.
-func (r *recorder) push(ref ir.BlockRef, instrs int, kind StepKind) {
+// push appends one dynamic step. A step without a jump owner that
+// repeats the previous ownerless step's block merges into it.
+func (r *recorder) push(ref ir.BlockRef, instrs int, owner ir.BlockRef, hasOwner bool) {
 	t := r.t
-	t.steps++
+	t.execs++
 	t.fetches += int64(instrs)
 	s := &r.slot[ref.Func][ref.Block]
 	if *s == 0 {
-		t.blocks = append(t.blocks, ref)
-		t.instrs = append(t.instrs, int32(instrs))
+		t.blocks = append(t.blocks, Block{Ref: ref, Instrs: int32(instrs)})
 		*s = int32(len(t.blocks))
 	}
 	b := *s - 1
-	if n := len(t.idx) - 1; n >= 0 && t.idx[n] == b && t.kinds[n] == kind {
-		t.counts[n]++
+	t.blocks[b].Execs++
+	if hasOwner {
+		// The owner is the block itself or a caller that executed
+		// earlier, so it already has an index.
+		o := r.slot[owner.Func][owner.Block] - 1
+		t.blocks[o].Jumps++
+		r.add(Step{Block: b, Link: o})
 		return
 	}
-	t.idx = append(t.idx, b)
-	t.kinds = append(t.kinds, kind)
-	t.counts = append(t.counts, 1)
+	if n := len(r.cur) - 1; n >= 0 && r.cur[n].Block == b &&
+		r.cur[n].Link < 0 && r.cur[n].Link > -1<<31 {
+		r.cur[n].Link--
+		return
+	}
+	r.add(Step{Block: b, Link: -1})
 }
 
-// NumSteps returns the number of RLE entries.
-func (t *Trace) NumSteps() int { return len(t.idx) }
-
-// Step returns the i-th RLE entry: the executed block, its instruction
-// count, how control left it, and the consecutive repeat count.
-func (t *Trace) Step(i int) (ref ir.BlockRef, instrs int, kind StepKind, count int64) {
-	b := t.idx[i]
-	return t.blocks[b], int(t.instrs[b]), t.kinds[i], t.counts[i]
+// add appends a new step, starting a chunk twice the size of the last
+// one (up to maxChunkSteps) when the current chunk is full.
+func (r *recorder) add(s Step) {
+	if len(r.cur) == cap(r.cur) {
+		if len(r.cur) > 0 {
+			r.full = append(r.full, r.cur)
+		}
+		r.cur = make([]Step, 0, min(max(2*cap(r.cur), 64), maxChunkSteps))
+	}
+	r.cur = append(r.cur, s)
 }
 
-// Steps returns the total dynamic step count (sum of repeats).
-func (t *Trace) Steps() int64 { return t.steps }
+// finish joins the chunks into the trace's step slice and returns the
+// trace.
+func (r *recorder) finish() *Trace {
+	r.t.steps = slices.Concat(append(r.full, r.cur)...)
+	return r.t
+}
 
-// Fetches returns the block-instruction fetch count a replay delivers,
+// Blocks returns the executed blocks, indexed by Step.Block and
+// Step.Link. The slice is the trace's own and must not be modified.
+func (t *Trace) Blocks() []Block { return t.blocks }
+
+// Steps returns the recorded step sequence. The slice is the trace's
+// own and must not be modified.
+func (t *Trace) Steps() []Step { return t.steps }
+
+// Executions returns the total dynamic block-execution count.
+func (t *Trace) Executions() int64 { return t.execs }
+
+// Fetches returns the block-instruction fetch count of the recorded run,
 // excluding layout-appended jumps (those depend on the layout).
 func (t *Trace) Fetches() int64 { return t.fetches }
 
@@ -105,8 +162,7 @@ func (t *Trace) Fetches() int64 { return t.fetches }
 // backing-array *capacity* — what the allocator committed, which is what
 // the cache's eviction bound must charge.
 func (t *Trace) SizeBytes() int {
-	return 8*cap(t.blocks) + 4*cap(t.instrs) +
-		4*cap(t.idx) + cap(t.kinds) + 8*cap(t.counts)
+	return int(unsafe.Sizeof(Block{}))*cap(t.blocks) + int(unsafe.Sizeof(Step{}))*cap(t.steps)
 }
 
 // RecordTrace executes p once and records its dynamic block sequence.
@@ -122,108 +178,5 @@ func RecordTrace(p *ir.Program, opts ...Option) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.t, nil
-}
-
-// placedBlock is one executed block resolved under a layout: where it
-// runs, which memory object owns it, its length, and its appended jump.
-type placedBlock struct {
-	base uint32
-	jump uint32
-	mo   int32
-	n    int32
-	jok  bool
-}
-
-// place resolves every executed block under lay once, so the replay
-// loop reads flat tables instead of making Layout calls per step.
-func (t *Trace) place(lay Layout) []placedBlock {
-	tab := make([]placedBlock, len(t.blocks))
-	for i, ref := range t.blocks {
-		jaddr, jok := lay.FallJump(ref)
-		tab[i] = placedBlock{
-			base: lay.BlockBase(ref),
-			jump: jaddr,
-			mo:   int32(lay.BlockMO(ref)),
-			n:    t.instrs[i],
-			jok:  jok,
-		}
-	}
-	return tab
-}
-
-// Replay decodes the trace under lay, delivering the exact fetch stream
-// Run(p, lay, sink) would produce — same addresses, same memory objects,
-// same order — and returns the fetch count. Sinks implementing
-// RunFetcher receive each block's instruction run as one FetchRun call;
-// appended jumps always arrive as individual Fetch calls because a jump
-// need not be contiguous with its block under every Layout.
-func (t *Trace) Replay(lay Layout, sink Fetcher) int64 {
-	mTraceReplays.Inc()
-	rf, bulk := sink.(RunFetcher)
-	if !bulk {
-		rf = scalarRuns{sink}
-	}
-	rr, repeats := rf.(RunRepeater)
-	tab := t.place(lay)
-	var total int64
-	var stack []int32 // return continuations (dense indices), mirrors exec.run
-	for i, b := range t.idx {
-		blk := &tab[b]
-		base, n, mo := blk.base, int(blk.n), int(blk.mo)
-		cnt := t.counts[i]
-		total += cnt * int64(n)
-		switch t.kinds[i] {
-		case StepTaken:
-			// Taken self-loops are the only steps RLE merges, so cnt>1
-			// means this exact run repeats back to back — hand the whole
-			// burst to the sink when it can exploit the periodicity.
-			if repeats {
-				rr.FetchRunRepeat(base, n, mo, cnt)
-			} else {
-				for j := int64(0); j < cnt; j++ {
-					rf.FetchRun(base, n, mo)
-				}
-			}
-		case StepFall:
-			for j := int64(0); j < cnt; j++ {
-				rf.FetchRun(base, n, mo)
-				if blk.jok {
-					sink.Fetch(blk.jump, mo)
-					total++
-				}
-			}
-		case StepCall:
-			for j := int64(0); j < cnt; j++ {
-				rf.FetchRun(base, n, mo)
-				stack = append(stack, b)
-			}
-		case StepReturn:
-			for j := int64(0); j < cnt; j++ {
-				rf.FetchRun(base, n, mo)
-				if len(stack) == 0 {
-					break // program-terminating return: always the last step
-				}
-				caller := &tab[stack[len(stack)-1]]
-				stack = stack[:len(stack)-1]
-				if caller.jok {
-					sink.Fetch(caller.jump, int(caller.mo))
-					total++
-				}
-			}
-		}
-	}
-	return total
-}
-
-// scalarRuns adapts a plain Fetcher to the RunFetcher shape Replay
-// drives, unrolling each run into per-instruction Fetch calls.
-type scalarRuns struct{ sink Fetcher }
-
-func (s scalarRuns) Fetch(addr uint32, mo int) { s.sink.Fetch(addr, mo) }
-
-func (s scalarRuns) FetchRun(base uint32, n int, mo int) {
-	for j := 0; j < n; j++ {
-		s.sink.Fetch(base+uint32(j*ir.InstrSize), mo)
-	}
+	return r.finish(), nil
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
-# bench.sh — run the tier-1 benchmarks once each and emit a JSON results
-# file for cmd/benchdiff.
+# bench.sh — run the tier-1 benchmarks five times each and emit a JSON
+# results file of their medians for cmd/benchdiff.
 #
 # Usage: scripts/bench.sh [output.json]   (default BENCH_ci.json)
 #        scripts/bench.sh -refresh
@@ -20,9 +20,11 @@
 # stderr — the gate can never run against a dead server and pass on
 # stale or empty numbers.
 #
-# -benchtime=1x keeps the run cheap enough for CI: every benchmark
-# regenerates a full study, so a single iteration is already seconds of
-# simulated work and the timings are stable enough for a 20% gate.
+# -benchtime=1x keeps each sample cheap enough for CI: every benchmark
+# regenerates a full study, so a single iteration is already a sizable
+# piece of simulated work. The gate takes five samples and benchdiff
+# -parse compares their median (printing each benchmark's spread, IQR ÷
+# median), so one scheduler hiccup cannot fail or pass a 20% gate.
 set -eu
 
 baseline="${BENCH_BASELINE:-BENCH_baseline.json}"
@@ -104,11 +106,11 @@ fi
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-# A refresh takes three samples per benchmark; benchdiff -parse keeps
-# the slowest, so the committed ns/op baselines are ceilings with the
-# jitter of tiny benchmarks already priced in. The CI gate itself stays
-# single-sample to stay cheap.
-count=1
+# The gate takes five samples per benchmark and compares their median. A
+# refresh takes three and benchdiff -refresh keeps the slowest, so the
+# committed ns/op baselines are ceilings with the jitter of tiny
+# benchmarks already priced in.
+count=5
 [ "$refresh" = 1 ] && count=3
 
 go test -run '^$' -bench . -benchtime=1x -count="$count" . | tee "$tmp"
