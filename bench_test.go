@@ -17,29 +17,14 @@ import (
 	"repro/internal/workload"
 )
 
-// The benchmarks below regenerate every table and figure of the paper's
-// evaluation (run them with -v style output via cmd/experiments; here they
-// are measured as testing.B benches) plus the ablation studies DESIGN.md
-// calls out, and a handful of micro-benchmarks for the substrates.
-
-// BenchmarkFig4CASAvsSteinke regenerates Figure 4: CASA vs. Steinke's
-// algorithm on mpeg with a 2 kB direct-mapped I-cache, scratchpad sizes
-// 128–1024 bytes. Every iteration starts cold (coldStart), so the number
-// covers the whole grid — profiling, trace recording, the warm-started
-// solves — and does not depend on which benchmarks ran before it.
-func BenchmarkFig4CASAvsSteinke(b *testing.B) {
-	cfg := experiments.DefaultFig4()
-	for i := 0; i < b.N; i++ {
-		s := coldStart(b, cfg.Workload)
-		rows, err := experiments.Fig4(context.Background(), s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.WriteFig4(benchWriter(b), cfg, rows)
-		}
-	}
-}
+// The benchmarks below regenerate the paper's tables and figures (run
+// them with -v style output via cmd/experiments; here they are measured
+// as testing.B benches) plus the ablation studies DESIGN.md calls out,
+// and a handful of micro-benchmarks for the substrates. Figure 4 and the
+// sensitivity grid are timed by perfbench's fig4-grid and
+// sensitivity-grid workloads, which also check their rows and work
+// counts. CI runs every benchmark here once as a smoke test; timing is
+// judged by the perfbench A/B of scripts/bench.sh.
 
 // BenchmarkFig5CASAvsLoopCache regenerates Figure 5: the CASA-allocated
 // scratchpad vs. the Ross-preloaded loop cache on mpeg. Like every
@@ -132,25 +117,6 @@ func BenchmarkAblationCopyVsMove(b *testing.B) {
 		if i == 0 {
 			b.Logf("copy: %.2f µJ (%d misses) move: %.2f µJ (%d misses)",
 				r.CopyMicroJ, r.CopyMisses, r.MoveMicroJ, r.MoveMisses)
-		}
-	}
-}
-
-// BenchmarkSensitivity sweeps CASA across cache organizations
-// (associativity, replacement policy, line size) on g721 — the paper's
-// "generic algorithm" claim made measurable. Like the Fig. 4 benchmark
-// it starts every iteration cold; most cells share a trace partition,
-// so this grid is where basis transfer between cells pays.
-func BenchmarkSensitivity(b *testing.B) {
-	cfg := experiments.DefaultSensitivity()
-	for i := 0; i < b.N; i++ {
-		s := coldStart(b, cfg.Workload)
-		rows, err := experiments.Sensitivity(context.Background(), s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.WriteSensitivity(benchWriter(b), cfg, rows)
 		}
 	}
 }
@@ -295,29 +261,48 @@ func BenchmarkCASAILPMpeg(b *testing.B) {
 }
 
 // BenchmarkSolveCASAILP measures the branch & bound solver alone — no
-// model build, no allocation decode — on the mpeg/1024 model, the
-// largest exact solve of the evaluation. This is the benchmark the
-// solver work-counter gate (cmd/benchdiff -counter-threshold) pairs
-// with: wall time catches slow code, node counts catch a weaker search.
+// model build, no allocation decode — on the hardest cold solves of the
+// two evaluation grids: mpeg/128, fig4's hardest cell, and g721 on the
+// sensitivity grid's 2-way random cache. nodes/op and iters/op report
+// the search's work beside its time, so a weaker search shows even when
+// the host hides the slowdown.
 func BenchmarkSolveCASAILP(b *testing.B) {
-	s := experiments.NewSuite()
-	p, err := s.Pipeline(context.Background(), "mpeg", experiments.DM(2048), 1024)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name     string
+		workload string
+		cache    experiments.CacheSpec
+		spm      int
+	}{
+		{"mpeg-128", "mpeg", experiments.DM(2048), 128},
+		{"g721-2way-random", "g721", experiments.CacheSpec{Size: 1024, Line: 16, Assoc: 2, Policy: cache.Random}, 256},
 	}
-	prm := core.Params{SPMSize: p.SPMSize, ESPHit: p.Cost.SPMAccess,
-		ECacheHit: p.Cost.CacheHit, ECacheMiss: p.Cost.CacheMiss}
-	m, _, err := core.BuildModel(p.Set, p.Graph, prm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := ilp.Solve(context.Background(), m, prm.Solver)
-		if err != nil || sol.Status != ilp.Optimal {
-			b.Fatalf("%v %v", err, sol.Status)
-		}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			s := experiments.NewSuite()
+			p, err := s.Pipeline(context.Background(), tc.workload, tc.cache, tc.spm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prm := core.Params{SPMSize: p.SPMSize, ESPHit: p.Cost.SPMAccess,
+				ECacheHit: p.Cost.CacheHit, ECacheMiss: p.Cost.CacheMiss}
+			m, _, err := core.BuildModel(p.Set, p.Graph, prm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes, iters := 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol, err := ilp.Solve(context.Background(), m, prm.Solver)
+				if err != nil || sol.Status != ilp.Optimal {
+					b.Fatalf("%v %v", err, sol.Status)
+				}
+				nodes += sol.Nodes
+				iters += sol.SimplexIters
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+		})
 	}
 }
 

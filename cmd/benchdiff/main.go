@@ -1,24 +1,30 @@
-// Command benchdiff is the benchmark-regression gate of CI. It has five
-// modes:
+// Command benchdiff is the benchmark gate of CI. It has six modes:
 //
-//	benchdiff -parse bench.txt -o BENCH_ci.json
-//	    parse `go test -bench` text output into a JSON results file,
-//	    folding repeated samples (go test -count=N) to their median and
-//	    printing each benchmark's spread (interquartile range ÷ median)
+//	benchdiff -ab BENCHMARK.json -baseline parent.jsonl -current change.jsonl
+//	    judge paired perfbench runs of a parent and a change (written
+//	    by scripts/bench.sh, one {"workload", "result"} object per line,
+//	    the i-th line of a workload on each side forming pair i). For
+//	    every workload × end-to-end metric of BENCHMARK.json it prints
+//	    both medians and interquartile ranges and the pairs the change
+//	    won, and it fails when the change median is worse than the
+//	    parent median by more than the metric's bound (a share of the
+//	    parent median), or when the change failed more operations than
+//	    the parent. A metric whose parent IQR exceeds its bound cannot
+//	    be told apart from noise: it prints as unresolved and does not
+//	    fail
 //
 //	benchdiff -from-report report.jsonl -o BENCH_report.json
 //	    aggregate a cmd/experiments -report JSONL file into a results
-//	    file: per-stage span time (summed over every span with that name),
-//	    the hit rate of every memo layer that counts *_hits_total /
-//	    *_misses_total metric pairs, and the deterministic solver work
+//	    file: the hit rate of every memo layer that counts *_hits_total
+//	    / *_misses_total metric pairs, and the deterministic work
 //	    counters (branch & bound nodes, simplex iterations, ...)
 //
 //	benchdiff -from-load load_report.json [-chaos] -o BENCH_server.json
 //	    convert a cmd/casaload report into a results file carrying the
 //	    server section: p99 latency, 5xx and error counts, plus the
 //	    telemetry pair traced_requests_min / trace_store_drops taken
-//	    from the server-side counter deltas. With -chaos the section
-//	    additionally carries the chaos floors (deadline expiries,
+//	    from the server-side counter deltas. With -chaos the file
+//	    additionally carries the chaos entries (deadline expiries,
 //	    injected faults, oversized-body rejections, and the
 //	    chaos_unexpected ceiling) that make an inert chaos run — one
 //	    that injected nothing — a red build
@@ -27,43 +33,33 @@
 //	    check an artifact parses: a JSON results file must contain only
 //	    known sections; anything else is linted as a Prometheus/
 //	    OpenMetrics text exposition (the CI loadtest job runs it on the
-//	    scraped /metrics output). scripts/bench.sh runs it before
-//	    spending minutes on benchmarks so a stale or hand-mangled
-//	    baseline fails fast with a clear message instead of a confusing
-//	    gate failure later
+//	    scraped /metrics output)
 //
-//	benchdiff -refresh BENCH_baseline.json -parse bench.txt -from-report report.jsonl
-//	    rewrite a committed baseline in one step: ns/op from the bench
-//	    text (the slowest of its samples, a ceiling), stage times / memo
-//	    rates / counters from the report, and
-//	    the server section carried over unchanged from the existing
-//	    baseline (its values are hand-committed budgets, not
-//	    measurements, so a refresh must never clobber them)
+//	benchdiff -refresh BENCH_baseline.json -from-report r1.jsonl,r2.jsonl,r3.jsonl
+//	    rewrite the memo and counter sections of a committed baseline
+//	    from report runs, which must agree exactly; the server section
+//	    (hand-committed budgets, not measurements) is kept unchanged
 //
-//	benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json
-//	          [-threshold 20] [-stage-threshold 20] [-hit-drop 5]
-//	          [-counter-threshold 20]
-//	    compare two results files and exit non-zero when any benchmark's
-//	    wall-clock or stage time regressed by more than its threshold
-//	    percent, any memo hit rate dropped by more than -hit-drop
-//	    percentage points, any solver work counter grew by more than
-//	    -counter-threshold percent (or, for the counterFloors set, fell
-//	    below its baseline), or any server entry exceeded its committed
-//	    ceiling
+//	benchdiff -baseline BENCH_baseline.json -current BENCH_report.json
+//	    compare two results files and exit non-zero when any memo hit
+//	    rate or work counter differs from its baseline at all, or any
+//	    server entry exceeded its committed ceiling
 //
-// The server section gates differently from the others: its baseline
-// values are committed ceilings (a p99 latency budget, zero 5xx), not
-// measurements, so the comparison is simply current > baseline — there
-// is no tolerance percentage to argue about. Names ending in _min
-// invert the sense: they are committed floors (a smoke run must trace
-// at least this many requests), failing when current < baseline.
+// Memo hit rates and work counters are deterministic for a fixed
+// experiment config, so they gate exactly: any change, up or down, is
+// either a regression or a baseline that needs a deliberate refresh.
+// Server values are committed ceilings (a p99 latency budget, zero 5xx),
+// not measurements, so the comparison is current > baseline. Names
+// ending in _min invert the sense: they are committed floors (a smoke
+// run must trace at least this many requests), failing when current <
+// baseline.
 //
-// Entries present in only one of the two files are reported but do not
-// fail the gate (new benchmarks need a baseline refresh, not a red
-// build), and a section missing entirely from one side is skipped — so a
-// baseline carrying all sections still gates a current file built from
-// `go test -bench` output alone. The GOMAXPROCS suffix
-// (`BenchmarkFoo-8`) is stripped so results compare across machines.
+// A section missing entirely from the current file is skipped, so one
+// baseline gates both a report-derived and a load-derived results file;
+// the chaos_ entries of the server section form their own section,
+// present only in -chaos conversions. Within a section the current file
+// does carry, a baseline entry it lacks fails the gate. Entries only the
+// current file carries are reported but do not fail.
 package main
 
 import (
@@ -72,7 +68,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
+	"maps"
 	"os"
 	"slices"
 	"sort"
@@ -83,93 +80,59 @@ import (
 	"repro/internal/obs/promexport"
 )
 
-// Results is the JSON schema of a benchmark results file (v2: the
-// report-derived sections ride alongside the classic ns/op map).
+// Results is the JSON schema of a benchmark results file.
 type Results struct {
-	// NsPerOp maps benchmark name (GOMAXPROCS suffix stripped) to its
-	// wall-clock per iteration.
-	NsPerOp map[string]float64 `json:"ns_per_op,omitempty"`
-	// StageNs maps pipeline stage name to the summed wall time (ns) of
-	// every span with that name across the report. Inclusive of child
-	// spans; baseline and current aggregate identically so the ratio is
-	// still meaningful.
-	StageNs map[string]float64 `json:"stage_ns,omitempty"`
 	// MemoHitRate maps a memo layer (the metric prefix shared by its
 	// *_hits_total / *_misses_total pair) to its hit rate in percent.
 	MemoHitRate map[string]float64 `json:"memo_hit_rate,omitempty"`
-	// Counters holds the solver work counters of counterGates (gated on
-	// growth) and counterFloors (gated on shortfall) summed across the
-	// report. Deterministic for a fixed experiment config, so growth
-	// means the solver genuinely does more work per model — and a floor
-	// counter falling means an incremental path stopped firing — not
-	// machine noise.
+	// Counters holds the work counters of counterGates summed across the
+	// report.
 	Counters map[string]float64 `json:"counters,omitempty"`
 	// Server holds the casad load-test gate. In a baseline file the
 	// values are committed ceilings (p99_ms latency budget, tolerated
-	// http_5xx / errors counts); in a current file they are the measured
-	// values from a casaload report. The gate fails when measured >
-	// ceiling.
+	// http_5xx / errors counts) and _min floors; in a current file they
+	// are the measured values from a casaload report.
 	Server map[string]float64 `json:"server,omitempty"`
 }
 
-// counterGates lists the metrics the counter gate watches. All are
-// deterministic "work done" counters where an increase means the code
-// got algorithmically worse: branch & bound explored more nodes, the
-// simplex ran more pivots, the warm-start engine bailed to the dense
-// fallback more often — or the simulated fetch stream grew (more trace
-// walks, block runs or cache-line segments per study: the simulator
-// computes the last two from per-block counts, so they move only when
-// the recordings or the layouts do).
+// counterGates lists the work counters the exact gate watches. Each is
+// deterministic for a fixed experiment config: branch & bound nodes and
+// simplex pivots (a weaker presolve or search), dense fallbacks and
+// warm-cell hits, misses and basis installs (warm starts that stopped
+// firing), and the simulated fetch stream (trace walks, block runs and
+// cache-line segments, which move only when the recordings or the
+// layouts do).
 var counterGates = []string{
 	"casa_ilp_nodes_total",
 	"casa_ilp_branches_total",
 	"casa_ilp_simplex_iters_total",
 	"casa_ilp_dense_fallbacks_total",
+	"casa_ilp_warm_cell_hits_total",
 	"casa_ilp_warm_cell_misses_total",
+	"casa_ilp_basis_reuse_total",
 	"casa_sim_lines_total",
 	"casa_sim_bulk_fetches_total",
 	"casa_trace_replays_total",
 }
 
-// counterFloors lists the metrics gated in the opposite direction:
-// deterministic "incremental machinery engaged" counters where a DROP
-// means a regression. A grid run whose warm-cell hits fall below the
-// baseline is solving cells cold (the planner or transfer broke); a run
-// with fewer basis installs starts neighbors' simplex from the crash
-// basis. Both fail the gate even though the answers are still correct,
-// because the speed the baseline timings promise comes from these
-// paths firing.
-var counterFloors = []string{
-	"casa_ilp_warm_cell_hits_total",
-	"casa_ilp_basis_reuse_total",
-}
-
-// stageFloorNS keeps sub-millisecond stages out of the stage-time gate:
-// their wall time is dominated by scheduler jitter, not regressions.
-const stageFloorNS = 5e6
-
 func main() {
-	parse := flag.String("parse", "", "parse `go test -bench` output from this file")
-	fromReport := flag.String("from-report", "", "aggregate a cmd/experiments -report JSONL file")
+	ab := flag.String("ab", "", "judge paired perfbench runs (-baseline parent, -current change) against this BENCHMARK.json")
+	fromReport := flag.String("from-report", "", "aggregate a cmd/experiments -report JSONL file (comma-separated list with -refresh)")
 	fromLoad := flag.String("from-load", "", "convert a cmd/casaload report into a server-section results file")
-	chaos := flag.Bool("chaos", false, "with -from-load: include the chaos-mode floors (fault accounting, deadline expiries)")
+	chaos := flag.Bool("chaos", false, "with -from-load: include the chaos entries (fault accounting, deadline expiries)")
 	validate := flag.String("validate", "", "check that a results file parses and has only known sections")
-	refresh := flag.String("refresh", "", "rewrite this baseline from -parse and -from-report inputs, keeping its server section")
-	out := flag.String("o", "BENCH_ci.json", "JSON output path for -parse / -from-report / -from-load")
-	baseline := flag.String("baseline", "", "baseline results JSON")
-	current := flag.String("current", "", "current results JSON")
-	threshold := flag.Float64("threshold", 20, "max allowed ns/op regression in percent")
-	stageThreshold := flag.Float64("stage-threshold", 20, "max allowed stage-time regression in percent")
-	hitDrop := flag.Float64("hit-drop", 5, "max allowed memo hit-rate drop in percentage points")
-	counterThreshold := flag.Float64("counter-threshold", 20, "max allowed solver work-counter growth in percent")
+	refresh := flag.String("refresh", "", "rewrite this baseline's memo and counter sections from -from-report inputs, keeping its server section")
+	out := flag.String("o", "BENCH_report.json", "JSON output path for -from-report / -from-load")
+	baseline := flag.String("baseline", "", "baseline results JSON (with -ab: the parent's runs)")
+	current := flag.String("current", "", "current results JSON (with -ab: the change's runs)")
 	flag.Parse()
 
 	var err error
 	switch {
+	case *ab != "" && *baseline != "" && *current != "":
+		err = runAB(*ab, *baseline, *current, os.Stdout)
 	case *refresh != "":
-		err = runRefresh(*refresh, *parse, *fromReport)
-	case *parse != "":
-		err = runParse(*parse, *out)
+		err = runRefresh(*refresh, *fromReport)
 	case *fromReport != "":
 		err = runFromReport(*fromReport, *out)
 	case *fromLoad != "":
@@ -177,9 +140,9 @@ func main() {
 	case *validate != "":
 		err = runValidate(*validate)
 	case *baseline != "" && *current != "":
-		err = runCompare(*baseline, *current, *threshold, *stageThreshold, *hitDrop, *counterThreshold)
+		err = runCompare(*baseline, *current)
 	default:
-		err = fmt.Errorf("need -refresh, -parse, -from-report, -from-load, -validate, or -baseline and -current (see -h)")
+		err = fmt.Errorf("need -ab with -baseline and -current, -refresh, -from-report, -from-load, -validate, or -baseline and -current (see -h)")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
@@ -195,67 +158,6 @@ func writeResults(res Results, out string) error {
 	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
-// runParse writes the median of each benchmark's samples (go test
-// -count=N prints one line per sample) and reports each benchmark's
-// spread, so a gate run of several samples is judged on its middle, not
-// on one scheduler hiccup.
-func runParse(in, out string) error {
-	samples, err := readBenchSamples(in)
-	if err != nil {
-		return err
-	}
-	res := Results{NsPerOp: make(map[string]float64, len(samples))}
-	names := make([]string, 0, len(samples))
-	for name, xs := range samples {
-		res.NsPerOp[name] = quantile(xs, 0.5)
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("%-36s median %14.0f ns/op  spread %5.1f%% (IQR/median, %d samples)\n",
-			name, res.NsPerOp[name], 100*spread(samples[name]), len(samples[name]))
-	}
-	return writeResults(res, out)
-}
-
-// parseBenchFile folds each benchmark's samples to the slowest: a
-// baseline refreshed from several samples is then a conservative
-// ceiling the gate's median is compared against.
-func parseBenchFile(in string) (Results, error) {
-	samples, err := readBenchSamples(in)
-	if err != nil {
-		return Results{}, err
-	}
-	res := Results{NsPerOp: make(map[string]float64, len(samples))}
-	for name, xs := range samples {
-		res.NsPerOp[name] = slices.Max(xs)
-	}
-	return res, nil
-}
-
-// readBenchSamples collects every ns/op sample per benchmark.
-func readBenchSamples(in string) (map[string][]float64, error) {
-	f, err := os.Open(in)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	samples := make(map[string][]float64)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if name, ns, ok := parseBenchLine(sc.Text()); ok {
-			samples[name] = append(samples[name], ns)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark lines found", in)
-	}
-	return samples, nil
-}
-
 // quantile returns the q-quantile of xs, interpolating linearly between
 // the two nearest order statistics.
 func quantile(xs []float64, q float64) float64 {
@@ -269,13 +171,158 @@ func quantile(xs []float64, q float64) float64 {
 	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
+// iqr is the interquartile range of xs.
+func iqr(xs []float64) float64 { return quantile(xs, 0.75) - quantile(xs, 0.25) }
+
 // spread is the interquartile range over the median: 0 for one sample.
 func spread(xs []float64) float64 {
 	med := quantile(xs, 0.5)
 	if med == 0 {
 		return 0
 	}
-	return (quantile(xs, 0.75) - quantile(xs, 0.25)) / med
+	return iqr(xs) / med
+}
+
+// benchSpec is the slice of BENCHMARK.json the A/B gate reads.
+type benchSpec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name   string  `json:"name"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
+}
+
+// abRun is one line of an A/B runs file: a perfbench result tagged with
+// its workload.
+type abRun struct {
+	Workload string `json:"workload"`
+	Result   struct {
+		Attempted int `json:"attempted"`
+		Failed    int `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	} `json:"result"`
+}
+
+func readABRuns(path string) (map[string][]abRun, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	runs := make(map[string][]abRun)
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		var r abRun
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+		}
+		runs[r.Workload] = append(runs[r.Workload], r)
+	}
+	return runs, sc.Err()
+}
+
+func runAB(specPath, parentPath, changePath string, w io.Writer) error {
+	data, err := os.ReadFile(specPath)
+	if err != nil {
+		return err
+	}
+	var spec benchSpec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return fmt.Errorf("%s: %w", specPath, err)
+	}
+	parent, err := readABRuns(parentPath)
+	if err != nil {
+		return err
+	}
+	change, err := readABRuns(changePath)
+	if err != nil {
+		return err
+	}
+	failed, err := judgeAB(spec, parent, change, w)
+	if err != nil {
+		return err
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d A/B check(s) failed: change %s vs parent %s", failed, changePath, parentPath)
+	}
+	fmt.Fprintln(w, "A/B: no end-to-end metric worse than its bound, no extra failed operations")
+	return nil
+}
+
+// judgeAB prints the A/B table and returns how many checks failed. A
+// workload of the spec without runs, unequal pair counts or a run
+// lacking a metric is an error: the gate never passes on absent data.
+func judgeAB(spec benchSpec, parent, change map[string][]abRun, w io.Writer) (int, error) {
+	failed := 0
+	fmt.Fprintf(w, "%-17s %-12s %12s %10s %12s %10s %8s %6s  %s\n",
+		"workload", "metric", "parent p50", "IQR", "change p50", "IQR", "delta", "wins", "verdict")
+	for _, wl := range spec.Workloads {
+		p, c := parent[wl.Name], change[wl.Name]
+		if len(p) == 0 || len(p) != len(c) {
+			return failed, fmt.Errorf("workload %s: %d parent and %d change runs, want equal nonzero pair counts",
+				wl.Name, len(p), len(c))
+		}
+		for _, m := range spec.EndToEnd {
+			pv, cv := make([]float64, len(p)), make([]float64, len(c))
+			for i := range p {
+				pm, okP := p[i].Result.Metrics[m.Name]
+				cm, okC := c[i].Result.Metrics[m.Name]
+				if !okP || !okC {
+					return failed, fmt.Errorf("workload %s pair %d: metric %s missing", wl.Name, i+1, m.Name)
+				}
+				pv[i], cv[i] = pm.Value, cm.Value
+			}
+			// sign turns "worse" into "larger" for either direction.
+			sign := 1.0
+			switch m.Better {
+			case "lower":
+			case "higher":
+				sign = -1
+			default:
+				return failed, fmt.Errorf("metric %s: better is %q, want lower or higher", m.Name, m.Better)
+			}
+			wins := 0
+			for i := range pv {
+				if sign*(cv[i]-pv[i]) < 0 {
+					wins++
+				}
+			}
+			medP, medC := quantile(pv, 0.5), quantile(cv, 0.5)
+			verdict := "ok"
+			switch {
+			case spread(pv) > m.Bound:
+				verdict = "unresolved"
+			case sign*(medC-medP) > m.Bound*medP:
+				verdict = "WORSE"
+				failed++
+			}
+			delta := 0.0
+			if medP != 0 {
+				delta = 100 * (medC - medP) / medP
+			}
+			fmt.Fprintf(w, "%-17s %-12s %12.4g %10.3g %12.4g %10.3g %+7.1f%% %3d/%-2d  %s\n",
+				wl.Name, m.Name, medP, iqr(pv), medC, iqr(cv), delta, wins, len(pv), verdict)
+		}
+		var attP, attC, failP, failC int
+		for i := range p {
+			attP, failP = attP+p[i].Result.Attempted, failP+p[i].Result.Failed
+			attC, failC = attC+c[i].Result.Attempted, failC+c[i].Result.Failed
+		}
+		verdict := "ok"
+		if failC > failP {
+			verdict = "MORE FAILED"
+			failed++
+		}
+		fmt.Fprintf(w, "%-17s failed ops: parent %d of %d, change %d of %d  %s\n",
+			wl.Name, failP, attP, failC, attC, verdict)
+	}
+	return failed, nil
 }
 
 func runFromReport(in, out string) error {
@@ -305,28 +352,22 @@ func reportResults(in string) (Results, error) {
 	return aggregateReports(reps), nil
 }
 
-// runRefresh rewrites a committed baseline from fresh measurements in
-// one step, so "refresh the baseline" is a single command instead of a
-// hand-merge of three artifacts. The server section of the existing
-// baseline is preserved verbatim: those values are committed budgets.
-// reportPath may name several comma-separated report files; their stage
-// times fold to the slowest sample, the same conservative-ceiling rule
-// the bench parser applies — counters and memo rates are deterministic
-// across samples, so only the wall times differ.
-func runRefresh(basePath, benchTxt, reportPath string) error {
-	if benchTxt == "" || reportPath == "" {
-		return fmt.Errorf("-refresh needs both -parse bench.txt and -from-report report.jsonl")
+// runRefresh rewrites a committed baseline from fresh report runs in one
+// step. reportPaths names one or more comma-separated report files;
+// their memo rates and counters must agree exactly, since the gate
+// compares them exactly. The server section of the existing baseline is
+// preserved verbatim: those values are committed budgets.
+func runRefresh(basePath, reportPaths string) error {
+	if reportPaths == "" {
+		return fmt.Errorf("-refresh needs -from-report report.jsonl[,report2.jsonl...]")
 	}
 	old, err := readResults(basePath)
 	if err != nil {
 		return err
 	}
-	bench, err := parseBenchFile(benchTxt)
-	if err != nil {
-		return err
-	}
+	paths := strings.Split(reportPaths, ",")
 	var rep Results
-	for i, path := range strings.Split(reportPath, ",") {
+	for i, path := range paths {
 		sample, err := reportResults(path)
 		if err != nil {
 			return err
@@ -335,24 +376,16 @@ func runRefresh(basePath, benchTxt, reportPath string) error {
 			rep = sample
 			continue
 		}
-		for name, v := range sample.StageNs {
-			if v > rep.StageNs[name] {
-				rep.StageNs[name] = v
-			}
+		if !maps.Equal(sample.Counters, rep.Counters) || !maps.Equal(sample.MemoHitRate, rep.MemoHitRate) {
+			return fmt.Errorf("%s and %s disagree on a counter or memo rate; the exact gate needs runs that repeat", paths[0], path)
 		}
 	}
-	merged := Results{
-		NsPerOp:     bench.NsPerOp,
-		StageNs:     rep.StageNs,
-		MemoHitRate: rep.MemoHitRate,
-		Counters:    rep.Counters,
-		Server:      old.Server,
-	}
+	merged := Results{MemoHitRate: rep.MemoHitRate, Counters: rep.Counters, Server: old.Server}
 	if err := writeResults(merged, basePath); err != nil {
 		return err
 	}
-	fmt.Printf("refreshed %s (%d ns/op, %d stage, %d memo, %d counter entries; server section kept)\n",
-		basePath, len(merged.NsPerOp), len(merged.StageNs), len(merged.MemoHitRate), len(merged.Counters))
+	fmt.Printf("refreshed %s from %d report run(s) (%d memo, %d counter entries; server section kept)\n",
+		basePath, len(paths), len(merged.MemoHitRate), len(merged.Counters))
 	return nil
 }
 
@@ -432,12 +465,11 @@ func runValidate(path string) error {
 	if err != nil {
 		return err
 	}
-	n := len(res.NsPerOp) + len(res.StageNs) + len(res.MemoHitRate) + len(res.Counters) + len(res.Server)
-	if n == 0 {
+	if len(res.MemoHitRate)+len(res.Counters)+len(res.Server) == 0 {
 		return fmt.Errorf("%s: no entries in any known section", path)
 	}
-	fmt.Printf("%s: ok (%d ns/op, %d stage, %d memo, %d counter, %d server entries)\n",
-		path, len(res.NsPerOp), len(res.StageNs), len(res.MemoHitRate), len(res.Counters), len(res.Server))
+	fmt.Printf("%s: ok (%d memo, %d counter, %d server entries)\n",
+		path, len(res.MemoHitRate), len(res.Counters), len(res.Server))
 	return nil
 }
 
@@ -476,21 +508,15 @@ func checkDegraded(reps []*obs.Report) error {
 	return nil
 }
 
-// aggregateReports folds a report stream into gateable scalars: summed
-// span time per stage name and the overall hit rate of every memo layer.
+// aggregateReports folds a report stream into gateable scalars: the
+// overall hit rate of every memo layer and the summed work counters.
 func aggregateReports(reps []*obs.Report) Results {
 	res := Results{
-		StageNs:     make(map[string]float64),
 		MemoHitRate: make(map[string]float64),
 		Counters:    make(map[string]float64),
 	}
 	metrics := make(map[string]float64)
 	for _, rep := range reps {
-		for _, root := range rep.Spans {
-			root.Walk(func(s *obs.Span) {
-				res.StageNs[s.Name] += float64(s.DurNS)
-			})
-		}
 		for name, v := range rep.Metrics {
 			metrics[name] += v
 		}
@@ -512,46 +538,13 @@ func aggregateReports(reps []*obs.Report) Results {
 	for _, name := range counterGates {
 		res.Counters[name] = metrics[name]
 	}
-	for _, name := range counterFloors {
-		res.Counters[name] = metrics[name]
-	}
 	return res
-}
-
-// parseBenchLine extracts (name, ns/op) from a `go test -bench` result
-// line such as
-//
-//	BenchmarkFig4CASAvsSteinke-8   1   3990000000 ns/op
-func parseBenchLine(line string) (string, float64, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", 0, false
-	}
-	// ns/op is always the value immediately before the "ns/op" unit.
-	for i := 2; i < len(fields); i++ {
-		if fields[i] != "ns/op" {
-			continue
-		}
-		ns, err := strconv.ParseFloat(fields[i-1], 64)
-		if err != nil {
-			return "", 0, false
-		}
-		name := fields[0]
-		if dash := strings.LastIndex(name, "-"); dash > 0 {
-			if _, err := strconv.Atoi(name[dash+1:]); err == nil {
-				name = name[:dash]
-			}
-		}
-		return name, ns, true
-	}
-	return "", 0, false
 }
 
 // readResults parses a results file strictly: an unknown top-level
 // section is an error with the known-section list, not silently-ignored
-// JSON — a typo'd or future-format baseline must fail here with a clear
-// message rather than as a gate that never fires (or a nil-map panic
-// downstream).
+// JSON — a typo'd or old-format baseline must fail here with a clear
+// message rather than as a gate that never fires.
 func readResults(path string) (Results, error) {
 	var res Results
 	data, err := os.ReadFile(path)
@@ -561,12 +554,12 @@ func readResults(path string) (Results, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&res); err != nil {
-		return res, fmt.Errorf("%s: %v (known sections: ns_per_op, stage_ns, memo_hit_rate, counters, server)", path, err)
+		return res, fmt.Errorf("%s: %v (known sections: memo_hit_rate, counters, server)", path, err)
 	}
 	return res, nil
 }
 
-func runCompare(basePath, curPath string, threshold, stageThreshold, hitDrop, counterThreshold float64) error {
+func runCompare(basePath, curPath string) error {
 	base, err := readResults(basePath)
 	if err != nil {
 		return err
@@ -576,103 +569,50 @@ func runCompare(basePath, curPath string, threshold, stageThreshold, hitDrop, co
 		return err
 	}
 
-	regressed := 0
-	regressed += compareSection("ns/op", base.NsPerOp, cur.NsPerOp,
-		func(b, c float64) (float64, bool) {
-			delta := 100 * (c - b) / b
-			return delta, delta > threshold
-		}, "%+.1f%%")
-	regressed += compareSection("stage ns", base.StageNs, cur.StageNs,
-		func(b, c float64) (float64, bool) {
-			delta := 100 * (c - b) / b
-			return delta, b >= stageFloorNS && delta > stageThreshold
-		}, "%+.1f%%")
-	regressed += compareSection("memo hit %", base.MemoHitRate, cur.MemoHitRate,
-		func(b, c float64) (float64, bool) {
-			drop := b - c
-			return -drop, drop > hitDrop
-		}, "%+.1fpp")
-	baseCtr, baseCtrFloor := splitCounterSection(base.Counters)
-	curCtr, curCtrFloor := splitCounterSection(cur.Counters)
-	regressed += compareSection("counter", baseCtr, curCtr,
-		func(b, c float64) (float64, bool) {
-			// A zero baseline (e.g. no dense fallbacks) compares against 1
-			// so any reappearance still registers as growth.
-			delta := 100 * (c - b) / math.Max(b, 1)
-			return delta, delta > counterThreshold
-		}, "%+.1f%%")
-	regressed += compareSection("counter min", baseCtrFloor, curCtrFloor,
-		func(b, c float64) (float64, bool) {
-			// Floor counters prove the incremental machinery engaged; any
-			// shortfall vs the deterministic baseline fails (a cold grid —
-			// zero warm hits — is a red build, not a slow green one).
+	// exact fails on any difference: these values repeat run to run.
+	exact := func(_ string, b, c float64) (float64, bool) { return c - b, c != b }
+	// budget fails a committed ceiling exceeded or a _min floor missed.
+	budget := func(name string, b, c float64) (float64, bool) {
+		if strings.HasSuffix(name, "_min") {
 			return c - b, c < b
-		}, "%+.0f")
-	baseCeil, baseFloor := splitServerSection(base.Server)
-	curCeil, curFloor := splitServerSection(cur.Server)
-	regressed += compareSection("server", baseCeil, curCeil,
-		func(b, c float64) (float64, bool) {
-			// Baseline values are committed ceilings: any excess fails,
-			// with the headroom (negative = under budget) as the delta.
-			return c - b, c > b
-		}, "%+.1f")
-	regressed += compareSection("server min", baseFloor, curFloor,
-		func(b, c float64) (float64, bool) {
-			// _min names are committed floors: falling short fails, with
-			// the margin (positive = above the floor) as the delta.
-			return c - b, c < b
-		}, "%+.1f")
-
-	if regressed > 0 {
-		return fmt.Errorf("%d entr(ies) regressed beyond thresholds (ns/op %.0f%%, stage %.0f%%, hit drop %.0fpp, counters %.0f%%) vs %s",
-			regressed, threshold, stageThreshold, hitDrop, counterThreshold, basePath)
+		}
+		return c - b, c > b
 	}
-	fmt.Printf("no regressions beyond thresholds (ns/op %.0f%%, stage %.0f%%, hit drop %.0fpp, counters %.0f%%)\n",
-		threshold, stageThreshold, hitDrop, counterThreshold)
+	baseSrv, baseChaos := splitChaos(base.Server)
+	curSrv, curChaos := splitChaos(cur.Server)
+	regressed := compareSection("memo hit %", base.MemoHitRate, cur.MemoHitRate, exact) +
+		compareSection("counter", base.Counters, cur.Counters, exact) +
+		compareSection("server", baseSrv, curSrv, budget) +
+		compareSection("chaos", baseChaos, curChaos, budget)
+	if regressed > 0 {
+		return fmt.Errorf("%d entr(ies) differ from %s or break its server budgets", regressed, basePath)
+	}
+	fmt.Println("no regressions: memo rates and counters equal, server budgets held")
 	return nil
 }
 
-// splitCounterSection partitions a counters map into growth-gated
-// entries and floor-gated entries (the counterFloors set). Counters in
-// neither list — from a future or hand-edited baseline — gate as
-// growth-limited, the conservative default.
-func splitCounterSection(m map[string]float64) (ceil, floor map[string]float64) {
-	ceil = make(map[string]float64, len(m))
-	floor = make(map[string]float64)
-	floors := make(map[string]bool, len(counterFloors))
-	for _, name := range counterFloors {
-		floors[name] = true
-	}
+// splitChaos separates the chaos_ entries of a server section, which only
+// a -from-load -chaos conversion produces, from the rest.
+func splitChaos(m map[string]float64) (server, chaos map[string]float64) {
+	server = make(map[string]float64, len(m))
+	chaos = make(map[string]float64)
 	for name, v := range m {
-		if floors[name] {
-			floor[name] = v
+		if strings.HasPrefix(name, "chaos_") {
+			chaos[name] = v
 		} else {
-			ceil[name] = v
+			server[name] = v
 		}
 	}
-	return ceil, floor
-}
-
-// splitServerSection partitions a server map into ceiling-gated entries
-// and floor-gated entries (names ending in _min).
-func splitServerSection(m map[string]float64) (ceil, floor map[string]float64) {
-	ceil = make(map[string]float64, len(m))
-	floor = make(map[string]float64)
-	for name, v := range m {
-		if strings.HasSuffix(name, "_min") {
-			floor[name] = v
-		} else {
-			ceil[name] = v
-		}
-	}
-	return ceil, floor
+	return server, chaos
 }
 
 // compareSection diffs one named map pair and returns the number of
 // regressions. A section empty on either side is skipped entirely, so
-// bench-only and report-only results files interoperate.
+// report-derived and load-derived results files share one baseline; a
+// baseline entry missing from a section the current file does carry is
+// a regression.
 func compareSection(section string, base, cur map[string]float64,
-	judge func(b, c float64) (delta float64, bad bool), deltaFmt string) int {
+	judge func(name string, b, c float64) (delta float64, bad bool)) int {
 	if len(base) == 0 || len(cur) == 0 {
 		return 0
 	}
@@ -681,28 +621,36 @@ func compareSection(section string, base, cur map[string]float64,
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
 	regressed := 0
 	for _, name := range names {
 		b := base[name]
 		c, ok := cur[name]
 		if !ok {
-			fmt.Printf("?  [%-10s] %-36s missing from current run\n", section, name)
+			fmt.Printf("%-9s [%-10s] %-36s %18s → %18s\n", "MISSING", section, name, num(b), "absent")
+			regressed++
 			continue
 		}
-		delta, bad := judge(b, c)
+		delta, bad := judge(name, b, c)
 		mark := "ok"
 		if bad {
 			mark = "REGRESSED"
 			regressed++
 		}
-		fmt.Printf("%-9s [%-10s] %-36s %14.0f → %14.0f  ("+deltaFmt+")\n",
-			mark, section, name, b, c, delta)
+		fmt.Printf("%-9s [%-10s] %-36s %18s → %18s  (%+g)\n", mark, section, name, num(b), num(c), delta)
 	}
+	var extra []string
 	for name := range cur {
 		if _, ok := base[name]; !ok {
-			fmt.Printf("+  [%-10s] %-36s new entry (no baseline)\n", section, name)
+			extra = append(extra, name)
 		}
+	}
+	sort.Strings(extra)
+	for _, name := range extra {
+		fmt.Printf("%-9s [%-10s] %-36s new entry (no baseline)\n", "+", section, name)
 	}
 	return regressed
 }
+
+// num prints a value exactly: the exact gate must show the digit that
+// differs.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }

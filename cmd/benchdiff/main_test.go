@@ -1,133 +1,31 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-func TestParseBenchLine(t *testing.T) {
-	cases := []struct {
-		line string
-		name string
-		ns   float64
-		ok   bool
-	}{
-		{"BenchmarkFig4CASAvsSteinke-8   1   3990000000 ns/op", "BenchmarkFig4CASAvsSteinke", 3990000000, true},
-		{"BenchmarkCacheAccess   	76345986	        15.61 ns/op", "BenchmarkCacheAccess", 15.61, true},
-		{"BenchmarkAlloc-4  10  123 ns/op  456 B/op  7 allocs/op", "BenchmarkAlloc", 123, true},
-		{"ok  	repro	12.3s", "", 0, false},
-		{"PASS", "", 0, false},
-		{"BenchmarkBroken  x  y ns/op", "", 0, false},
-	}
-	for _, c := range cases {
-		name, ns, ok := parseBenchLine(c.line)
-		if ok != c.ok || name != c.name || ns != c.ns {
-			t.Errorf("parseBenchLine(%q) = (%q, %v, %v), want (%q, %v, %v)",
-				c.line, name, ns, ok, c.name, c.ns, c.ok)
-		}
-	}
-}
-
-func TestParseAndCompare(t *testing.T) {
-	dir := t.TempDir()
-	benchTxt := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchTxt, []byte(`goos: linux
-BenchmarkFast-8   100   1000 ns/op
-BenchmarkSlow-8   1   2000000 ns/op
-PASS
-ok  	repro	3.0s
-`), 0o644); err != nil {
+func writeFile(t *testing.T, dir, name, body string) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cur := filepath.Join(dir, "cur.json")
-	if err := runParse(benchTxt, cur); err != nil {
-		t.Fatalf("runParse: %v", err)
-	}
-
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	// Baseline equal to current: passes.
-	same := write("same.json", `{"ns_per_op":{"BenchmarkFast":1000,"BenchmarkSlow":2000000}}`)
-	if err := runCompare(same, cur, 20, 20, 5, 20); err != nil {
-		t.Errorf("equal results failed the gate: %v", err)
-	}
-
-	// Current is >20% slower than this baseline: fails.
-	faster := write("faster.json", `{"ns_per_op":{"BenchmarkFast":1000,"BenchmarkSlow":1000000}}`)
-	if err := runCompare(faster, cur, 20, 20, 5, 20); err == nil {
-		t.Error("2x regression passed a 20% gate")
-	}
-
-	// Within threshold: passes.
-	if err := runCompare(faster, cur, 150, 20, 5, 20); err != nil {
-		t.Errorf("regression within threshold failed: %v", err)
-	}
-
-	// Benchmarks missing from either side don't fail the gate.
-	disjoint := write("disjoint.json", `{"ns_per_op":{"BenchmarkFast":1000,"BenchmarkGone":5}}`)
-	if err := runCompare(disjoint, cur, 20, 20, 5, 20); err != nil {
-		t.Errorf("missing/new benchmarks failed the gate: %v", err)
-	}
-}
-
-// TestParseFoldsSamples: the gate's -parse folds repeated samples to
-// their median, while -refresh keeps the slowest as a ceiling.
-func TestParseFoldsSamples(t *testing.T) {
-	dir := t.TempDir()
-	benchTxt := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchTxt, []byte(`BenchmarkA-8   1   500 ns/op
-BenchmarkA-8   1   100 ns/op
-BenchmarkA-8   1   300 ns/op
-BenchmarkA-8   1   200 ns/op
-BenchmarkA-8   1   400 ns/op
-BenchmarkB-8   1   7 ns/op
-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cur := filepath.Join(dir, "cur.json")
-	if err := runParse(benchTxt, cur); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readResults(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NsPerOp["BenchmarkA"] != 300 || got.NsPerOp["BenchmarkB"] != 7 {
-		t.Errorf("medians = %v, want A:300 B:7", got.NsPerOp)
-	}
-	ceil, err := parseBenchFile(benchTxt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ceil.NsPerOp["BenchmarkA"] != 500 {
-		t.Errorf("refresh ceiling = %v, want the slowest sample 500", ceil.NsPerOp["BenchmarkA"])
-	}
-	// Quartiles 200 and 400 around a median of 300.
-	if s := spread([]float64{500, 100, 300, 200, 400}); s != 200.0/300 {
-		t.Errorf("spread = %v, want %v", s, 200.0/300)
-	}
-	if s := spread([]float64{7}); s != 0 {
-		t.Errorf("one-sample spread = %v, want 0", s)
-	}
+	return p
 }
 
 func TestAggregateReports(t *testing.T) {
 	reps := []*obs.Report{
 		{
 			Study: "fig4", Round: 1,
-			Spans: []*obs.Span{{
-				Name: "prepare", DurNS: 100,
-				Children: []*obs.Span{{Name: "profile", DurNS: 60}},
-			}},
+			Spans: []*obs.Span{{Name: "prepare", DurNS: 100}},
 			Metrics: obs.Snapshot{
 				"casa_pipeline_memo_hits_total":   0,
 				"casa_pipeline_memo_misses_total": 4,
@@ -135,7 +33,6 @@ func TestAggregateReports(t *testing.T) {
 		},
 		{
 			Study: "fig4", Round: 2,
-			Spans: []*obs.Span{{Name: "prepare", DurNS: 50}},
 			Metrics: obs.Snapshot{
 				"casa_pipeline_memo_hits_total": 12,
 				"casa_sim_runs_total":           3, // no miss pair: not a rate
@@ -148,9 +45,6 @@ func TestAggregateReports(t *testing.T) {
 		},
 	}
 	res := aggregateReports(reps)
-	if res.StageNs["prepare"] != 150 || res.StageNs["profile"] != 60 {
-		t.Errorf("stage ns = %v, want prepare:150 profile:60", res.StageNs)
-	}
 	rate, ok := res.MemoHitRate["casa_pipeline_memo"]
 	if !ok || rate != 75 {
 		t.Errorf("memo hit rate = %v, want casa_pipeline_memo:75", res.MemoHitRate)
@@ -169,88 +63,263 @@ func TestAggregateReports(t *testing.T) {
 	if _, ok := res.Counters["casa_sim_runs_total"]; ok {
 		t.Errorf("non-gated metric leaked into counters: %v", res.Counters)
 	}
+	if len(res.Counters) != len(counterGates) {
+		t.Errorf("counters = %v, want an entry (zero if unset) for each of %v", res.Counters, counterGates)
+	}
 }
 
 func TestCompareCounterSection(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	base := write("base.json",
+	base := writeFile(t, dir, "base.json",
 		`{"counters":{"casa_ilp_nodes_total":1000,"casa_ilp_dense_fallbacks_total":0}}`)
 
-	// Within threshold: passes.
-	ok := write("ok.json", `{"counters":{"casa_ilp_nodes_total":1100,"casa_ilp_dense_fallbacks_total":0}}`)
-	if err := runCompare(base, ok, 20, 20, 5, 20); err != nil {
-		t.Errorf("10%% node growth failed a 20%% gate: %v", err)
-	}
-
-	// Node count up 50%: the solver is searching more — fails.
-	worse := write("worse.json", `{"counters":{"casa_ilp_nodes_total":1500,"casa_ilp_dense_fallbacks_total":0}}`)
-	if err := runCompare(base, worse, 20, 20, 5, 20); err == nil {
-		t.Error("50% node-count growth passed a 20% gate")
-	}
-
-	// Dense fallbacks reappearing from a zero baseline: fails.
-	fb := write("fb.json", `{"counters":{"casa_ilp_nodes_total":1000,"casa_ilp_dense_fallbacks_total":3}}`)
-	if err := runCompare(base, fb, 20, 20, 5, 20); err == nil {
-		t.Error("dense fallbacks from a zero baseline passed the gate")
-	}
-
-	// Fewer nodes is an improvement, never a regression.
-	better := write("better.json", `{"counters":{"casa_ilp_nodes_total":400,"casa_ilp_dense_fallbacks_total":0}}`)
-	if err := runCompare(base, better, 20, 20, 5, 20); err != nil {
-		t.Errorf("node-count improvement failed the gate: %v", err)
+	for _, tc := range []struct {
+		name, body string
+		pass       bool
+	}{
+		{"equal", `{"counters":{"casa_ilp_nodes_total":1000,"casa_ilp_dense_fallbacks_total":0}}`, true},
+		{"more nodes", `{"counters":{"casa_ilp_nodes_total":1100,"casa_ilp_dense_fallbacks_total":0}}`, false},
+		// Fewer nodes is still a change: the baseline needs a refresh.
+		{"fewer nodes", `{"counters":{"casa_ilp_nodes_total":400,"casa_ilp_dense_fallbacks_total":0}}`, false},
+		{"fallbacks reappear", `{"counters":{"casa_ilp_nodes_total":1000,"casa_ilp_dense_fallbacks_total":3}}`, false},
+		{"entry missing", `{"counters":{"casa_ilp_nodes_total":1000}}`, false},
+		{"new entry only", `{"counters":{"casa_ilp_nodes_total":1000,"casa_ilp_dense_fallbacks_total":0,"casa_new_total":5}}`, true},
+	} {
+		err := runCompare(base, writeFile(t, dir, "cur.json", tc.body))
+		if (err == nil) != tc.pass {
+			t.Errorf("%s: runCompare err = %v, want pass=%v", tc.name, err, tc.pass)
+		}
 	}
 }
 
+// TestCompareExactGate: a ±1 change to any counter of the committed
+// baseline, or to any of its memo rates, fails the gate.
+func TestCompareExactGate(t *testing.T) {
+	dir := t.TempDir()
+	base, err := readResults(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Counters) == 0 || len(base.MemoHitRate) == 0 {
+		t.Fatalf("committed baseline lacks counters or memo rates: %+v", base)
+	}
+	basePath := filepath.Join(dir, "base.json")
+	if err := writeResults(base, basePath); err != nil {
+		t.Fatal(err)
+	}
+	same := Results{MemoHitRate: base.MemoHitRate, Counters: base.Counters}
+	if err := runCompare(basePath, writeResultsFile(t, dir, same)); err != nil {
+		t.Fatalf("baseline against itself failed: %v", err)
+	}
+	for _, section := range []map[string]float64{base.Counters, base.MemoHitRate} {
+		for name, v := range section {
+			for _, d := range []float64{-1, 1} {
+				section[name] = v + d
+				if err := runCompare(basePath, writeResultsFile(t, dir, same)); err == nil {
+					t.Errorf("%s %+g passed the exact gate", name, d)
+				}
+				section[name] = v
+			}
+		}
+	}
+}
+
+func writeResultsFile(t *testing.T, dir string, res Results) string {
+	t.Helper()
+	p := filepath.Join(dir, "cur.json")
+	if err := writeResults(res, p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCompareMissingEntryFails: a baseline entry absent from a section
+// the current file carries fails the gate — a renamed memo metric or a
+// dropped counter must not pass silently. A section absent from the
+// current file as a whole is skipped.
+func TestCompareMissingEntryFails(t *testing.T) {
+	dir := t.TempDir()
+	base := writeFile(t, dir, "base.json", `{
+		"memo_hit_rate":{"casa_pipeline_memo":75,"casa_stream_cache":95},
+		"counters":{"casa_ilp_nodes_total":906,"casa_ilp_simplex_iters_total":6393},
+		"server":{"p99_ms":250,"traced_requests_min":1,"chaos_injected_min":2,"chaos_unexpected":0}}`)
+	for _, tc := range []struct {
+		name, body string
+		pass       bool
+	}{
+		{"report, all present", `{"memo_hit_rate":{"casa_pipeline_memo":75,"casa_stream_cache":95},
+			"counters":{"casa_ilp_nodes_total":906,"casa_ilp_simplex_iters_total":6393}}`, true},
+		{"memo rate renamed", `{"memo_hit_rate":{"casa_pipeline_memo":75,"casa_stream_memo":95},
+			"counters":{"casa_ilp_nodes_total":906,"casa_ilp_simplex_iters_total":6393}}`, false},
+		{"counter missing", `{"memo_hit_rate":{"casa_pipeline_memo":75,"casa_stream_cache":95},
+			"counters":{"casa_ilp_simplex_iters_total":6393}}`, false},
+		{"load without chaos", `{"server":{"p99_ms":12,"traced_requests_min":40}}`, true},
+		{"server entry missing", `{"server":{"p99_ms":12}}`, false},
+		{"chaos entry missing", `{"server":{"p99_ms":12,"traced_requests_min":40,"chaos_unexpected":0}}`, false},
+	} {
+		err := runCompare(base, writeFile(t, dir, "cur.json", tc.body))
+		if (err == nil) != tc.pass {
+			t.Errorf("%s: runCompare err = %v, want pass=%v", tc.name, err, tc.pass)
+		}
+	}
+}
+
+// TestCompareReportSections: memo hit rates gate exactly, in either
+// direction, however small the move.
 func TestCompareReportSections(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+	base := writeFile(t, dir, "base.json", `{"memo_hit_rate":{"casa_pipeline_memo":75}}`)
+	for _, tc := range []struct {
+		rate float64
+		pass bool
+	}{{75, true}, {65, false}, {90, false}, {74.99, false}} {
+		cur := writeFile(t, dir, "cur.json", fmt.Sprintf(`{"memo_hit_rate":{"casa_pipeline_memo":%g}}`, tc.rate))
+		if err := runCompare(base, cur); (err == nil) != tc.pass {
+			t.Errorf("hit rate %g: runCompare err = %v, want pass=%v", tc.rate, err, tc.pass)
 		}
-		return p
 	}
+}
 
-	base := write("base.json",
-		`{"ns_per_op":{"BenchmarkX":100},"stage_ns":{"prepare":2e8,"layout":1e3},"memo_hit_rate":{"casa_pipeline_memo":75}}`)
-
-	// Equal report-derived sections, no ns_per_op in current: gate passes
-	// (the ns/op section is skipped, not failed).
-	ok := write("ok.json", `{"stage_ns":{"prepare":2e8,"layout":1e3},"memo_hit_rate":{"casa_pipeline_memo":75}}`)
-	if err := runCompare(base, ok, 20, 20, 5, 20); err != nil {
-		t.Errorf("matching report sections failed the gate: %v", err)
+// TestRefreshNeedsRepeatingRuns: -refresh writes the memo and counter
+// sections from report runs that agree exactly, keeps the server
+// budgets, and refuses runs that disagree.
+func TestRefreshNeedsRepeatingRuns(t *testing.T) {
+	dir := t.TempDir()
+	base := writeFile(t, dir, "base.json", `{"counters":{"casa_ilp_nodes_total":1},"server":{"p99_ms":250}}`)
+	r1 := writeFile(t, dir, "r1.jsonl", `{"study":"fig4","round":1,"metrics":{"casa_ilp_nodes_total":902,"casa_profile_memo_hits_total":9,"casa_profile_memo_misses_total":2}}`+"\n")
+	r2 := writeFile(t, dir, "r2.jsonl", `{"study":"fig4","round":1,"metrics":{"casa_ilp_nodes_total":902,"casa_profile_memo_hits_total":9,"casa_profile_memo_misses_total":2}}`+"\n")
+	r3 := writeFile(t, dir, "r3.jsonl", `{"study":"fig4","round":1,"metrics":{"casa_ilp_nodes_total":903}}`+"\n")
+	if err := runRefresh(base, r1+","+r2); err != nil {
+		t.Fatalf("refresh from agreeing runs: %v", err)
 	}
-
-	// Stage time doubled: fails the stage gate.
-	slow := write("slow.json", `{"stage_ns":{"prepare":4e8,"layout":1e3},"memo_hit_rate":{"casa_pipeline_memo":75}}`)
-	if err := runCompare(base, slow, 20, 20, 5, 20); err == nil {
-		t.Error("2x stage regression passed a 20% gate")
+	got, err := readResults(base)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Sub-floor stage doubled: jitter, not a regression.
-	jitter := write("jitter.json", `{"stage_ns":{"prepare":2e8,"layout":2e3},"memo_hit_rate":{"casa_pipeline_memo":75}}`)
-	if err := runCompare(base, jitter, 20, 20, 5, 20); err != nil {
-		t.Errorf("sub-floor stage jitter failed the gate: %v", err)
+	if got.Counters["casa_ilp_nodes_total"] != 902 || got.Server["p99_ms"] != 250 ||
+		got.MemoHitRate["casa_profile_memo"] != 100*9.0/11 {
+		t.Errorf("refreshed baseline = %+v", got)
 	}
-
-	// Hit rate dropped 10pp: fails the hit-rate gate.
-	cold := write("cold.json", `{"stage_ns":{"prepare":2e8,"layout":1e3},"memo_hit_rate":{"casa_pipeline_memo":65}}`)
-	if err := runCompare(base, cold, 20, 20, 5, 20); err == nil {
-		t.Error("10pp hit-rate drop passed a 5pp gate")
+	if err := runRefresh(base, r1+","+r3); err == nil {
+		t.Error("refresh accepted runs whose counters disagree")
 	}
+}
 
-	// Hit rate improved: never a regression.
-	warm := write("warm.json", `{"stage_ns":{"prepare":2e8,"layout":1e3},"memo_hit_rate":{"casa_pipeline_memo":90}}`)
-	if err := runCompare(base, warm, 20, 20, 5, 20); err != nil {
-		t.Errorf("hit-rate improvement failed the gate: %v", err)
+// abLines renders perfbench-style A/B run lines for one workload, one
+// line per value, with every end-to-end metric set to base except the
+// one under test.
+func abLines(workload, metric string, values []float64, failed int) string {
+	var sb strings.Builder
+	for _, v := range values {
+		metrics := map[string]map[string]float64{}
+		for _, m := range []string{"setup_s", "op_ms_p50", "ops_per_s"} {
+			metrics[m] = map[string]float64{"value": 100}
+		}
+		metrics[metric] = map[string]float64{"value": v}
+		line, _ := json.Marshal(map[string]any{"workload": workload, "result": map[string]any{
+			"correct": failed == 0, "attempted": 50, "failed": failed, "metrics": metrics}})
+		sb.Write(line)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+func TestJudgeAB(t *testing.T) {
+	spec := `{"workloads":[{"name":"fig4-grid"}],"end_to_end":[
+		{"name":"setup_s","better":"lower","bound":0.25},
+		{"name":"op_ms_p50","better":"lower","bound":0.25},
+		{"name":"ops_per_s","better":"higher","bound":0.25}]}`
+	for _, tc := range []struct {
+		name           string
+		metric         string
+		parent, change []float64
+		failedP        int
+		failedC        int
+		wantErr        bool
+		wantVerdict    string
+		wantWins       string // pairs the change won, counted in the metric's direction
+	}{
+		{name: "regression beyond bound", metric: "op_ms_p50",
+			parent: []float64{100, 101, 99, 100}, change: []float64{140, 139, 141, 140},
+			wantErr: true, wantVerdict: "WORSE", wantWins: " 0/4 "},
+		{name: "regression within bound", metric: "op_ms_p50",
+			parent: []float64{100, 101, 99, 100}, change: []float64{120, 119, 121, 120},
+			wantVerdict: "ok", wantWins: " 0/4 "},
+		{name: "improvement", metric: "op_ms_p50",
+			parent: []float64{100, 101, 99, 100}, change: []float64{50, 51, 49, 50},
+			wantVerdict: "ok", wantWins: " 4/4 "},
+		{name: "mixed pairs", metric: "op_ms_p50",
+			parent: []float64{100, 100, 100, 100}, change: []float64{90, 110, 95, 105},
+			wantVerdict: "ok", wantWins: " 2/4 "},
+		{name: "noisy parent is unresolved", metric: "op_ms_p50",
+			parent: []float64{60, 100, 140, 200}, change: []float64{200, 210, 220, 230},
+			wantVerdict: "unresolved", wantWins: " 0/4 "},
+		{name: "higher-is-better drop fails", metric: "ops_per_s",
+			parent: []float64{100, 101, 99, 100}, change: []float64{60, 61, 59, 60},
+			wantErr: true, wantVerdict: "WORSE", wantWins: " 0/4 "},
+		{name: "higher-is-better rise passes", metric: "ops_per_s",
+			parent: []float64{100, 101, 99, 100}, change: []float64{160, 161, 159, 160},
+			wantVerdict: "ok", wantWins: " 4/4 "},
+		{name: "higher-is-better mixed pairs", metric: "ops_per_s",
+			parent: []float64{100, 100, 100, 100}, change: []float64{110, 90, 120, 95},
+			wantVerdict: "ok", wantWins: " 2/4 "},
+		{name: "more failed operations", metric: "op_ms_p50",
+			parent: []float64{100, 100}, change: []float64{100, 100}, failedC: 1,
+			wantErr: true, wantVerdict: "MORE FAILED"},
+		{name: "as many failed operations", metric: "op_ms_p50",
+			parent: []float64{100, 100}, change: []float64{100, 100}, failedP: 1, failedC: 1,
+			wantVerdict: "ok"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			specPath := writeFile(t, dir, "BENCHMARK.json", spec)
+			p := writeFile(t, dir, "parent.jsonl", abLines("fig4-grid", tc.metric, tc.parent, tc.failedP))
+			c := writeFile(t, dir, "change.jsonl", abLines("fig4-grid", tc.metric, tc.change, tc.failedC))
+			var out strings.Builder
+			err := runAB(specPath, p, c, &out)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("runAB err = %v, want error %v\n%s", err, tc.wantErr, out.String())
+			}
+			key := " " + tc.metric + " "
+			if tc.wantVerdict == "MORE FAILED" {
+				key = "failed ops"
+			}
+			row := ""
+			for _, line := range strings.Split(out.String(), "\n") {
+				if strings.Contains(line, key) {
+					row = line
+					break
+				}
+			}
+			if !strings.HasSuffix(row, tc.wantVerdict) || !strings.Contains(row, tc.wantWins) {
+				t.Errorf("row %q, want verdict %s and wins %q\n%s", row, tc.wantVerdict, tc.wantWins, out.String())
+			}
+		})
+	}
+}
+
+// TestJudgeABRejectsAbsentData: a workload without runs, unequal pair
+// counts or a run lacking a metric is an error, never a pass.
+func TestJudgeABRejectsAbsentData(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeFile(t, dir, "BENCHMARK.json", `{"workloads":[{"name":"fig4-grid"},{"name":"serve-mix"}],
+		"end_to_end":[{"name":"op_ms_p50","better":"lower","bound":0.25}]}`)
+	two := writeFile(t, dir, "two.jsonl", abLines("fig4-grid", "op_ms_p50", []float64{1, 1}, 0)+
+		abLines("serve-mix", "op_ms_p50", []float64{1, 1}, 0))
+	cases := map[string]string{
+		"workload absent": abLines("fig4-grid", "op_ms_p50", []float64{1, 1}, 0),
+		"pair missing": abLines("fig4-grid", "op_ms_p50", []float64{1, 1}, 0) +
+			abLines("serve-mix", "op_ms_p50", []float64{1}, 0),
+		"metric absent": abLines("fig4-grid", "op_ms_p50", []float64{1, 1}, 0) +
+			strings.ReplaceAll(abLines("serve-mix", "op_ms_p50", []float64{1, 1}, 0), "op_ms_p50", "op_ms_p51"),
+	}
+	for name, body := range cases {
+		if err := runAB(spec, two, writeFile(t, dir, "change.jsonl", body), io.Discard); err == nil {
+			t.Errorf("%s: runAB passed", name)
+		}
+	}
+	if err := runAB(spec, two, two, io.Discard); err != nil {
+		t.Errorf("identical runs failed: %v", err)
 	}
 }
 
@@ -271,14 +340,11 @@ func TestFromReportEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StageNs["prepare"] != 100 || res.StageNs["profile"] != 60 || res.StageNs["cell"] != 10 {
-		t.Errorf("stage ns = %v", res.StageNs)
-	}
 	if res.MemoHitRate["casa_pipeline_memo"] != 75 {
 		t.Errorf("hit rate = %v, want 75", res.MemoHitRate["casa_pipeline_memo"])
 	}
-	if len(res.NsPerOp) != 0 {
-		t.Errorf("unexpected ns_per_op section: %v", res.NsPerOp)
+	if len(res.Server) != 0 {
+		t.Errorf("unexpected server section: %v", res.Server)
 	}
 }
 
@@ -343,14 +409,14 @@ func TestFromLoadServerGate(t *testing.T) {
 	// Within every ceiling and above the floor: passes.
 	base := write("base.json",
 		`{"server":{"p99_ms":250,"http_5xx":0,"errors":0,"traced_requests_min":1,"trace_store_drops":0}}`)
-	if err := runCompare(base, cur, 20, 20, 5, 20); err != nil {
+	if err := runCompare(base, cur); err != nil {
 		t.Errorf("healthy run failed the server gate: %v", err)
 	}
 
 	// Must-keep trace drops breach the ceiling.
 	dropping := write("dropping.json",
 		`{"server":{"p99_ms":12.5,"http_5xx":0,"errors":0,"traced_requests_min":500,"trace_store_drops":3}}`)
-	if err := runCompare(base, dropping, 20, 20, 5, 20); err == nil {
+	if err := runCompare(base, dropping); err == nil {
 		t.Error("trace-store drops passed the ceiling gate")
 	}
 
@@ -358,7 +424,7 @@ func TestFromLoadServerGate(t *testing.T) {
 	// ceiling holds.
 	untraced := write("untraced.json",
 		`{"server":{"p99_ms":12.5,"http_5xx":0,"errors":0,"traced_requests_min":0,"trace_store_drops":0}}`)
-	if err := runCompare(base, untraced, 20, 20, 5, 20); err == nil {
+	if err := runCompare(base, untraced); err == nil {
 		t.Error("zero traced requests passed the floor gate")
 	}
 
@@ -407,7 +473,7 @@ func TestFromLoadChaosGate(t *testing.T) {
 		"traced_requests_min":1,"trace_store_drops":0,
 		"chaos_deadline_exceeded_min":2,"chaos_body_too_large_min":2,
 		"chaos_injected_min":2,"chaos_unexpected":0}}`)
-	if err := runCompare(base, cur, 20, 20, 5, 20); err != nil {
+	if err := runCompare(base, cur); err != nil {
 		t.Errorf("healthy chaos run failed the gate: %v", err)
 	}
 
@@ -422,7 +488,7 @@ func TestFromLoadChaosGate(t *testing.T) {
 	if err := runFromLoad(inert, inertCur, true); err != nil {
 		t.Fatalf("runFromLoad -chaos (inert): %v", err)
 	}
-	if err := runCompare(base, inertCur, 20, 20, 5, 20); err == nil {
+	if err := runCompare(base, inertCur); err == nil {
 		t.Error("chaos run that injected nothing passed the floor gate")
 	}
 
@@ -437,7 +503,7 @@ func TestFromLoadChaosGate(t *testing.T) {
 	if err := runFromLoad(odd, oddCur, true); err != nil {
 		t.Fatalf("runFromLoad -chaos (odd): %v", err)
 	}
-	if err := runCompare(base, oddCur, 20, 20, 5, 20); err == nil {
+	if err := runCompare(base, oddCur); err == nil {
 		t.Error("unexpected chaos outcomes passed the ceiling gate")
 	}
 

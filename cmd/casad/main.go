@@ -47,10 +47,9 @@ func main() {
 		snapshotPath  = flag.String("snapshot", "", "warm-state snapshot file: restored on boot, saved periodically and on drain (empty = off)")
 		snapshotEvery = flag.Duration("snapshot-every", 0, "periodic snapshot interval (0 = 30s default)")
 		logLevel      = flag.String("log-level", "info", "structured-log level: debug, info, warn, error or off")
-		traceSample   = flag.Float64("trace-sample", -1,
-			fmt.Sprintf("request-trace sampling rate in [0,1]; 0 disables tracing, negative defers to %s (default: trace everything)", server.EnvTraceSample))
-		versionFlag = flag.Bool("version", false, "print build information and exit")
-		traceFlag   = flag.Bool("trace", false,
+		traceSample   = flag.Float64("trace-sample", 1, "request-trace sampling rate in [0,1]; 0 disables tracing")
+		versionFlag   = flag.Bool("version", false, "print build information and exit")
+		traceFlag     = flag.Bool("trace", false,
 			fmt.Sprintf("log server progress to stderr (same as %s=1)", obs.EnvTrace))
 	)
 	flag.Parse()
@@ -86,17 +85,13 @@ func main() {
 	}
 }
 
-// traceSampleConfig maps the flag convention (negative = unset, 0 =
-// off) onto the Config convention (0 = unset, negative = off).
+// traceSampleConfig maps the flag convention (0 = off) onto the Config
+// convention (0 = unset, which traces everything; negative = off).
 func traceSampleConfig(flagVal float64) float64 {
-	switch {
-	case flagVal < 0:
-		return 0
-	case flagVal == 0:
+	if flagVal <= 0 {
 		return -1
-	default:
-		return flagVal
 	}
+	return flagVal
 }
 
 // serve runs the daemon until an error or a clean drain.

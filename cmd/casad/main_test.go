@@ -82,8 +82,9 @@ func TestServeBadAddress(t *testing.T) {
 
 func TestTraceSampleConfig(t *testing.T) {
 	cases := []struct{ flag, want float64 }{
-		{-1, 0},    // flag unset → Config unset (env decides)
+		{1, 1},     // default: trace everything
 		{0, -1},    // flag 0 → explicit off
+		{-1, -1},   // below the range: off too
 		{0.5, 0.5}, // passthrough
 	}
 	for _, tc := range cases {

@@ -16,9 +16,9 @@
 //     CASA_TRACE environment variable or a -trace flag enables it.
 //
 // The span tree and a metrics snapshot can be serialized as a Report —
-// one JSON line per study — which cmd/benchdiff diffs against a
-// committed baseline to catch stage-level and cache-hit-rate
-// regressions, not just wall-clock ones.
+// one JSON line per study — which cmd/benchdiff folds into memo hit
+// rates and work counters and compares exactly with a committed
+// baseline.
 package obs
 
 import (

@@ -149,11 +149,9 @@ type Config struct {
 	SnapshotPath  string
 	SnapshotEvery time.Duration
 
-	// TraceSample sets the request-tracing rate: 0 means unset (the
-	// CASA_TRACE_SAMPLE environment variable decides, defaulting to
-	// trace-everything), a value in (0,1) samples roughly that fraction
-	// of requests, ≥1 traces everything and a negative value disables
-	// tracing.
+	// TraceSample sets the request-tracing rate: 0 (unset) and ≥1
+	// trace every request, a value in (0,1) samples roughly that
+	// fraction of requests and a negative value disables tracing.
 	TraceSample float64
 	// TraceKeepCap / TraceSlowCap / TraceSampleCap size the trace
 	// store's retention classes (must-keep ring, slowest-N heap, random

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http"
-	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -14,13 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slogx"
 )
-
-// EnvTraceSample overrides the request-trace sampling rate when the
-// Config leaves it unset: a float in [0,1] where 0 disables tracing
-// entirely and 1 traces every request (the default). The CI overhead
-// check boots one casad with CASA_TRACE_SAMPLE=0 to measure the cost of
-// tracing against an identical instance with it on.
-const EnvTraceSample = "CASA_TRACE_SAMPLE"
 
 // Telemetry metrics, resolved once.
 var (
@@ -106,25 +98,16 @@ func requestIDFrom(r *http.Request) string {
 }
 
 // traceEveryFrom converts a sampling rate into the modulus the handler
-// checks: 0 = never trace, 1 = always, N = 1-in-N. A zero cfgRate means
-// "unset" — the environment decides, defaulting to always-on (tracing
-// is cheap: one tracer allocation plus a handful of spans per request).
-// Negative rates (Config or environment) disable tracing explicitly.
-func traceEveryFrom(cfgRate float64) int64 {
-	rate := cfgRate
-	if rate == 0 {
-		rate = 1
-		if v := os.Getenv(EnvTraceSample); v != "" {
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
-				rate = f
-			}
-		}
-	}
+// checks: 0 = never trace, 1 = always, N = 1-in-N. A zero rate means
+// unset and traces every request (tracing is cheap: one tracer
+// allocation plus a handful of spans per request); a negative rate
+// disables tracing.
+func traceEveryFrom(rate float64) int64 {
 	switch {
-	case rate <= 0:
-		return 0
-	case rate >= 1:
+	case rate == 0 || rate >= 1:
 		return 1
+	case rate < 0:
+		return 0
 	default:
 		return int64(1/rate + 0.5)
 	}

@@ -224,23 +224,11 @@ func TestTraceEveryFrom(t *testing.T) {
 		rate float64
 		want int64
 	}{
-		{-1, 0}, {1, 1}, {2, 1}, {0.5, 2}, {0.1, 10}, {0.001, 1000},
+		{-1, 0}, {0, 1}, {1, 1}, {2, 1}, {0.5, 2}, {0.1, 10}, {0.001, 1000},
 	}
 	for _, tc := range cases {
 		if got := traceEveryFrom(tc.rate); got != tc.want {
 			t.Fatalf("traceEveryFrom(%g) = %d, want %d", tc.rate, got, tc.want)
 		}
-	}
-	t.Setenv(EnvTraceSample, "0")
-	if got := traceEveryFrom(0); got != 0 {
-		t.Fatalf("env=0: traceEveryFrom(0) = %d, want 0", got)
-	}
-	t.Setenv(EnvTraceSample, "0.25")
-	if got := traceEveryFrom(0); got != 4 {
-		t.Fatalf("env=0.25: traceEveryFrom(0) = %d, want 4", got)
-	}
-	t.Setenv(EnvTraceSample, "")
-	if got := traceEveryFrom(0); got != 1 {
-		t.Fatalf("unset: traceEveryFrom(0) = %d, want 1", got)
 	}
 }

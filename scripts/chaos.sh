@@ -23,7 +23,8 @@ port="${CASA_CHAOS_PORT:-8347}"
 addr="http://127.0.0.1:$port"
 dir="$(mktemp -d)"
 pid=""
-trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; rm -rf "$dir"' EXIT
+# The daemon has normally drained and exited by now; kill only a leftover.
+trap 'if [ -n "$pid" ]; then kill "$pid" 2> /dev/null || true; fi; rm -rf "$dir"' EXIT
 
 go build -o "$dir/casad" ./cmd/casad
 go build -o "$dir/casaload" ./cmd/casaload
