@@ -57,16 +57,32 @@ func TestSolveExpiredDeadline(t *testing.T) {
 }
 
 func TestSolveBudgetReturnsIncumbentWithGap(t *testing.T) {
-	// A generous budget lets the root dive seed an incumbent; stopping at
-	// the node limit then reports it as a degraded Feasible with a gap.
+	// Stopping at the node limit with an incumbent in hand reports it as a
+	// degraded Feasible with a gap. The limit is taken from the solve
+	// itself: the smallest MaxNodes at which plunging has produced an
+	// incumbent, searched upward from 1.
 	m := hardKnapsack(24)
-	sol, err := Solve(context.Background(), m, Options{MaxNodes: 2})
+	full, err := Solve(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Feasible {
-		t.Fatalf("status = %v, want Feasible (heuristic incumbent under node limit)", sol.Status)
+	if full.Status != Optimal {
+		t.Fatalf("unlimited solve: %v", full.Status)
 	}
+	var sol *Solution
+	limit := 1
+	for ; limit < full.Nodes; limit++ {
+		if sol, err = Solve(context.Background(), m, Options{MaxNodes: limit}); err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Aborted {
+			break
+		}
+	}
+	if sol == nil || sol.Status != Feasible {
+		t.Fatalf("no node limit below %d nodes yields a degraded incumbent (last: %+v)", full.Nodes, sol)
+	}
+	t.Logf("first incumbent at MaxNodes=%d of %d nodes", limit, full.Nodes)
 	if !sol.Degraded || sol.DegradedReason != "node-limit" {
 		t.Fatalf("degraded=%v reason=%q, want degraded node-limit", sol.Degraded, sol.DegradedReason)
 	}
@@ -75,13 +91,6 @@ func TestSolveBudgetReturnsIncumbentWithGap(t *testing.T) {
 	}
 	// The degraded objective must not beat the true optimum, and the true
 	// optimum must be within the reported gap of it.
-	full, err := Solve(context.Background(), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Status != Optimal {
-		t.Fatalf("unlimited solve: %v", full.Status)
-	}
 	if sol.Objective > full.Objective+1e-6 {
 		t.Fatalf("degraded objective %g beats optimum %g", sol.Objective, full.Objective)
 	}

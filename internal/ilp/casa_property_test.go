@@ -11,9 +11,9 @@ import (
 // linearization (paper eqs (7)–(17)), in both the Tight (continuous
 // L(x_i,x_j), one row) and Faithful (binary L, three rows) encodings,
 // with pinned variables and branch priorities like core.BuildModel
-// produces. Every combination of presolve / warm-started basis /
-// incumbent heuristic must agree — with exhaustive enumeration where the
-// model is all-binary, and with each other everywhere.
+// produces. Every combination of presolve and warm-started basis must
+// agree — with exhaustive enumeration where the model is all-binary,
+// and with each other everywhere.
 
 type casaRNG uint64
 
@@ -116,19 +116,17 @@ func buildMultiModel(r *casaRNG, nt, ns int) *Model {
 // solverCombos enumerates all feature on/off combinations.
 func solverCombos() []Options {
 	var out []Options
-	for mask := 0; mask < 8; mask++ {
+	for mask := 0; mask < 4; mask++ {
 		out = append(out, Options{
 			DisablePresolve:  mask&1 != 0,
 			DisableWarmStart: mask&2 != 0,
-			DisableHeuristic: mask&4 != 0,
 		})
 	}
 	return out
 }
 
 func comboName(o Options) string {
-	return fmt.Sprintf("presolve=%v warm=%v heur=%v",
-		!o.DisablePresolve, !o.DisableWarmStart, !o.DisableHeuristic)
+	return fmt.Sprintf("presolve=%v warm=%v", !o.DisablePresolve, !o.DisableWarmStart)
 }
 
 // checkCombosAgainst solves m under every feature combination and
@@ -195,7 +193,7 @@ func TestCASATightShapeCombosAgree(t *testing.T) {
 		nl := 4 + r.intn(9) // 4..12 traces
 		ne := r.intn(9)     // 0..8 conflict edges
 		m := buildCASAModel(&r, nl, ne, false)
-		ref, err := Solve(context.Background(), m, Options{DisablePresolve: true, DisableWarmStart: true, DisableHeuristic: true})
+		ref, err := Solve(context.Background(), m, Options{DisablePresolve: true, DisableWarmStart: true})
 		if err != nil {
 			t.Fatalf("trial %d: reference solve: %v", trial, err)
 		}
@@ -209,7 +207,7 @@ func TestCASAMultiRegionShapeCombosAgree(t *testing.T) {
 		nt := 2 + r.intn(4) // 2..5 traces
 		ns := 1 + r.intn(3) // 1..3 scratchpad regions
 		m := buildMultiModel(&r, nt, ns)
-		ref, err := Solve(context.Background(), m, Options{DisablePresolve: true, DisableWarmStart: true, DisableHeuristic: true})
+		ref, err := Solve(context.Background(), m, Options{DisablePresolve: true, DisableWarmStart: true})
 		if err != nil {
 			t.Fatalf("trial %d: reference solve: %v", trial, err)
 		}

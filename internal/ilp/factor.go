@@ -27,8 +27,9 @@ import "math"
 //	P·B·Q = [ U  F ]   U: triangular, from peeled singleton columns
 //	        [ 0  G ]   G: dense k×k "bump" of the rest (k ≪ m)
 //
-// (measured on the fig4 grid: k ≈ 105 of m = 422 at SPM 128, k ≈ 23 on
-// average at SPM 512). fsx keeps that factorization of a basis snapshot
+// (measured on cold solves of the fig4 cells, averaged over pivots:
+// k ≈ 0.4 of m = 422 rows at SPM 128 and k ≈ 0.5 of 244 at SPM 512, at
+// most 7 on any cell). fsx keeps that factorization of a basis snapshot
 // B0 plus a product-form eta file for the pivots since:
 //
 //	B⁻¹ = E_t ··· E_1 · B0⁻¹
@@ -37,6 +38,17 @@ import "math"
 // instead of updating a dense inverse in O(m²); refactorization peels
 // the triangle in O(nnz) and inverts only the bump in O(k³) instead of
 // O(m³).
+//
+// Pricing is dual steepest edge (Forrest & Goldfarb 1992): the leaving
+// row maximizes v_i²/β_i, its squared bound violation over the weight
+// β_i = ‖e_iᵀB⁻¹‖², the squared norm of the row of B⁻¹ the pivot would
+// use. The weights cost one extra FTRAN per pivot to update
+// (updateWeights). They start at 1, which is exact for the all-slack
+// crash basis and an approximation for a hot-started one, and are kept
+// by basis position, which neither a bound change nor a
+// refactorization moves, so one set serves the whole tree. After
+// 200 + 2m iterations of one LP, Bland's first-violated-row rule takes
+// over against cycling.
 //
 // fsx also honors an objective limit: at every dual-feasible iterate
 // the working point minimizes cᵀx over the relaxation that drops the
@@ -94,6 +106,7 @@ type fsx struct {
 	status []int8    // per column
 	xB     []float64 // basic variable values, by position
 	d      []float64 // reduced costs (0 for basic columns)
+	dse    []float64 // dual steepest-edge weights ‖e_iᵀB⁻¹‖², by position
 
 	// B0 factorization (basis snapshot at the last refactorization).
 	factCol     []int32   // basic model column per position at snapshot
@@ -147,6 +160,7 @@ func newFSX(md *Model, tol float64) *fsx {
 		status: make([]int8, tot),
 		xB:     make([]float64, m),
 		d:      make([]float64, tot),
+		dse:    make([]float64, m),
 
 		factCol:     make([]int32, m),
 		rowAssigned: make([]int32, m),
@@ -354,6 +368,9 @@ func (e *fsx) installBasis(basic []int, atUpper []bool) (pivots int, ok bool) {
 		}
 		e.computeDuals()
 	}
+	// The donor's weights did not travel with its basis; unit weights are
+	// the usual approximation, refined by every pivot from here on.
+	e.resetWeights()
 	e.computeXB()
 	return pivots, true
 }
@@ -471,11 +488,19 @@ func (e *fsx) reset() bool {
 	for i := 0; i < e.m; i++ {
 		e.d[e.n+i] = 0
 	}
+	e.resetWeights() // exact: B = I
 	// An all-slack basis peels completely: k = 0, no etas.
 	if !e.refactor() {
 		return false // cannot happen: slack columns are unit singletons
 	}
 	return true
+}
+
+// resetWeights sets every dual steepest-edge weight to 1.
+func (e *fsx) resetWeights() {
+	for i := range e.dse {
+		e.dse[i] = 1
+	}
 }
 
 // setBounds installs a node's structural bounds.
@@ -960,17 +985,24 @@ func (e *fsx) reoptimize(maxIter int) Status {
 		}
 		bland := it > blandAfter
 
-		// Leaving row: worst primal bound violation (Bland: first).
-		r, sgn, worst := -1, 1.0, feasTol
+		// Leaving row by dual steepest edge: the largest squared bound
+		// violation per unit weight (Bland: the first violated row).
+		r, sgn, best := -1, 1.0, 0.0
 		for i := 0; i < m; i++ {
 			bj := e.basis[i]
-			if v := e.lo[bj] - e.xB[i]; v > worst {
-				worst, r, sgn = v, i, -1
-			} else if v := e.xB[i] - e.hi[bj]; v > worst {
-				worst, r, sgn = v, i, 1
+			v, s := e.lo[bj]-e.xB[i], -1.0
+			if u := e.xB[i] - e.hi[bj]; u > v {
+				v, s = u, 1
 			}
-			if r == i && bland {
+			if v <= feasTol {
+				continue
+			}
+			if bland {
+				r, sgn = i, s
 				break
+			}
+			if sc := v * v / e.dse[i]; sc > best {
+				r, sgn, best = i, s, sc
 			}
 		}
 		if r < 0 {
@@ -1038,6 +1070,8 @@ func (e *fsx) reoptimize(maxIter int) Status {
 			continue
 		}
 
+		e.updateWeights(r, piv)
+
 		lb := e.basis[r]
 		bnd := e.lo[lb]
 		if sgn > 0 {
@@ -1089,6 +1123,38 @@ func (e *fsx) reoptimize(maxIter int) Status {
 			}
 		}
 	}
+}
+
+// updateWeights applies the Forrest–Goldfarb dual steepest-edge update
+// for a pivot in row r with pivot element piv, before the basis changes:
+// e.rho holds ρ_r = e_rᵀB⁻¹ and e.w the entering column B⁻¹A_q. The new
+// row i ≠ r is ρ_i − (w_i/w_r)·ρ_r, so
+//
+//	β_i ← β_i − 2(w_i/w_r)·τ_i + (w_i/w_r)²·β_r,  τ = B⁻¹ρ_r
+//
+// floored at (w_i/w_r)² against cancellation, and β_r ← ‖ρ_r‖²/w_r²
+// exactly, so a weight's rounding error never spreads to other rows.
+func (e *fsx) updateWeights(r int, piv float64) {
+	tau := e.pv
+	copy(e.rv, e.rho)
+	e.ftranB0(e.rv, tau)
+	e.applyEtasFwd(tau)
+	br := 0.0
+	for _, v := range e.rho {
+		br += v * v
+	}
+	for i, wi := range e.w {
+		if i == r || wi == 0 {
+			continue
+		}
+		k := wi / piv
+		b := e.dse[i] + k*(k*br-2*tau[i])
+		if lb := k * k; b < lb {
+			b = lb
+		}
+		e.dse[i] = b
+	}
+	e.dse[r] = br / (piv * piv)
 }
 
 // values returns the structural solution vector.

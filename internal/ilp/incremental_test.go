@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -52,29 +53,71 @@ func randBinaryModel(r *testRNG) *Model {
 	return m
 }
 
-// TestEngineParityRandomized cross-validates the factored engine (fsx)
-// against the dense two-phase simplex at every node
-// (Options.DisableWarmStart) on random binary programs.
+// checkEngineParity solves m twice, with the factored engine (fsx) and
+// with the dense two-phase simplex at every node
+// (Options.DisableWarmStart), and requires the same status and, when
+// optimal, the same objective. It returns the fsx solve.
+func checkEngineParity(t *testing.T, name string, m *Model) *Solution {
+	t.Helper()
+	dense, err := Solve(context.Background(), m, Options{DisableWarmStart: true})
+	if err != nil {
+		t.Fatalf("%s dense: %v", name, err)
+	}
+	warm, err := Solve(context.Background(), m, Options{})
+	if err != nil {
+		t.Fatalf("%s fsx: %v", name, err)
+	}
+	if dense.Status != warm.Status {
+		t.Fatalf("%s: status %v (fsx) vs %v (dense)", name, warm.Status, dense.Status)
+	}
+	if dense.Status == Optimal && !almostEq(dense.Objective, warm.Objective) {
+		t.Fatalf("%s: obj %.9g (fsx) vs %.9g (dense)", name, warm.Objective, dense.Objective)
+	}
+	return warm
+}
+
+// TestEngineParityRandomized cross-validates the factored engine against
+// the dense simplex on small random binary programs and on CASA-shaped
+// models: a capacity row plus linearization rows L ≥ l_i + l_j − 1 over
+// 30–45 traces, large enough that the engine's pivots run past a
+// refactorization (every fsxRefactorEvery pivots).
 func TestEngineParityRandomized(t *testing.T) {
 	rng := testRNG(987654321)
 	for trial := 0; trial < 80; trial++ {
-		m := randBinaryModel(&rng)
-
-		dense, err := Solve(context.Background(), m, Options{DisableWarmStart: true})
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
-		}
-		warm, err := Solve(context.Background(), m, Options{})
-		if err != nil {
-			t.Fatalf("trial %d fsx: %v", trial, err)
-		}
-		if dense.Status != warm.Status {
-			t.Fatalf("trial %d: status %v (fsx) vs %v (dense)", trial, warm.Status, dense.Status)
-		}
-		if dense.Status == Optimal && !almostEq(dense.Objective, warm.Objective) {
-			t.Fatalf("trial %d: obj %g (fsx) vs %g (dense)", trial, warm.Objective, dense.Objective)
+		checkEngineParity(t, fmt.Sprintf("trial %d", trial), randBinaryModel(&rng))
+	}
+	r := casaRNG(0x2545f4914f6cdd1d)
+	refactored := 0
+	for trial := 0; trial < 24; trial++ {
+		nl := 30 + r.intn(16)
+		m := buildCASAModel(&r, nl, nl+r.intn(2*nl), false)
+		if sol := checkEngineParity(t, fmt.Sprintf("casa trial %d", trial), m); sol.SimplexIters > fsxRefactorEvery {
+			refactored++
 		}
 	}
+	if refactored == 0 {
+		t.Fatalf("no CASA-shaped solve ran past a refactorization (%d pivots)", fsxRefactorEvery)
+	}
+}
+
+// FuzzEngineParity fuzzes the factored engine against the dense simplex
+// on CASA-shaped models drawn from the fuzzed seed and sizes.
+func FuzzEngineParity(f *testing.F) {
+	f.Add(uint64(1), uint8(30), uint8(40), false)
+	f.Add(uint64(0x9e3779b97f4a7c15), uint8(12), uint8(20), true)
+	f.Add(uint64(42), uint8(3), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed uint64, traces, edges uint8, faithful bool) {
+		r := casaRNG(seed | 1) // xorshift's zero state is a fixed point
+		nl := 2 + int(traces)%44
+		ne := int(edges) % (2 * nl)
+		if faithful {
+			// Three rows and a binary L per edge: fewer edges keep the
+			// dense per-node oracle fast enough to fuzz.
+			ne %= 24
+		}
+		checkEngineParity(t, fmt.Sprintf("seed %#x traces %d edges %d faithful %v", seed, nl, ne, faithful),
+			buildCASAModel(&r, nl, ne, faithful))
+	})
 }
 
 // TestCutoffExactness checks that a transferred cutoff — at the optimum,

@@ -14,17 +14,16 @@ import (
 // Solver effort metrics, resolved once. Every Solve records into the
 // default registry so run reports can attribute ILP work per study.
 var (
-	mSolves    = obs.GetCounter("casa_ilp_solves_total")
-	mNodes     = obs.GetCounter("casa_ilp_nodes_total")
-	mIters     = obs.GetCounter("casa_ilp_simplex_iters_total")
-	mBranches  = obs.GetCounter("casa_ilp_branches_total")
-	mPruned    = obs.GetCounter("casa_ilp_nodes_pruned_total")
-	mWarm      = obs.GetCounter("casa_ilp_warm_starts_total")
-	mFallback  = obs.GetCounter("casa_ilp_dense_fallbacks_total")
-	mPreRows   = obs.GetCounter("casa_ilp_presolve_rows_dropped_total")
-	mPreCols   = obs.GetCounter("casa_ilp_presolve_cols_removed_total")
-	mHeuristic = obs.GetCounter("casa_ilp_heuristic_incumbents_total")
-	mDegraded  = obs.GetCounter("casa_solve_degraded_total")
+	mSolves   = obs.GetCounter("casa_ilp_solves_total")
+	mNodes    = obs.GetCounter("casa_ilp_nodes_total")
+	mIters    = obs.GetCounter("casa_ilp_simplex_iters_total")
+	mBranches = obs.GetCounter("casa_ilp_branches_total")
+	mPruned   = obs.GetCounter("casa_ilp_nodes_pruned_total")
+	mWarm     = obs.GetCounter("casa_ilp_warm_starts_total")
+	mFallback = obs.GetCounter("casa_ilp_dense_fallbacks_total")
+	mPreRows  = obs.GetCounter("casa_ilp_presolve_rows_dropped_total")
+	mPreCols  = obs.GetCounter("casa_ilp_presolve_cols_removed_total")
+	mDegraded = obs.GetCounter("casa_solve_degraded_total")
 	// mWarmCellHits fires when a solve runs with a transferred cutoff
 	// (the misses twin is counted by the planner in internal/experiments,
 	// which knows when no donor was available).
@@ -67,10 +66,6 @@ type Options struct {
 	// two-phase simplex instead of the warm-started revised dual simplex.
 	// Intended for testing and diagnosis.
 	DisableWarmStart bool
-	// DisableHeuristic skips the root diving heuristic that seeds the
-	// incumbent before the tree search starts. Intended for testing and
-	// diagnosis.
-	DisableHeuristic bool
 
 	// Cutoff, when non-nil, is the objective value (in the model's own
 	// sense and space) of a solution known to be feasible, transferred
@@ -181,11 +176,12 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 //
 // The solve pipeline: a root presolve shrinks the model (presolve.go);
 // node relaxations run on a factored-basis revised dual simplex that
-// warm-starts from the basis left by the previous node (factor.go), with
-// the dense two-phase simplex (simplex.go) as fallback; a root diving
-// heuristic seeds the incumbent so pruning bites from the first node;
-// the tree itself is explored best-bound-first with depth-first
-// plunging, branching on pseudocost scores. Options.Cutoff and HotStart
+// warm-starts from the basis left by the previous node and picks its
+// leaving rows by dual steepest edge, with weights kept across the
+// whole tree (factor.go); the dense two-phase simplex (simplex.go) is
+// the fallback. The tree is explored best-bound-first with depth-first
+// plunging, branching on pseudocost scores; the first incumbent comes
+// from plunging itself. Options.Cutoff and HotStart
 // let a solve reuse work from a neighboring one in an experiment grid
 // (hotstart.go) without changing its answer; a solve with neither is
 // the cold reference.
@@ -282,7 +278,6 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	mPruned.Add(int64(s.pruned))
 	mWarm.Add(int64(s.warm))
 	mFallback.Add(int64(s.fallbacks))
-	mHeuristic.Add(int64(s.heuristics))
 	mRCFixed.Add(int64(s.rcFixed))
 
 	stopped := s.hitLimit || s.stopReason != ""
@@ -386,7 +381,7 @@ type bbState struct {
 
 	nodes, branches, iters           int
 	pruned, warm, fallbacks          int
-	heuristics, engSolves, seq       int
+	engSolves, seq                   int
 	sawFeasible, hitLimit, unbounded bool
 
 	ctx        context.Context
@@ -581,7 +576,7 @@ func (s *bbState) userObjective(x []float64) float64 {
 // tryIncumbent snaps x's integer values, verifies feasibility, and
 // installs it as the incumbent when it improves. Reports whether x was
 // accepted as feasible (improving or not).
-func (s *bbState) tryIncumbent(x []float64, heuristic bool) bool {
+func (s *bbState) tryIncumbent(x []float64) bool {
 	cand := append([]float64(nil), x...)
 	for _, j := range s.intVars {
 		cand[j] = math.Round(cand[j])
@@ -593,16 +588,9 @@ func (s *bbState) tryIncumbent(x []float64, heuristic bool) bool {
 	if val < s.incumbentVal {
 		s.incumbentVal = val
 		s.incumbent = cand
-		if heuristic {
-			s.heuristics++
-		}
 		if s.opt.Trace != nil {
-			tag := ""
-			if heuristic {
-				tag = "heuristic, "
-			}
-			fmt.Fprintf(s.opt.Trace, "ilp: incumbent %.6g at node %d (%siters=%d)\n",
-				s.userObjective(cand), s.nodes, tag, s.iters)
+			fmt.Fprintf(s.opt.Trace, "ilp: incumbent %.6g at node %d (iters=%d)\n",
+				s.userObjective(cand), s.nodes, s.iters)
 		}
 	}
 	return true
@@ -677,7 +665,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			}
 		}
 		if branchVar < 0 {
-			if s.tryIncumbent(x, false) {
+			if s.tryIncumbent(x) {
 				return nil
 			}
 			if !fromEngine {
@@ -692,18 +680,6 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			s.iters += out.iters
 			st, x, fromEngine = out.status, out.x, false
 			continue
-		}
-
-		// Root diving heuristic: fix the most-integral fractional
-		// variable and re-solve, walking the warm basis down to an
-		// integral point that seeds the incumbent.
-		if s.nodes == 1 && s.eng != nil && !s.opt.DisableHeuristic {
-			s.dive(nd, x)
-			if s.pruneable(bound) {
-				// The heuristic already matches the root bound: optimal.
-				s.pruned++
-				return nil
-			}
 		}
 
 		s.branches++
@@ -754,57 +730,6 @@ func (s *bbState) fixByReducedCost(nd *bbNode, bound float64) {
 				s.rcFixed++
 			}
 		}
-	}
-}
-
-// dive runs the root incumbent heuristic: repeatedly fix the fractional
-// integer variable closest to integrality at its rounded value and
-// re-solve the (warm) relaxation; on infeasibility retry once at the
-// opposite value. For a knapsack-shaped model the root LP already sorts
-// variables by value density, so this walk lands on the greedy packing.
-func (s *bbState) dive(nd *bbNode, rootX []float64) {
-	lo := append([]float64(nil), nd.lo...)
-	hi := append([]float64(nil), nd.hi...)
-	x := rootX
-	for step := 0; step < 2*len(s.intVars)+4; step++ {
-		if s.stopCheck() != "" {
-			// Out of budget mid-dive: the run loop will stop the search; do
-			// not burn more LP solves on the heuristic.
-			return
-		}
-		j, frac := -1, 2.0
-		for _, iv := range s.intVars {
-			f := math.Abs(x[iv] - math.Round(x[iv]))
-			if f <= s.opt.IntTol {
-				continue
-			}
-			if f < frac {
-				frac, j = f, iv
-			}
-		}
-		if j < 0 {
-			s.tryIncumbent(x, true)
-			return
-		}
-		v := math.Round(x[j])
-		v = math.Max(nd.lo[j], math.Min(nd.hi[j], v))
-		lo[j], hi[j] = v, v
-		st, nx := s.solveNodeLP(lo, hi)
-		if st != Optimal {
-			alt := v + 1
-			if v > x[j] {
-				alt = v - 1
-			}
-			if alt < nd.lo[j] || alt > nd.hi[j] {
-				return
-			}
-			lo[j], hi[j] = alt, alt
-			st, nx = s.solveNodeLP(lo, hi)
-			if st != Optimal {
-				return
-			}
-		}
-		x = nx
 	}
 }
 
