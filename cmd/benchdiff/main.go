@@ -98,10 +98,9 @@ type Results struct {
 // counterGates lists the work counters the exact gate watches. Each is
 // deterministic for a fixed experiment config: branch & bound nodes and
 // simplex pivots (a weaker presolve or search), dense fallbacks and
-// warm-cell hits, misses and basis installs (warm starts that stopped
-// firing), and the simulated fetch stream (trace walks, block runs and
-// cache-line segments, which move only when the recordings or the
-// layouts do).
+// warm-cell hits and misses (warm starts that stopped firing), and the
+// simulated fetch stream (trace walks, block runs and cache-line
+// segments, which move only when the recordings or the layouts do).
 var counterGates = []string{
 	"casa_ilp_nodes_total",
 	"casa_ilp_branches_total",
@@ -109,7 +108,6 @@ var counterGates = []string{
 	"casa_ilp_dense_fallbacks_total",
 	"casa_ilp_warm_cell_hits_total",
 	"casa_ilp_warm_cell_misses_total",
-	"casa_ilp_basis_reuse_total",
 	"casa_sim_lines_total",
 	"casa_sim_bulk_fetches_total",
 	"casa_trace_replays_total",

@@ -19,9 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/ilp"
 	"repro/internal/ir"
 	"repro/internal/layout"
 	"repro/internal/sim"
@@ -33,7 +31,7 @@ func main() {
 	var (
 		wl     = flag.String("workload", "", "bundled workload: adpcm, g721, mpeg")
 		file   = flag.String("file", "", "program in asm format (alternative to -workload)")
-		format = flag.String("format", "listing", "output: listing, asm, traces, trace, map, dot, conflicts, basis")
+		format = flag.String("format", "listing", "output: listing, asm, traces, trace, map, dot, conflicts")
 		cache  = flag.Int("cache", 2048, "I-cache size for traces/map/dot")
 		spm    = flag.Int("spm", 256, "scratchpad size for traces/map/dot")
 	)
@@ -82,8 +80,6 @@ func run(wl, file, format string, cacheSize, spmSize int) error {
 		return dumpDOT(p, cacheSize, spmSize)
 	case "conflicts":
 		return dumpConflicts(p, cacheSize, spmSize)
-	case "basis":
-		return dumpBasis(p, cacheSize, spmSize)
 	}
 	return fmt.Errorf("unknown format %q", format)
 }
@@ -211,42 +207,6 @@ func dumpConflicts(p *ir.Program, cacheSize, spmSize int) error {
 		fmt.Printf("%8d %8d %10d  %s <- %s\n", e.From, e.To, e.Misses,
 			p.Func(pipe.Set.Traces[e.From].Blocks[0].Func).Name,
 			p.Func(pipe.Set.Traces[e.To].Blocks[0].Func).Name)
-	}
-	return nil
-}
-
-// dumpBasis solves the cell's LP relaxation cold on the factored dual
-// simplex engine and prints the final basis partition and factorization
-// shape — the reference picture when debugging why a transferred basis
-// did or did not install cleanly (DESIGN.md §15).
-func dumpBasis(p *ir.Program, cacheSize, spmSize int) error {
-	pipe, err := experiments.PrepareProgram(context.Background(), p, experiments.DM(cacheSize), spmSize)
-	if err != nil {
-		return err
-	}
-	params := core.Params{
-		SPMSize:    spmSize,
-		ESPHit:     pipe.Cost.SPMAccess,
-		ECacheHit:  pipe.Cost.CacheHit,
-		ECacheMiss: pipe.Cost.CacheMiss,
-	}
-	m, _, err := core.BuildModel(pipe.Set, pipe.Graph, params)
-	if err != nil {
-		return err
-	}
-	info, err := ilp.AnalyzeBasis(m, ilp.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s LP basis (%dB cache, %dB scratchpad): %s in %d pivots\n",
-		p.Name, cacheSize, spmSize, info.Status, info.Iters)
-	fmt.Printf("  model: %d vars x %d rows\n", info.Vars, info.Rows)
-	fmt.Printf("  basis: %d structural + %d slack\n", info.BasicStructural, info.BasicSlacks)
-	fmt.Printf("  factorization: %d peeled, bump %dx%d, eta depth %d\n",
-		info.Peeled, info.BumpK, info.BumpK, info.EtaDepth)
-	fmt.Printf("  basic structurals (%d):\n", len(info.BasicVars))
-	for _, name := range info.BasicVars {
-		fmt.Printf("    %s\n", name)
 	}
 	return nil
 }

@@ -116,10 +116,6 @@ type Allocation struct {
 	// Fallback reports that the solver produced no incumbent at all and
 	// the selection came from GreedyAllocate.
 	Fallback bool
-	// Hot is the solver's final simplex basis, set on proven-optimal
-	// solves. Warm-start donor stores hand it to a neighboring cell via
-	// Params.Solver.HotStart.
-	Hot *ilp.HotStart
 }
 
 // NumInSPM returns the number of selected traces.
@@ -190,9 +186,8 @@ func BuildModel(set *trace.Set, g *conflict.Graph, p Params) (*ilp.Model, []ilp.
 		L := m.AddVar(fmt.Sprintf("L_%d_%d", e.From, e.To), kind, 0, 1)
 		obj = obj.Add(w, L)
 		// Linearization rows are named by edge (not the positional c%d
-		// default) so a neighboring cell's basis maps through the rows the
-		// two formulations share (ilp.HotStart); names play no role in
-		// solving.
+		// default) so an LP dump reads back to the edge each row
+		// linearizes; names play no role in solving.
 		switch p.Linearization {
 		case Faithful:
 			// (13) l_i − L ≥ 0, (14) l_j − L ≥ 0, (15) l_i + l_j − 2L ≤ 1.
@@ -283,7 +278,6 @@ func Allocate(ctx context.Context, set *trace.Set, g *conflict.Graph, p Params) 
 		Degraded:       sol.Degraded,
 		DegradedReason: sol.DegradedReason,
 		Gap:            sol.Gap,
-		Hot:            sol.HotStart,
 	}
 	for i := range set.Traces {
 		if sol.Value(l[i]) < 0.5 {

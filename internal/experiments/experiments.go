@@ -342,13 +342,11 @@ func (p *Pipeline) casaAllocation(ctx context.Context) *allocEntry {
 		params := p.casaParams()
 		if p.Warm != nil {
 			// Cross-cell warm start: seed the solve with the tightest
-			// cutoff transferable from a solved neighbor, plus — when a
-			// partition-matching donor exists — that donor's simplex basis
-			// (warmplan.go). Cold solves are counted as misses here; hits
-			// are counted by the solver when it installs the cutoff.
-			if cut, hot, ok := p.Warm.cutoff(p, params); ok {
+			// cutoff transferable from a solved neighbor (warmplan.go).
+			// Cold solves are counted as misses here; hits are counted by
+			// the solver when it installs the cutoff.
+			if cut, ok := p.Warm.cutoff(p, params); ok {
 				params.Solver.Cutoff = &cut
-				params.Solver.HotStart = hot
 				e.warm = true
 				sp.SetAttr("warm_cutoff", cut)
 			} else {
@@ -360,7 +358,7 @@ func (p *Pipeline) casaAllocation(ctx context.Context) *allocEntry {
 			e.err = fmt.Errorf("experiments: casa %s/%d: %w", p.Workload, p.SPMSize, e.err)
 		} else if a := e.alloc; p.Warm != nil && a.Status == ilp.Optimal && !a.Degraded && !a.Fallback {
 			// Only proven-optimal selections donate (WarmStore.Record).
-			p.Warm.Record(p, a.InSPM, a.Hot)
+			p.Warm.Record(p, a.InSPM)
 		}
 	})
 	if e.err == nil && e.alloc.Degraded {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ilp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -18,11 +17,11 @@ import (
 
 // TestWarmMatchesColdStudies is the central exactness contract of the
 // warm-start machinery: every fig4 and sensitivity cell's suite-owned
-// allocation and CASA outcome — solved with cross-cell cutoffs,
-// reduced-cost fixing and basis hot starts — must equal, bit for bit,
-// those of a standalone PrepareProgram pipeline, which has no donor
-// store. The sensitivity grid must also install at least one donor
-// basis, so the surviving hot-start path is exercised, not bypassed.
+// allocation and CASA outcome — solved with cross-cell cutoffs and
+// reduced-cost fixing — must equal, bit for bit, those of a standalone
+// PrepareProgram pipeline, which has no donor store. The sensitivity
+// grid must also install at least one transferred cutoff, so the
+// warm path is exercised, not bypassed.
 func TestWarmMatchesColdStudies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full warm-vs-cold sweep is too heavy under the race detector")
@@ -36,13 +35,13 @@ func TestWarmMatchesColdStudies(t *testing.T) {
 	if _, err := Fig4(ctx, s, fig4); err != nil {
 		t.Fatalf("Fig4: %v", err)
 	}
-	reuse := obs.GetCounter("casa_ilp_basis_reuse_total")
-	reuseBefore := reuse.Value()
+	hits := obs.GetCounter("casa_ilp_warm_cell_hits_total")
+	hitsBefore := hits.Value()
 	if _, err := Sensitivity(ctx, s, sens); err != nil {
 		t.Fatalf("Sensitivity: %v", err)
 	}
-	if reuse.Value() == reuseBefore {
-		t.Error("sensitivity grid installed no donor basis; the hot-start path is untested")
+	if hits.Value() == hitsBefore {
+		t.Error("sensitivity grid installed no transferred cutoff; the warm path is untested")
 	}
 	cold := func(name string, cache CacheSpec, spm int) *Pipeline {
 		prog, err := workload.Shared(name)
@@ -148,7 +147,7 @@ func TestWarmStore(t *testing.T) {
 		pipe(custom, a, 128),  // same parameters, other program
 		pipe(other, a, 512),   // other program
 	} {
-		w.Record(p, []bool{true}, nil)
+		w.Record(p, []bool{true})
 	}
 	if got := w.Len(); got != 8 {
 		t.Fatalf("Len = %d, want 8", got)
@@ -191,9 +190,9 @@ func TestWarmStore(t *testing.T) {
 	}
 
 	for spm := 0; len(w.cells) < maxWarmDonors; spm++ {
-		w.Record(pipe(other, b, spm), nil, nil)
+		w.Record(pipe(other, b, spm), nil)
 	}
-	w.Record(pipe(mpeg, a, 1024), nil, &ilp.HotStart{})
+	w.Record(pipe(mpeg, a, 1024), nil)
 	if got := w.Len(); got != 1 {
 		t.Errorf("after recording into a full store Len = %d, want 1 (cleared, then stored)", got)
 	}
@@ -242,26 +241,25 @@ func TestFig4PermutedOrderInvariant(t *testing.T) {
 }
 
 // TestSensitivityPermutedOrderInvariant is the order-independence
-// property for the cache-organization sweep, where most cells share one
-// trace partition and therefore exchange simplex bases, not just
-// cutoffs (warmplan.go): whatever order the cells run in, the
-// rows are identical. It also pins down that basis transfer actually
-// fires on this grid — the serial natural-order sweep must install at
-// least one donor basis, or the property test would be vacuously
-// passing on a cold path.
+// property for the cache-organization sweep, whose cells are all
+// cache-geometry neighbors of one another (warmplan.go): whatever order
+// the cells run in, the rows are identical. It also pins down that
+// cutoff transfer actually fires on this grid — the serial
+// natural-order sweep must install at least one transferred cutoff, or
+// the property test would be vacuously passing on a cold path.
 func TestSensitivityPermutedOrderInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("permutation sweep skipped in -short mode")
 	}
 	ctx := context.Background()
 	cfg := DefaultSensitivity()
-	reuseBefore := obs.GetCounter("casa_ilp_basis_reuse_total").Value()
+	hitsBefore := obs.GetCounter("casa_ilp_warm_cell_hits_total").Value()
 	want, err := Sensitivity(ctx, NewSuite().SetWorkers(1), cfg)
 	if err != nil {
 		t.Fatalf("reference Sensitivity: %v", err)
 	}
-	if got := obs.GetCounter("casa_ilp_basis_reuse_total").Value(); got == reuseBefore {
-		t.Errorf("serial sensitivity sweep installed no donor basis (casa_ilp_basis_reuse_total unchanged at %d)", got)
+	if got := obs.GetCounter("casa_ilp_warm_cell_hits_total").Value(); got == hitsBefore {
+		t.Errorf("serial sensitivity sweep installed no transferred cutoff (casa_ilp_warm_cell_hits_total unchanged at %d)", got)
 	}
 	n := len(cfg.Variants)
 	orders := [][]int{{6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 1, 4, 2, 5}}
@@ -288,9 +286,9 @@ func TestSensitivityPermutedOrderInvariant(t *testing.T) {
 
 // TestSensitivityConcurrentWarmStress runs the sensitivity sweep with
 // many workers sharing one suite and checks the rows still match the
-// serial run: with several cells of one trace partition in flight at
-// once, which donor basis a cell receives depends on scheduling, and
-// none of that may leak into results.
+// serial run: with several neighboring cells in flight at once, which
+// donors a cell's cutoff is valued over depends on scheduling, and none
+// of that may leak into results.
 func TestSensitivityConcurrentWarmStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent sensitivity sweep skipped in -short mode")

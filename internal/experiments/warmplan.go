@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/ilp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -62,15 +61,12 @@ type donorKey struct {
 }
 
 // warmCell is one solved configuration's selection with the inputs
-// needed to transfer it: its key (for deterministic donor ordering and
-// partition gating), the trace set the selection indexes, and the
-// solver's transferable hot state (nil for restored snapshots, which
-// persist only the selection).
+// needed to transfer it: its key (for deterministic donor ordering) and
+// the trace set the selection indexes.
 type warmCell struct {
 	key   donorKey
 	set   *trace.Set
 	inSPM []bool
-	hot   *ilp.HotStart
 }
 
 // WarmStore holds one donor per solved configuration, for cross-solve
@@ -82,17 +78,17 @@ type WarmStore struct {
 }
 
 // Record stores a solved selection of p's configuration as a donor for
-// its neighbors, with the solver's transferable state (may be nil).
-// Callers record only proven-optimal, non-degraded selections: a
-// budget-degraded incumbent depends on wall-clock timing, and warm state
-// must never introduce nondeterminism into what other solves do.
-func (w *WarmStore) Record(p *Pipeline, inSPM []bool, hot *ilp.HotStart) {
+// its neighbors. Callers record only proven-optimal, non-degraded
+// selections: a budget-degraded incumbent depends on wall-clock timing,
+// and warm state must never introduce nondeterminism into what other
+// solves do.
+func (w *WarmStore) Record(p *Pipeline, inSPM []bool) {
 	k := donorKey{prog: p.Prog, cache: p.Cache, spm: p.SPMSize}
 	w.mu.Lock()
 	if w.cells == nil || len(w.cells) >= maxWarmDonors {
 		w.cells = make(map[donorKey]*warmCell)
 	}
-	w.cells[k] = &warmCell{key: k, set: p.Set, inSPM: inSPM, hot: hot}
+	w.cells[k] = &warmCell{key: k, set: p.Set, inSPM: inSPM}
 	w.mu.Unlock()
 }
 
@@ -203,16 +199,9 @@ func keyLess(a, b donorKey) bool {
 // cutoff values every recorded neighbor's selection under p's
 // parameters and returns the tightest transferable cutoff. The cutoff
 // is the minimum over donors, so it does not depend on the order
-// configurations happened to finish in. Alongside it, it picks a basis
-// donor: among neighbors sharing p's trace partition — same scratchpad
-// capacity and line size fix the variable identities, so the donor's
-// columns map by name — the one with the lowest transferred value
-// donates its final simplex basis (hot). Neighbors on a different
-// partition (scratchpad-size neighbors) still donate cutoffs but no
-// basis.
-func (w *WarmStore) cutoff(p *Pipeline, params core.Params) (cut float64, hot *ilp.HotStart, found bool) {
+// configurations happened to finish in.
+func (w *WarmStore) cutoff(p *Pipeline, params core.Params) (cut float64, found bool) {
 	k := donorKey{prog: p.Prog, cache: p.Cache, spm: p.SPMSize}
-	bestHot := 0.0
 	for _, donor := range w.neighbors(k) {
 		sel := core.TransferAllocation(donor.set, donor.inSPM, p.Set, params)
 		if sel == nil {
@@ -222,12 +211,8 @@ func (w *WarmStore) cutoff(p *Pipeline, params core.Params) (cut float64, hot *i
 		if !found || v < cut {
 			cut, found = v, true
 		}
-		if donor.hot != nil && donor.key.spm == k.spm && donor.key.cache.Line == k.cache.Line &&
-			(hot == nil || v < bestHot) {
-			bestHot, hot = v, donor.hot
-		}
 	}
-	return cut, hot, found
+	return cut, found
 }
 
 // warmOrder returns the cell evaluation order for a grid whose i-th

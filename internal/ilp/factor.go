@@ -44,11 +44,10 @@ import "math"
 // β_i = ‖e_iᵀB⁻¹‖², the squared norm of the row of B⁻¹ the pivot would
 // use. The weights cost one extra FTRAN per pivot to update
 // (updateWeights). They start at 1, which is exact for the all-slack
-// crash basis and an approximation for a hot-started one, and are kept
-// by basis position, which neither a bound change nor a
-// refactorization moves, so one set serves the whole tree. After
-// 200 + 2m iterations of one LP, Bland's first-violated-row rule takes
-// over against cycling.
+// crash basis every solve starts from, and are kept by basis position,
+// which neither a bound change nor a refactorization moves, so one set
+// serves the whole tree. After 200 + 2m iterations of one LP, Bland's
+// first-violated-row rule takes over against cycling.
 //
 // fsx also honors an objective limit: at every dual-feasible iterate
 // the working point minimizes cᵀx over the relaxation that drops the
@@ -226,233 +225,6 @@ func newFSX(md *Model, tol float64) *fsx {
 	return e
 }
 
-// installBasis replaces the current basis with the given set of basic
-// columns (structural and slack indices; exactly one per row), places
-// nonbasic structural columns per atUpper (falling back to the
-// crash-basis placement rule when the requested bound is infinite),
-// refactors, and repairs dual feasibility: wrong-sign nonbasics with a
-// finite opposite bound are flipped (free — duals are unchanged), the
-// rest are pivoted into the basis under a bounded budget. On any
-// failure — singular factorization, an unplaceable column, or residual
-// dual infeasibility after the budget — the engine resets to the cold
-// crash basis and reports ok=false; pivots counts the repair pivots
-// performed either way.
-func (e *fsx) installBasis(basic []int, atUpper []bool) (pivots int, ok bool) {
-	tot := e.n + e.m
-	if len(basic) != e.m {
-		return 0, false
-	}
-	inB := make([]bool, tot)
-	for _, j := range basic {
-		if j < 0 || j >= tot || inB[j] {
-			return 0, false
-		}
-		inB[j] = true
-	}
-	// A transferred basis is usually only partially shared — columns the
-	// donor had and this model lacks were already replaced by slacks, and
-	// that substitution can leave the set rank-deficient. Repair it to
-	// full rank before factoring; unrepairable sets fall back cold.
-	basic = e.repairBasic(basic)
-	if basic == nil {
-		return 0, false
-	}
-	for j := range inB {
-		inB[j] = false
-	}
-	for _, j := range basic {
-		inB[j] = true
-	}
-	for j := 0; j < e.n; j++ {
-		if inB[j] {
-			continue
-		}
-		switch {
-		case atUpper[j] && !math.IsInf(e.hi[j], 1):
-			e.status[j] = nbUpper
-		case !math.IsInf(e.lo[j], -1):
-			e.status[j] = nbLower
-		case !math.IsInf(e.hi[j], 1):
-			e.status[j] = nbUpper
-		default:
-			return 0, false
-		}
-	}
-	for i := 0; i < e.m; i++ {
-		s := e.n + i
-		if inB[s] {
-			continue
-		}
-		// A slack's nonbasic bound is forced by its relation: LE/EQ rest
-		// at 0 = lo, GE at 0 = hi.
-		if math.IsInf(e.hi[s], 1) {
-			e.status[s] = nbLower
-		} else {
-			e.status[s] = nbUpper
-		}
-	}
-	for i, j := range basic {
-		e.basis[i] = j
-		e.status[j] = inBasis
-	}
-	if !e.refactor() {
-		return 0, e.failInstall()
-	}
-	e.computeDuals()
-
-	// Dual repair. Budget covers the pathological case where many donor
-	// columns price wrong under this model; in the intended transfers
-	// (identical structure, different RHS) duals are independent of b and
-	// the donor basis arrives dual feasible, so this loop does nothing.
-	budget := e.m/4 + 16
-	for {
-		q, worst := -1, dualTol
-		for j := 0; j < tot; j++ {
-			if e.status[j] == inBasis || e.hi[j]-e.lo[j] < 1e-9 {
-				continue
-			}
-			d := e.d[j]
-			if e.status[j] == nbLower && d < -worst {
-				// Flip to the upper bound when finite; duals unchanged.
-				if !math.IsInf(e.hi[j], 1) {
-					e.status[j] = nbUpper
-					continue
-				}
-				q, worst = j, -d
-			} else if e.status[j] == nbUpper && d > worst {
-				if !math.IsInf(e.lo[j], -1) {
-					e.status[j] = nbLower
-					continue
-				}
-				q, worst = j, d
-			}
-		}
-		if q < 0 {
-			break // dual feasible
-		}
-		if pivots >= budget {
-			return pivots, e.failInstall()
-		}
-		// Pivot q in at the largest-magnitude row whose leaving column can
-		// rest at a finite bound; the recomputed duals zero d[q].
-		e.ftranCol(q)
-		r, best := -1, 1e-8
-		for i := 0; i < e.m; i++ {
-			lb := e.basis[i]
-			if math.IsInf(e.lo[lb], -1) && math.IsInf(e.hi[lb], 1) {
-				continue
-			}
-			if v := math.Abs(e.w[i]); v > best {
-				r, best = i, v
-			}
-		}
-		if r < 0 {
-			return pivots, e.failInstall()
-		}
-		lb := e.basis[r]
-		if !math.IsInf(e.lo[lb], -1) {
-			e.status[lb] = nbLower
-		} else {
-			e.status[lb] = nbUpper
-		}
-		e.status[q] = inBasis
-		e.basis[r] = q
-		e.pushEta(r, e.w[r])
-		pivots++
-		e.iters++
-		e.sinceRefresh++
-		if e.sinceRefresh >= fsxRefactorEvery {
-			if !e.refactor() {
-				return pivots, e.failInstall()
-			}
-		}
-		e.computeDuals()
-	}
-	// The donor's weights did not travel with its basis; unit weights are
-	// the usual approximation, refined by every pivot from here on.
-	e.resetWeights()
-	e.computeXB()
-	return pivots, true
-}
-
-// repairBasic makes a proposed basic-column set nonsingular: dense
-// Gaussian elimination with partial pivoting ranks the proposed columns
-// in order, and every column that finds no pivot (it is dependent on
-// the columns before it, or empty) is replaced by the slack of a
-// pivotless row — a unit column independent of everything chosen so
-// far. Returns nil when no full basis results (a replacement slack was
-// already in the proposed set, which cannot happen for sets produced by
-// mapHotBasis: a basic slack's row is covered, so its slack is never a
-// replacement candidate). O(m³) dense on the CASA models' row counts —
-// noise against the branch & bound it warm-starts.
-func (e *fsx) repairBasic(basic []int) []int {
-	m := e.m
-	a := make([]float64, m*m)
-	for c, j := range basic {
-		col := &e.cols[j]
-		for u, r := range col.rows {
-			a[int(r)*m+c] = col.vals[u]
-		}
-	}
-	rowUsed := make([]bool, m)
-	dependent := make([]bool, m)
-	for c := 0; c < m; c++ {
-		pr, best := -1, 1e-9
-		for r := 0; r < m; r++ {
-			if !rowUsed[r] {
-				if v := math.Abs(a[r*m+c]); v > best {
-					pr, best = r, v
-				}
-			}
-		}
-		if pr < 0 {
-			dependent[c] = true
-			continue
-		}
-		rowUsed[pr] = true
-		piv := a[pr*m+c]
-		for c2 := c + 1; c2 < m; c2++ {
-			f := a[pr*m+c2] / piv
-			if f == 0 {
-				continue
-			}
-			for r := 0; r < m; r++ {
-				if !rowUsed[r] {
-					a[r*m+c2] -= f * a[r*m+c]
-				}
-			}
-			a[pr*m+c2] = 0
-		}
-	}
-	out := make([]int, 0, m)
-	inOut := make([]bool, e.n+m)
-	for c, j := range basic {
-		if !dependent[c] {
-			out = append(out, j)
-			inOut[j] = true
-		}
-	}
-	for r := 0; r < m && len(out) < m; r++ {
-		if !rowUsed[r] && !inOut[e.n+r] {
-			out = append(out, e.n+r)
-			inOut[e.n+r] = true
-		}
-	}
-	if len(out) != m {
-		return nil
-	}
-	return out
-}
-
-// failInstall restores the cold crash basis after a failed installBasis
-// and reports false for its caller's convenience. reset cannot fail
-// here: installBasis runs before any node tightens bounds, so the
-// engine's bounds are the ones newFSX already crash-placed once.
-func (e *fsx) failInstall() bool {
-	e.reset()
-	return false
-}
-
 // reset installs the all-slack basis, placing each structural column
 // dual-feasibly (at its lower bound when the cost pulls down, upper when
 // it pulls up), and the trivial factorization. Reports false when a
@@ -496,7 +268,9 @@ func (e *fsx) reset() bool {
 	return true
 }
 
-// resetWeights sets every dual steepest-edge weight to 1.
+// resetWeights sets every dual steepest-edge weight to 1. It runs only
+// from reset, on the all-slack crash basis, where B = I makes unit
+// weights exact; every other basis inherits its weights by update.
 func (e *fsx) resetWeights() {
 	for i := range e.dse {
 		e.dse[i] = 1

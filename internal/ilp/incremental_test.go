@@ -24,6 +24,23 @@ func (r *testRNG) fl(lo, hi float64) float64 {
 	return lo + (hi-lo)*float64(r.next()%10000)/10000
 }
 
+// knapModel builds a deterministic named binary knapsack with a
+// "spm_capacity" row — the same structural shape (named binaries, one
+// capacity row) the CASA models have.
+func knapModel(n int, cap float64) *Model {
+	m := NewModel()
+	e := LinExpr{}
+	obj := LinExpr{}
+	for i := 0; i < n; i++ {
+		v := m.AddBinary(fmt.Sprintf("l_%d", i))
+		e = e.Add(float64(1+i%7), v)
+		obj = obj.Add(float64(3+(i*5)%11), v)
+	}
+	m.AddConstraint("spm_capacity", e, LE, cap)
+	m.SetObjective(obj, Maximize)
+	return m
+}
+
 // randBinaryModel builds a small random binary program.
 func randBinaryModel(r *testRNG) *Model {
 	n := 3 + int(r.next()%6)

@@ -38,10 +38,6 @@ type presolveResult struct {
 	status Status
 	// actions replays eliminated variables in reverse order.
 	actions []postAction
-	// rowOrig maps a reduced-model row to its index in the original
-	// model, or -1 for rows synthesized by substitution. Hot starts
-	// (hotstart.go) use it to name reduced rows in original space.
-	rowOrig []int
 	// rowsDropped / colsFixed / colsSubst count reductions for metrics.
 	rowsDropped, colsFixed, colsSubst int
 }
@@ -519,7 +515,6 @@ func (ps *presolver) run() {
 		ps.res.status = Optimal
 		return
 	}
-	nOrigRows := len(ps.m.cons)
 	for i := range ps.rows {
 		r := &ps.rows[i]
 		if !r.alive {
@@ -530,13 +525,6 @@ func (ps *presolver) run() {
 			e = e.Add(t.Coef, Var(colOf[t.Var]))
 		}
 		red.AddConstraint("", e, r.rel, r.rhs)
-		// Rows beyond the original count were added by column-singleton
-		// substitution and have no original counterpart.
-		orig := i
-		if i >= nOrigRows {
-			orig = -1
-		}
-		ps.res.rowOrig = append(ps.res.rowOrig, orig)
 	}
 	// Objective in minimization space; Solve evaluates the original
 	// objective on the postsolved point, so the constant term is

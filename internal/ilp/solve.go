@@ -28,6 +28,7 @@ var (
 	// (the misses twin is counted by the planner in internal/experiments,
 	// which knows when no donor was available).
 	mWarmCellHits = obs.GetCounter("casa_ilp_warm_cell_hits_total")
+	mRCFixed      = obs.GetCounter("casa_ilp_reduced_cost_fixed_total")
 )
 
 // Options tunes the solver.
@@ -70,20 +71,14 @@ type Options struct {
 	// Cutoff, when non-nil, is the objective value (in the model's own
 	// sense and space) of a solution known to be feasible, transferred
 	// from a neighboring solve. Subtrees whose relaxation bound cannot
-	// strictly beat it are pruned, and node LPs stop mid-solve once
-	// their objective passes it. The cutoff never changes the returned
-	// solution: only strictly-worse subtrees are pruned (with a
-	// tolerance margin), so an optimal point always survives, and a
-	// cutoff that proves infeasible (a bad transfer) triggers a cold
-	// re-solve without it.
+	// strictly beat it are pruned, node LPs stop mid-solve once their
+	// objective passes it, and the root LP's reduced costs fix variables
+	// that provably cannot move in any optimal solution. The cutoff
+	// never changes the returned solution: only strictly-worse subtrees
+	// are pruned (with a tolerance margin), so an optimal point always
+	// survives, and a cutoff that proves infeasible (a bad transfer)
+	// triggers a cold re-solve without it.
 	Cutoff *float64
-	// HotStart, when non-nil, carries a donor solve's final basis (see
-	// HotStart). It hot-starts the factored dual simplex instead of the
-	// crash basis, and together with Cutoff the root LP's reduced costs
-	// fix variables that provably cannot move in any optimal solution.
-	// Neither changes the returned solution — a basis that cannot be
-	// repaired to dual feasibility falls back to the cold path.
-	HotStart *HotStart
 }
 
 func (o Options) withDefaults() Options {
@@ -134,10 +129,6 @@ type Solution struct {
 	// non-negative. Zero for proven-optimal results and for degraded
 	// results with no incumbent.
 	Gap float64
-	// HotStart is this solve's final simplex basis, set on proven-optimal
-	// results solved by the factored engine, for use as a neighbor's
-	// Options.HotStart.
-	HotStart *HotStart
 }
 
 // Value returns the solution value of v.
@@ -181,10 +172,9 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 // whole tree (factor.go); the dense two-phase simplex (simplex.go) is
 // the fallback. The tree is explored best-bound-first with depth-first
 // plunging, branching on pseudocost scores; the first incumbent comes
-// from plunging itself. Options.Cutoff and HotStart
-// let a solve reuse work from a neighboring one in an experiment grid
-// (hotstart.go) without changing its answer; a solve with neither is
-// the cold reference.
+// from plunging itself. Options.Cutoff lets a solve reuse a neighboring
+// one's incumbent value in an experiment grid without changing its
+// answer; a solve without it is the cold reference.
 //
 // Solve is anytime: when ctx is canceled, its deadline passes, or
 // opt.Budget expires, the search stops and returns the best incumbent
@@ -322,12 +312,6 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		// infeasible either way.
 		sol.Status = Infeasible
 	}
-	if s.eng != nil && sol.Status == Optimal {
-		// Publish this solve's warm state for neighboring cells. Only
-		// proven-optimal results donate: a degraded basis depends on where
-		// the clock cut the search.
-		sol.HotStart = buildHotStart(s.eng, s.w, s.pr, m)
-	}
 	if s.incumbent != nil {
 		x := s.incumbent
 		if pr != nil {
@@ -438,18 +422,6 @@ func (s *bbState) run() {
 		s.eng = newFSX(s.w, s.opt.Tol)
 	}
 	s.pc = newPCTable(s.w.NumVars())
-	if hs := s.opt.HotStart; hs != nil && s.eng != nil {
-		// Hot-start the factored engine from the donor basis mapped
-		// through shared column/row names. A mapping or repair failure
-		// leaves the engine on its crash basis — the cold path — and
-		// goes uncounted.
-		if basic, atUpper, ok := mapHotBasis(hs, s.w, s.pr, s.orig); ok {
-			if pivots, installed := s.eng.installBasis(basic, atUpper); installed {
-				mBasisReuse.Inc()
-				mBasisRepair.Add(int64(pivots))
-			}
-		}
-	}
 
 	cur := &bbNode{
 		lo:   append([]float64(nil), s.w.lo...),

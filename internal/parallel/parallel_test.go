@@ -50,14 +50,20 @@ func TestMapDeterministicOrdering(t *testing.T) {
 }
 
 // TestFirstErrorPropagation: a failing cell surfaces its error, identifies
-// its index, and cancels the cells behind it.
+// its index, and cancels the cells behind it. Every cell after the
+// failing one holds its worker until the cancellation lands, so no
+// worker can drain the grid first however the scheduler runs them;
+// cells before it never block, so the failing cell always runs.
 func TestFirstErrorPropagation(t *testing.T) {
 	sentinel := errors.New("cell exploded")
 	var ran atomic.Int64
-	_, err := Map(context.Background(), 1000, 2, func(_ context.Context, i int) (int, error) {
+	_, err := Map(context.Background(), 1000, 2, func(ctx context.Context, i int) (int, error) {
 		ran.Add(1)
-		if i == 3 {
+		switch {
+		case i == 3:
 			return 0, sentinel
+		case i > 3:
+			<-ctx.Done()
 		}
 		return i, nil
 	})
@@ -75,15 +81,19 @@ func TestFirstErrorPropagation(t *testing.T) {
 
 // TestGridErrorRecordsLosingCells: a failure must surface as a typed
 // *GridError that names every failing cell and every cell the
-// cancellation skipped — the full grid is accounted for.
+// cancellation skipped — the full grid is accounted for. Cells after
+// the failing one block until the cancellation lands (as in
+// TestFirstErrorPropagation), so a tail is always left to skip.
 func TestGridErrorRecordsLosingCells(t *testing.T) {
 	const n = 500
 	sentinel := errors.New("boom")
-	err := ForEach(context.Background(), n, 2, func(_ context.Context, i int) error {
-		if i == 7 {
+	err := ForEach(context.Background(), n, 2, func(ctx context.Context, i int) error {
+		switch {
+		case i == 7:
 			return fmt.Errorf("cell payload: %w", sentinel)
+		case i > 7:
+			<-ctx.Done()
 		}
-		time.Sleep(10 * time.Microsecond)
 		return nil
 	})
 	var ge *GridError

@@ -120,7 +120,7 @@ func (s *Server) RestoreSnapshot(path string) (int, error) {
 		if err != nil || len(pipe.Set.Traces) != len(d.InSPM) {
 			continue
 		}
-		s.warm.Record(pipe, d.InSPM, nil)
+		s.warm.Record(pipe, d.InSPM)
 		restored++
 	}
 	if restored > 0 {

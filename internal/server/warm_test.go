@@ -47,20 +47,18 @@ func TestWarmSolvesAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestWarmBasisTransferAcrossRequests drives the warm path where the
-// neighbor differs in cache geometry, not scratchpad size: such donors
-// share the recipient's trace partition (same capacity, same line
-// size), so besides a cutoff the donor hands over its simplex basis.
-// The transfer must be counted — basis reuse actually
-// fired, the test is not passing vacuously on a cold solve — and the
-// warm response must be identical to a cold server's golden answer.
-func TestWarmBasisTransferAcrossRequests(t *testing.T) {
+// TestWarmCacheGeometryNeighborAcrossRequests drives the warm path
+// where the neighbor differs in cache geometry, not scratchpad size
+// (TestWarmSolvesAcrossRequests covers that one): the donor's selection
+// still transfers to a cutoff, so the second request must be counted as
+// warm — the test is not passing vacuously on a cold solve — and its
+// response must be identical to a cold server's golden answer.
+func TestWarmCacheGeometryNeighborAcrossRequests(t *testing.T) {
 	ts := httptest.NewServer(New(testConfig()).Handler())
 	defer ts.Close()
 
 	warmed := obs.GetCounter("casa_server_warm_solves_total")
-	reused := obs.GetCounter("casa_ilp_basis_reuse_total")
-	warmBase, reuseBase := warmed.Value(), reused.Value()
+	warmBase := warmed.Value()
 
 	body := func(cacheBytes int) string {
 		return fmt.Sprintf(`{"workload":"adpcm","hierarchy":{"cache_bytes":%d,"spm_bytes":128}}`, cacheBytes)
@@ -69,9 +67,6 @@ func TestWarmBasisTransferAcrossRequests(t *testing.T) {
 	warm := allocate(t, ts.URL, body(512))
 	if got := warmed.Value(); got != warmBase+1 {
 		t.Fatalf("cache-geometry neighbor not served warm: counter = %d, want %d", got, warmBase+1)
-	}
-	if got := reused.Value(); got <= reuseBase {
-		t.Fatalf("warm solve installed no donor basis: casa_ilp_basis_reuse_total = %d, want > %d", got, reuseBase)
 	}
 
 	cold := httptest.NewServer(New(testConfig()).Handler())
@@ -83,6 +78,6 @@ func TestWarmBasisTransferAcrossRequests(t *testing.T) {
 		warm.PlacedTraces != golden.PlacedTraces ||
 		warm.UsedBytes != golden.UsedBytes ||
 		warm.Degraded != golden.Degraded {
-		t.Errorf("basis-transferred answer diverged from cold golden:\nwarm %+v\ncold %+v", warm, golden)
+		t.Errorf("warm answer diverged from cold golden:\nwarm %+v\ncold %+v", warm, golden)
 	}
 }

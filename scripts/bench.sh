@@ -112,9 +112,9 @@ go run ./cmd/benchdiff -validate "$baseline" || {
 if [ "$mode" = refresh ]; then
   # Mirror the CI report gate exactly (.github/workflows/ci.yml): fig4
   # twice on one suite (round 2 pins the memo rates) plus the
-  # sensitivity grid (the study whose cells share a trace partition, so
-  # basis transfer fires). Baselines refreshed from any other command
-  # would gate against the wrong measurements.
+  # sensitivity grid (whose cache-geometry neighbors exchange cutoffs).
+  # Baselines refreshed from any other command would gate against the
+  # wrong measurements.
   dir="$(mktemp -d)"
   trap 'rm -rf "$dir"' EXIT
   for i in 1 2 3; do
