@@ -57,7 +57,7 @@ func interleaveChaos(jobs []job, opts options) []job {
 	}
 	classes := []string{classChaosStall, classChaosHangup, classChaosFlood, classChaosOversized, classChaosDeadline}
 	// An oversized body: a program larger than the server's whole-body
-	// cap (default MaxProgramBytes 256 KiB + 64 KiB envelope headroom).
+	// cap (casad's 256 KiB program limit + 64 KiB envelope headroom).
 	// No raw newlines — the JSON string must stay syntactically valid
 	// past the cap so it is the size guard that answers, not the parser.
 	hugeProgram := strings.Repeat("; padding line ", (400<<10)/15)

@@ -195,10 +195,6 @@ func writeReport(w io.Writer, name string, round, workers int, wall time.Duratio
 				rep.FailedCells = append(rep.FailedCells,
 					obs.FailedCell{Index: ce.Index, Err: ce.Err.Error()})
 			}
-			for _, idx := range ge.Skipped {
-				rep.FailedCells = append(rep.FailedCells,
-					obs.FailedCell{Index: idx, Skipped: true})
-			}
 		}
 	}
 	if deterministic {

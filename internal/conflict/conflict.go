@@ -143,26 +143,6 @@ func (g *Graph) Neighbors(i int) []int {
 	return ns
 }
 
-// Prune returns a copy of the graph that keeps only the maxEdges heaviest
-// edges (ties broken by (From,To) order). It bounds ILP size for very
-// conflict-dense programs; pruned misses are simply not optimizable away,
-// keeping the formulation conservative. maxEdges < 0 means no pruning.
-func (g *Graph) Prune(maxEdges int) *Graph {
-	ng := New(g.fetches)
-	if maxEdges < 0 || g.NumEdges() <= maxEdges {
-		for k, v := range g.weights {
-			ng.weights[k] = v
-		}
-		return ng
-	}
-	edges := g.Edges()
-	sort.SliceStable(edges, func(a, b int) bool { return edges[a].Misses > edges[b].Misses })
-	for _, e := range edges[:maxEdges] {
-		ng.weights[[2]int{e.From, e.To}] = e.Misses
-	}
-	return ng
-}
-
 // WriteHeatmap renders the conflict matrix m_ij as a text heatmap:
 // one row per victim, one column per evictor, each cell a single
 // intensity character on a log10 scale (".": 1-9 misses, "1": 10-99,

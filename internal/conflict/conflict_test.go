@@ -98,29 +98,6 @@ func TestOutEdgesAndNeighbors(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	g := sample()
-	p := g.Prune(2)
-	if p.NumEdges() != 2 {
-		t.Fatalf("pruned edges = %d, want 2", p.NumEdges())
-	}
-	// The two heaviest edges survive: (1,0)=12 and (0,1)=10.
-	if p.Misses(1, 0) != 12 || p.Misses(0, 1) != 10 {
-		t.Errorf("wrong survivors: %v", p.Edges())
-	}
-	// No pruning cases.
-	if g.Prune(-1).NumEdges() != g.NumEdges() {
-		t.Error("Prune(-1) must keep everything")
-	}
-	if g.Prune(100).NumEdges() != g.NumEdges() {
-		t.Error("Prune(>edges) must keep everything")
-	}
-	// Original untouched.
-	if g.NumEdges() != 4 {
-		t.Error("Prune mutated the receiver")
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	g := sample()
 	var sb strings.Builder

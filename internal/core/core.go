@@ -67,9 +67,6 @@ type Params struct {
 	ECacheMiss float64
 	// Linearization selects the ILP linearization.
 	Linearization Linearization
-	// MaxEdges prunes the conflict graph to the heaviest edges before
-	// formulation; <= 0 keeps every edge.
-	MaxEdges int
 	// Solver tunes the bundled ILP solver.
 	Solver ilp.Options
 }
@@ -140,9 +137,6 @@ func BuildModel(set *trace.Set, g *conflict.Graph, p Params) (*ilp.Model, []ilp.
 	if g.N() != len(set.Traces) {
 		return nil, nil, fmt.Errorf("core: graph has %d vertices, trace set has %d",
 			g.N(), len(set.Traces))
-	}
-	if p.MaxEdges > 0 {
-		g = g.Prune(p.MaxEdges)
 	}
 
 	m := ilp.NewModel()

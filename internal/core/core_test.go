@@ -409,31 +409,6 @@ func TestBuildModelExportsLP(t *testing.T) {
 	}
 }
 
-func TestEdgePruning(t *testing.T) {
-	set := makeSet(t, []struct{ Code, Trips int }{
-		{8, 100}, {8, 120}, {8, 140},
-	})
-	fetches := make([]int64, len(set.Traces))
-	for i, tr := range set.Traces {
-		fetches[i] = tr.Fetches
-	}
-	ids := loopTraces(set, 3)
-	g := conflict.New(fetches)
-	g.AddMisses(ids[0], ids[1], 100)
-	g.AddMisses(ids[1], ids[2], 90)
-	g.AddMisses(ids[2], ids[0], 1)
-	p := defaultParams(64)
-	p.MaxEdges = 2
-	m, _, err := BuildModel(set, g, p)
-	if err != nil {
-		t.Fatalf("BuildModel: %v", err)
-	}
-	// 1 capacity constraint + 2 (pruned) tight linearization rows.
-	if got := m.NumConstraints(); got != 3 {
-		t.Errorf("constraints = %d, want 3 after pruning", got)
-	}
-}
-
 func fetchCounts(set *trace.Set) []int64 {
 	fetches := make([]int64, len(set.Traces))
 	for i, tr := range set.Traces {

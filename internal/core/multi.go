@@ -28,8 +28,6 @@ type MultiParams struct {
 	// ECacheHit and ECacheMiss are the I-cache energies (nJ).
 	ECacheHit  float64
 	ECacheMiss float64
-	// MaxEdges prunes the conflict graph; <= 0 keeps every edge.
-	MaxEdges int
 	// Solver tunes the ILP solver.
 	Solver ilp.Options
 }
@@ -75,9 +73,6 @@ func AllocateMulti(set *trace.Set, g *conflict.Graph, p MultiParams) (*MultiAllo
 	if g.N() != len(set.Traces) {
 		return nil, fmt.Errorf("core: graph has %d vertices, trace set has %d",
 			g.N(), len(set.Traces))
-	}
-	if p.MaxEdges > 0 {
-		g = g.Prune(p.MaxEdges)
 	}
 
 	m := ilp.NewModel()

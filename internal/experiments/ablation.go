@@ -204,7 +204,7 @@ func Ablations(ctx context.Context, s *Suite, cfg AblationConfig) (*AblationSet,
 			return err
 		},
 	}
-	if _, err := runCells(ctx, s, len(tasks), func(ctx context.Context, i int) (struct{}, error) {
+	if _, err := runCellsOrdered(ctx, s, naturalOrder(len(tasks)), func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, tasks[i](ctx)
 	}); err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func DefaultDataStudy() DataStudyConfig {
 
 // DataStudy runs the comparison, one worker per configuration.
 func DataStudy(ctx context.Context, s *Suite, cfg DataStudyConfig) ([]DataRow, error) {
-	return runCells(ctx, s, len(cfg.Rows), func(ctx context.Context, i int) (DataRow, error) {
+	return runCellsOrdered(ctx, s, naturalOrder(len(cfg.Rows)), func(ctx context.Context, i int) (DataRow, error) {
 		rc := cfg.Rows[i]
 		p, err := s.Pipeline(ctx, rc.Workload, rc.Cache, rc.SPMSize)
 		if err != nil {

@@ -23,7 +23,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -625,22 +627,49 @@ func (s *Suite) Pipeline(ctx context.Context, name string, cacheSpec CacheSpec, 
 	return e.p, e.err
 }
 
-// runCells evaluates n independent experiment cells on the suite's worker
-// pool and returns their results in cell order, regardless of worker
-// count or scheduling. The caller's context — tracer included — reaches
-// every cell, so per-cell spans nest under the study span even though the
-// cells run on pool goroutines.
+// runCellsOrdered evaluates independent experiment cells on the suite's
+// worker pool in an explicit evaluation order: order[k] is the cell
+// index to run k-th (naturalOrder for a plain grid). Results — and the
+// indices inside a *parallel.GridError — are mapped back to cell order,
+// so callers see the grid exactly as if it ran in natural order,
+// regardless of worker count or scheduling. With one worker the order
+// is exactly the serial execution sequence; with more workers it is the
+// submission order. The caller's context — tracer included — reaches
+// every cell, so per-cell spans nest under the study span even though
+// the cells run on pool goroutines.
 //
 // Cells that fail (or panic — the pool converts panics to CellErrors) do
 // not cancel their siblings: every healthy cell still produces its row,
 // and the losing cells come back in a *parallel.GridError alongside the
 // partial results, so a faulted grid degrades instead of vanishing.
-func runCells[T any](ctx context.Context, s *Suite, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return parallel.MapAll(ctx, n, s.Workers(),
-		func(cctx context.Context, i int) (T, error) {
+func runCellsOrdered[T any](ctx context.Context, s *Suite, order []int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	tmp, err := parallel.MapAll(ctx, len(order), s.Workers(),
+		func(cctx context.Context, k int) (T, error) {
+			i := order[k]
 			cctx, sp := obs.StartSpan(cctx, "cell")
 			defer sp.End()
 			sp.SetAttr("index", i)
 			return fn(cctx, i)
 		})
+	out := make([]T, len(order))
+	for k, i := range order {
+		out[i] = tmp[k]
+	}
+	var ge *parallel.GridError
+	if errors.As(err, &ge) {
+		for _, ce := range ge.Failed {
+			ce.Index = order[ce.Index]
+		}
+		sort.Slice(ge.Failed, func(a, b int) bool { return ge.Failed[a].Index < ge.Failed[b].Index })
+	}
+	return out, err
+}
+
+// naturalOrder is the identity evaluation order 0, 1, …, n-1.
+func naturalOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }

@@ -67,7 +67,7 @@ func DefaultOverlayStudy() (OverlayStudyConfig, error) {
 
 // OverlayStudy runs the comparison, one worker per configuration.
 func OverlayStudy(ctx context.Context, s *Suite, cfg OverlayStudyConfig) ([]OverlayRow, error) {
-	return runCells(ctx, s, len(cfg.Rows), func(ctx context.Context, i int) (OverlayRow, error) {
+	return runCellsOrdered(ctx, s, naturalOrder(len(cfg.Rows)), func(ctx context.Context, i int) (OverlayRow, error) {
 		rc := cfg.Rows[i]
 		return overlayRow(ctx, rc.Program, rc.Cache, rc.SPMSize)
 	})

@@ -56,7 +56,7 @@ func DefaultPlacementStudy() PlacementStudyConfig {
 
 // PlacementStudy runs the comparison, one worker per configuration.
 func PlacementStudy(ctx context.Context, s *Suite, cfg PlacementStudyConfig) ([]PlacementRow, error) {
-	return runCells(ctx, s, len(cfg.Rows), func(ctx context.Context, i int) (PlacementRow, error) {
+	return runCellsOrdered(ctx, s, naturalOrder(len(cfg.Rows)), func(ctx context.Context, i int) (PlacementRow, error) {
 		rc := cfg.Rows[i]
 		p, err := s.Pipeline(ctx, rc.Workload, rc.Cache, rc.SPMSize)
 		if err != nil {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"sort"
 	"sync"
 
@@ -10,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -222,51 +219,9 @@ func (w *WarmStore) cutoff(p *Pipeline, params core.Params) (cut float64, found 
 // a solved donor; allocations for scratchpad k map into capacity k' < k
 // after eviction repair, keeping transfers tight down the whole sweep.
 func warmOrder(sizes []int) []int {
-	order := make([]int, len(sizes))
-	for i := range order {
-		order[i] = i
-	}
+	order := naturalOrder(len(sizes))
 	sort.SliceStable(order, func(a, b int) bool {
 		return sizes[order[a]] > sizes[order[b]]
 	})
 	return order
-}
-
-// runCellsOrdered is runCells with an explicit evaluation order:
-// order[k] is the cell index to run k-th. Results — and the indices
-// inside a *parallel.GridError — are mapped back to cell order, so
-// callers see the grid exactly as if it ran in natural order. With one
-// worker the order is exactly the serial execution sequence; with more
-// workers it is the submission order.
-func runCellsOrdered[T any](ctx context.Context, s *Suite, order []int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	tmp, err := parallel.MapAll(ctx, len(order), s.Workers(),
-		func(cctx context.Context, k int) (T, error) {
-			i := order[k]
-			cctx, sp := obs.StartSpan(cctx, "cell")
-			defer sp.End()
-			sp.SetAttr("index", i)
-			return fn(cctx, i)
-		})
-	out := make([]T, len(order))
-	for k, i := range order {
-		if k < len(tmp) {
-			out[i] = tmp[k]
-		}
-	}
-	var ge *parallel.GridError
-	if errors.As(err, &ge) {
-		for _, ce := range ge.Failed {
-			if ce.Index >= 0 && ce.Index < len(order) {
-				ce.Index = order[ce.Index]
-			}
-		}
-		sort.Slice(ge.Failed, func(a, b int) bool { return ge.Failed[a].Index < ge.Failed[b].Index })
-		for k, i := range ge.Skipped {
-			if i >= 0 && i < len(order) {
-				ge.Skipped[k] = order[i]
-			}
-		}
-		sort.Ints(ge.Skipped)
-	}
-	return out, err
 }

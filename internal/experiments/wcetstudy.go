@@ -58,7 +58,7 @@ func DefaultWCETStudy() WCETStudyConfig {
 
 // WCETStudy runs the study, one worker per configuration.
 func WCETStudy(ctx context.Context, s *Suite, cfg WCETStudyConfig) ([]WCETRow, error) {
-	return runCells(ctx, s, len(cfg.Rows), func(ctx context.Context, i int) (WCETRow, error) {
+	return runCellsOrdered(ctx, s, naturalOrder(len(cfg.Rows)), func(ctx context.Context, i int) (WCETRow, error) {
 		rc := cfg.Rows[i]
 		p, err := s.Pipeline(ctx, rc.Workload, rc.Cache, rc.SPMSize)
 		if err != nil {

@@ -54,8 +54,13 @@ type lpOutcome struct {
 }
 
 const (
+	// defaultTol is the simplex numerical tolerance. It also scales the
+	// incumbent-pruning tolerance, which is relative to the incumbent
+	// objective's magnitude.
 	defaultTol = 1e-9
 	feasTol    = 1e-7
+	// intTol is the integrality tolerance of branch & bound.
+	intTol = 1e-6
 )
 
 // varMap describes how an original variable maps into simplex columns.

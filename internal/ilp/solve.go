@@ -37,12 +37,6 @@ type Options struct {
 	// (default 200000). When the cap is hit with an incumbent in hand the
 	// solution is returned with Status == Feasible.
 	MaxNodes int
-	// Tol is the simplex numerical tolerance (default 1e-9). It also
-	// scales the incumbent-pruning tolerance, which is relative to the
-	// incumbent objective's magnitude.
-	Tol float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Trace, when non-nil, receives solver progress lines: one per new
 	// incumbent and one every TraceEvery nodes. The per-node cost when
 	// nil is a single pointer test.
@@ -84,12 +78,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 200000
-	}
-	if o.Tol <= 0 {
-		o.Tol = defaultTol
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
 	}
 	if o.TraceEvery <= 0 {
 		o.TraceEvery = 1000
@@ -154,7 +142,7 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	out := solveLP(m, m.lo, m.hi, opt.Tol)
+	out := solveLP(m, m.lo, m.hi, defaultTol)
 	sol := &Solution{Status: out.status, Objective: out.obj, X: out.x, SimplexIters: out.iters}
 	mSolves.Inc()
 	mIters.Add(int64(out.iters))
@@ -216,7 +204,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	var pr *presolveResult
 	work := m
 	if !opt.DisablePresolve {
-		pr = presolve(m, opt.Tol)
+		pr = presolve(m, defaultTol)
 		mPreRows.Add(int64(pr.rowsDropped))
 		mPreCols.Add(int64(pr.colsFixed + pr.colsSubst))
 		switch pr.status {
@@ -419,7 +407,7 @@ func (s *bbState) run() {
 		s.deadline = time.Now().Add(s.opt.Budget)
 	}
 	if !s.opt.DisableWarmStart {
-		s.eng = newFSX(s.w, s.opt.Tol)
+		s.eng = newFSX(s.w, defaultTol)
 	}
 	s.pc = newPCTable(s.w.NumVars())
 
@@ -464,7 +452,7 @@ func (s *bbState) pruneable(bound float64) bool {
 	if s.incumbent == nil {
 		return false
 	}
-	return bound >= s.incumbentVal-s.opt.Tol*math.Max(1, math.Abs(s.incumbentVal))
+	return bound >= s.incumbentVal-defaultTol*math.Max(1, math.Abs(s.incumbentVal))
 }
 
 // solveNodeLP solves one node relaxation: warm-started dual simplex when
@@ -481,7 +469,7 @@ func (s *bbState) solveNodeLP(lo, hi []float64) (Status, []float64) {
 			lim = s.cutoffW + s.cutMargin
 		}
 		if s.incumbent != nil {
-			if t := s.incumbentVal - s.opt.Tol*math.Max(1, math.Abs(s.incumbentVal)); t < lim {
+			if t := s.incumbentVal - defaultTol*math.Max(1, math.Abs(s.incumbentVal)); t < lim {
 				lim = t
 			}
 		}
@@ -501,7 +489,7 @@ func (s *bbState) solveNodeLP(lo, hi []float64) (Status, []float64) {
 		}
 		s.fallbacks++
 	}
-	out := solveLP(s.w, lo, hi, s.opt.Tol)
+	out := solveLP(s.w, lo, hi, defaultTol)
 	s.iters += out.iters
 	return out.status, out.x
 }
@@ -625,7 +613,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		bestPrio := math.MinInt
 		bestScore := 0.0
 		for _, j := range s.intVars {
-			if math.Abs(x[j]-math.Round(x[j])) <= s.opt.IntTol {
+			if math.Abs(x[j]-math.Round(x[j])) <= intTol {
 				continue
 			}
 			p := s.w.prio[j]
@@ -648,7 +636,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			// Warm-basis drift produced an integral point that fails the
 			// feasibility screen: re-solve this node from scratch.
 			s.fallbacks++
-			out := solveLP(s.w, nd.lo, nd.hi, s.opt.Tol)
+			out := solveLP(s.w, nd.lo, nd.hi, defaultTol)
 			s.iters += out.iters
 			st, x, fromEngine = out.status, out.x, false
 			continue

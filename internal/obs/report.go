@@ -8,16 +8,13 @@ import (
 	"strings"
 )
 
-// FailedCell records one experiment cell that failed (or was skipped
-// when a sibling's failure cancelled the grid) so run reports never
-// lose the losing cells.
+// FailedCell records one experiment cell that failed, so run reports
+// never lose the losing cells.
 type FailedCell struct {
 	// Index is the cell's grid index.
 	Index int `json:"index"`
-	// Err is the cell's error text; empty for skipped cells.
+	// Err is the cell's error text.
 	Err string `json:"error,omitempty"`
-	// Skipped marks cells cancelled before they ran.
-	Skipped bool `json:"skipped,omitempty"`
 }
 
 // DegradedCell records one experiment cell whose CASA solve degraded —
@@ -52,7 +49,7 @@ type Report struct {
 	WallNS int64 `json:"wall_ns"`
 	// Error is the study's failure, if any.
 	Error string `json:"error,omitempty"`
-	// FailedCells lists failing and cancelled cells of the study's
+	// FailedCells lists the failing cells of the study's
 	// grids (empty on success).
 	FailedCells []FailedCell `json:"failed_cells,omitempty"`
 	// DegradedCells lists cells whose CASA solve returned a degraded

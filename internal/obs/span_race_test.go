@@ -23,7 +23,7 @@ func TestSpanNestingAcrossWorkers(t *testing.T) {
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
 
-	err := parallel.ForEach(ctx, cells, workers, func(ctx context.Context, i int) error {
+	_, err := parallel.MapAll(ctx, cells, workers, func(ctx context.Context, i int) (struct{}, error) {
 		ctx, cell := obs.StartSpan(ctx, fmt.Sprintf("cell-%d", i))
 		defer cell.End()
 		for s := 0; s < stages; s++ {
@@ -33,7 +33,7 @@ func TestSpanNestingAcrossWorkers(t *testing.T) {
 			g.End()
 			sp.End()
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -214,8 +214,6 @@ type Params struct {
 	// (one main-memory read plus one scratchpad write).
 	CopySetupNJ   float64
 	CopyPerWordNJ float64
-	// MaxEdges prunes the conflict graph; <= 0 keeps every edge.
-	MaxEdges int
 	// Solver tunes the ILP solver.
 	Solver ilp.Options
 }
@@ -281,9 +279,6 @@ func Allocate(set *trace.Set, g *conflict.Graph, ph *Phases, prm Params) (*Alloc
 	}
 	if len(ph.TracePhase) != len(set.Traces) {
 		return nil, fmt.Errorf("overlay: phase vector length mismatch")
-	}
-	if prm.MaxEdges > 0 {
-		g = g.Prune(prm.MaxEdges)
 	}
 
 	m := ilp.NewModel()

@@ -2,24 +2,22 @@
 // experiment engine. Every experiment cell of the evaluation — one
 // (workload × cache configuration × scratchpad size) point — is
 // deterministic and independent of every other cell, so regenerating a
-// figure is an embarrassingly parallel grid. The pool fans a grid of
-// cells out across a fixed number of workers while keeping three
-// properties the experiments rely on:
+// figure is an embarrassingly parallel grid. MapAll fans a grid of cells
+// out across a fixed number of workers while keeping the properties the
+// experiments rely on:
 //
-//   - Deterministic ordering: Map collects result i of cell i into slot i,
-//     so output rows are byte-identical to a serial run regardless of the
+//   - Deterministic ordering: result i of cell i lands in slot i, so
+//     output rows are byte-identical to a serial run regardless of the
 //     worker count or scheduling.
-//   - First-error propagation: a failure cancels the remaining cells, and
-//     the returned *GridError lists every failing cell in ascending index
-//     order plus the cells the cancellation skipped — losing cells are
-//     recorded, never silently dropped.
+//   - Keep-going failures: a failing cell does not cancel its siblings;
+//     every cell runs, the surviving results come back, and the
+//     returned *GridError lists every failing cell in ascending index
+//     order — losing cells are recorded, never silently dropped.
 //   - Context cancellation: canceling the caller's context stops workers
 //     from claiming new cells and surfaces the context error.
 //   - Panic containment: a panic inside a cell is recovered into a
 //     *PanicError (with the stack) and reported as that cell's failure,
-//     so one poisoned cell cannot take down the process. The ForEachAll /
-//     MapAll variants additionally keep going past failures and return
-//     every surviving cell's result alongside the aggregate *GridError.
+//     so one poisoned cell cannot take down the process.
 //
 // The worker count defaults to runtime.NumCPU, can be overridden
 // per-call, and can be pinned globally through the CASA_WORKERS
@@ -104,7 +102,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("cell panicked: %v", e.
 // runCell executes one cell with panic containment: a panic inside fn
 // (or injected through the cell-panic fault point) is recovered into a
 // *PanicError and counted, never propagated.
-func runCell(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+func runCell[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mCellPanics.Inc()
@@ -131,26 +129,19 @@ func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, 
 func (e *CellError) Unwrap() error { return e.Err }
 
 // GridError is the typed aggregate error of a grid run: every failing
-// cell in ascending index order, plus the indices of cells that never
-// ran because the first failure cancelled the grid. ForEach and Map
-// return it (as error) whenever at least one cell fails.
+// cell in ascending index order. MapAll returns it (as error) whenever
+// at least one cell fails.
 type GridError struct {
 	// N is the grid size.
 	N int
 	// Failed lists failing cells in ascending index order.
 	Failed []*CellError
-	// Skipped lists, in ascending order, the cells cancelled before
-	// they ran.
-	Skipped []int
 }
 
 func (e *GridError) Error() string {
 	msg := fmt.Sprintf("%d of %d cells failed", len(e.Failed), e.N)
 	if len(e.Failed) > 0 {
 		msg += fmt.Sprintf(" (first: %v)", e.Failed[0])
-	}
-	if len(e.Skipped) > 0 {
-		msg += fmt.Sprintf("; %d skipped after cancellation", len(e.Skipped))
 	}
 	return msg
 }
@@ -180,29 +171,19 @@ const (
 	cellFailed
 )
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on a pool of at most
-// `workers` goroutines (resolved through Workers). The first failing cell
-// cancels the context passed to the remaining cells; cells not yet
-// claimed are skipped but still accounted for. When any cell fails the
-// returned error is a *GridError carrying every failure (ascending
-// index order) and the skipped indices; if the caller's context was
-// canceled first, its error is returned instead.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	return forEach(ctx, n, workers, false, fn)
-}
-
-// ForEachAll is ForEach without failure cancellation: every cell runs to
-// completion (unless the caller's context is canceled), and all failures
-// are collected into one *GridError. Use it when partial results matter
-// more than stopping early — the experiment engine keeps the surviving
-// cells of a degraded grid.
-func ForEachAll(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	return forEach(ctx, n, workers, true, fn)
-}
-
-func forEach(ctx context.Context, n, workers int, keepGoing bool, fn func(ctx context.Context, i int) error) error {
+// MapAll runs fn over every index of an n-cell grid on a pool of at
+// most `workers` goroutines (resolved through Workers) and returns the
+// results in input order: out[i] is fn's result for cell i, independent
+// of worker count and scheduling. Every cell runs to completion unless
+// the caller's context is canceled, in which case unclaimed cells are
+// skipped and the context's error is returned. Otherwise, when any cell
+// fails, the partial results come back alongside a *GridError carrying
+// every failure in ascending index order (slots of failed cells hold
+// T's zero value).
+func MapAll[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	if n <= 0 {
-		return ctx.Err()
+		return out, ctx.Err()
 	}
 	w := Workers(workers)
 	if w > n {
@@ -211,8 +192,6 @@ func forEach(ctx context.Context, n, workers int, keepGoing bool, fn func(ctx co
 	mGrids.Inc()
 	mWidth.Set(int64(w))
 	mQueueDepth.Add(int64(n))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	var (
 		next  atomic.Int64
@@ -229,23 +208,21 @@ func forEach(ctx context.Context, n, workers int, keepGoing bool, fn func(ctx co
 					return
 				}
 				mQueueDepth.Add(-1)
-				if runCtx.Err() != nil {
+				if ctx.Err() != nil {
 					// Drain the remaining cells so every one has a
 					// recorded outcome instead of vanishing.
 					continue
 				}
 				start := time.Now()
-				err := runCell(runCtx, i, fn)
+				v, err := runCell(ctx, i, fn)
 				busy := time.Since(start).Nanoseconds()
 				mBusyNS.Add(busy)
 				mCellNS.Observe(busy)
 				if err != nil {
 					cells[i] = cellState{status: cellFailed, err: err}
-					if !keepGoing {
-						cancel()
-					}
 					continue
 				}
+				out[i] = v
 				cells[i] = cellState{status: cellOK}
 			}
 		}()
@@ -267,59 +244,11 @@ func forEach(ctx context.Context, n, workers int, keepGoing bool, fn func(ctx co
 			mCellsSkipped.Inc()
 		}
 	}
-	// Skipped cells can sit on either side of the first failure (a
-	// lower-indexed cell may still be queued when a higher one fails),
-	// so collect them in a second pass once the failures are known.
-	if ge != nil {
-		for i := range cells {
-			if cells[i].status == cellSkipped {
-				ge.Skipped = append(ge.Skipped, i)
-			}
-		}
-	}
-
 	if err := ctx.Err(); err != nil {
-		return err
+		return out, err
 	}
 	if ge == nil {
-		return nil
+		return out, nil
 	}
-	return ge
-}
-
-// Map runs fn over every index of an n-cell grid and returns the results
-// in input order: out[i] is fn's result for cell i, independent of worker
-// count and scheduling. Error semantics match ForEach; on error the
-// partial results are discarded.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapAll is Map without failure cancellation: every cell runs, and the
-// partial results are returned alongside the *GridError (slots of failed
-// cells hold T's zero value). Callers distinguish good from failed slots
-// through the GridError's Failed indices.
-func MapAll[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachAll(ctx, n, workers, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
+	return out, ge
 }

@@ -44,11 +44,11 @@ type writerFunc func(p []byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestCellPanicBecomesCellError(t *testing.T) {
-	err := ForEach(context.Background(), 4, 2, func(ctx context.Context, i int) error {
+	_, err := MapAll(context.Background(), 4, 2, func(ctx context.Context, i int) (int, error) {
 		if i == 2 {
 			panic("poisoned cell")
 		}
-		return nil
+		return i, nil
 	})
 	var ge *GridError
 	if !errors.As(err, &ge) {
@@ -69,21 +69,21 @@ func TestCellPanicBecomesCellError(t *testing.T) {
 	}
 }
 
-func TestForEachAllRunsEveryCell(t *testing.T) {
+func TestMapAllRunsEveryCell(t *testing.T) {
 	var ran [8]bool
-	err := ForEachAll(context.Background(), 8, 3, func(ctx context.Context, i int) error {
+	_, err := MapAll(context.Background(), 8, 3, func(ctx context.Context, i int) (int, error) {
 		ran[i] = true
 		if i%3 == 0 {
-			return fmt.Errorf("cell %d broke", i)
+			return 0, fmt.Errorf("cell %d broke", i)
 		}
-		return nil
+		return i, nil
 	})
 	var ge *GridError
 	if !errors.As(err, &ge) {
 		t.Fatalf("want *GridError, got %v", err)
 	}
-	if len(ge.Failed) != 3 || len(ge.Skipped) != 0 {
-		t.Fatalf("failed=%d skipped=%d, want 3 failed and nothing skipped", len(ge.Failed), len(ge.Skipped))
+	if len(ge.Failed) != 3 {
+		t.Fatalf("failed=%d, want 3", len(ge.Failed))
 	}
 	for i, r := range ran {
 		if !r {
@@ -93,15 +93,22 @@ func TestForEachAllRunsEveryCell(t *testing.T) {
 }
 
 func TestMapAllKeepsPartialResults(t *testing.T) {
+	sentinel := errors.New("boom")
 	out, err := MapAll(context.Background(), 6, 2, func(ctx context.Context, i int) (int, error) {
 		if i == 1 || i == 4 {
-			return 0, errors.New("boom")
+			return 0, fmt.Errorf("cell payload: %w", sentinel)
 		}
 		return i * 10, nil
 	})
 	var ge *GridError
 	if !errors.As(err, &ge) {
 		t.Fatalf("want *GridError, got %v", err)
+	}
+	if ge.N != 6 {
+		t.Errorf("grid size %d, want 6", ge.N)
+	}
+	if !errors.Is(err, sentinel) {
+		t.Error("wrapped sentinel lost through GridError")
 	}
 	if len(out) != 6 {
 		t.Fatalf("partial results discarded: %v", out)
@@ -124,7 +131,7 @@ func TestInjectedCellPanic(t *testing.T) {
 	fault.Set(fault.NewPlan().On(fault.CellPanic, 2))
 	defer fault.Set(nil)
 	// Serial (one worker) so hit order equals cell order.
-	err := ForEachAll(context.Background(), 3, 1, func(ctx context.Context, i int) error { return nil })
+	_, err := MapAll(context.Background(), 3, 1, func(ctx context.Context, i int) (int, error) { return i, nil })
 	var ge *GridError
 	if !errors.As(err, &ge) {
 		t.Fatalf("injected panic not reported: %v", err)

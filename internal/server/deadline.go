@@ -18,7 +18,7 @@ import (
 // downstream with it:
 //
 //   - the admission tier's solve budget is clamped to the remaining
-//     time (minus DeadlineMargin for simulation and encoding), so
+//     time (minus deadlineMargin for simulation and encoding), so
 //     ilp.Solve's anytime machinery returns its best incumbent inside
 //     the client's window instead of the tier's static budget;
 //   - the detached compute context carries the deadline, so the

@@ -26,16 +26,16 @@ var (
 // the largest legal program source plus headroom for the JSON envelope
 // around it. Anything larger is a flood, not a request — it gets a 413
 // before the server buffers it.
-func (c Config) bodyLimit() int64 { return int64(c.MaxProgramBytes) + (64 << 10) }
+const bodyLimit = maxProgramBytes + 64<<10
 
 // readRequest decodes one allocation request body under the network
 // guards:
 //
-//   - a per-request read deadline (BodyReadTimeout) is the slow-loris
+//   - a per-request read deadline (bodyReadTimeout) is the slow-loris
 //     defense — a client dribbling its upload gets a structured 408 when
 //     the deadline expires instead of holding this handler goroutine for
-//     the listener-wide ReadTimeout;
-//   - http.MaxBytesReader caps the body at Config.bodyLimit, so an
+//     the listener-wide readTimeout;
+//   - http.MaxBytesReader caps the body at bodyLimit, so an
 //     oversized flood is cut off with a structured 413 instead of being
 //     buffered into memory;
 //   - the server-stall-read fault point emulates the stalled upload
@@ -45,14 +45,14 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (Request, e
 	rc := http.NewResponseController(w)
 	// Not every ResponseWriter can carry a read deadline (httptest
 	// recorders cannot); the guard degrades to the listener timeouts.
-	deadlineSet := rc.SetReadDeadline(time.Now().Add(s.cfg.BodyReadTimeout)) == nil
+	deadlineSet := rc.SetReadDeadline(time.Now().Add(s.bodyReadTimeout)) == nil
 	if fault.Hit(fault.ServerStallRead) {
 		// Emulate the dribbled upload: hold the read path long enough
 		// that the per-request deadline (when the transport supports
 		// one) expires before the decode below can finish.
-		time.Sleep(s.cfg.StallDelay)
+		time.Sleep(s.stallDelay)
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.bodyLimit())
+	body := http.MaxBytesReader(w, r.Body, bodyLimit)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
@@ -86,7 +86,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (Request, e
 		mSlowClients.Inc()
 		return req, &httpError{
 			code: http.StatusRequestTimeout,
-			msg:  fmt.Sprintf("request body not received within %s", s.cfg.BodyReadTimeout),
+			msg:  fmt.Sprintf("request body not received within %s", s.bodyReadTimeout),
 		}
 	default:
 		return req, badRequestf("decode request: %v", err)
@@ -110,9 +110,9 @@ func (s *Server) resetConn(w http.ResponseWriter) {
 }
 
 // writeSlowly is the server-slow-client fault: trickle the response out
-// in tiny flushed chunks with SlowChunkDelay pauses, emulating a slow
+// in tiny flushed chunks with slowChunkDelay pauses, emulating a slow
 // consumer holding the connection open — the traffic shape the listener
-// WriteTimeout exists to bound.
+// writeTimeout exists to bound.
 func (s *Server) writeSlowly(w http.ResponseWriter, v any) {
 	mSlowWrites.Inc()
 	var buf bytes.Buffer
@@ -135,7 +135,7 @@ func (s *Server) writeSlowly(w http.ResponseWriter, v any) {
 		_ = rc.Flush()
 		b = b[n:]
 		if len(b) > 0 {
-			time.Sleep(s.cfg.SlowChunkDelay)
+			time.Sleep(slowChunkDelay)
 		}
 	}
 }

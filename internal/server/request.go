@@ -63,8 +63,8 @@ func (r *Request) normalize() {
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // validate rejects requests the pipeline would choke on, with messages a
-// client can act on. Limits come from the server configuration.
-func (r *Request) validate(cfg Config) error {
+// client can act on.
+func (r *Request) validate() error {
 	switch {
 	case r.Workload == "" && r.Program == "":
 		return fmt.Errorf("need workload or program")
@@ -84,14 +84,14 @@ func (r *Request) validate(cfg Config) error {
 				r.Workload, strings.Join(workload.Names(), ", "))
 		}
 	}
-	if len(r.Program) > cfg.MaxProgramBytes {
+	if len(r.Program) > maxProgramBytes {
 		return fmt.Errorf("program source %d bytes exceeds the %d-byte limit",
-			len(r.Program), cfg.MaxProgramBytes)
+			len(r.Program), maxProgramBytes)
 	}
 	h := r.Hierarchy
-	if !powerOfTwo(h.CacheBytes) || h.CacheBytes > cfg.MaxCacheBytes {
+	if !powerOfTwo(h.CacheBytes) || h.CacheBytes > maxCacheBytes {
 		return fmt.Errorf("cache_bytes %d must be a power of two in (0, %d]",
-			h.CacheBytes, cfg.MaxCacheBytes)
+			h.CacheBytes, maxCacheBytes)
 	}
 	if !powerOfTwo(h.LineBytes) || h.LineBytes < 4 || h.LineBytes > h.CacheBytes {
 		return fmt.Errorf("line_bytes %d must be a power of two in [4, cache_bytes]", h.LineBytes)
@@ -99,8 +99,8 @@ func (r *Request) validate(cfg Config) error {
 	if !powerOfTwo(h.Assoc) || h.CacheBytes < h.LineBytes*h.Assoc {
 		return fmt.Errorf("assoc %d must be a power of two with cache_bytes ≥ line_bytes×assoc", h.Assoc)
 	}
-	if h.SPMBytes < h.LineBytes || h.SPMBytes > cfg.MaxSPMBytes {
-		return fmt.Errorf("spm_bytes %d must be in [line_bytes, %d]", h.SPMBytes, cfg.MaxSPMBytes)
+	if h.SPMBytes < h.LineBytes || h.SPMBytes > maxSPMBytes {
+		return fmt.Errorf("spm_bytes %d must be in [line_bytes, %d]", h.SPMBytes, maxSPMBytes)
 	}
 	if !allocators[r.Allocator] {
 		return fmt.Errorf("unknown allocator %q (casa, greedy, steinke, loopcache, cache-only)", r.Allocator)

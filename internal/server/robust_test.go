@@ -148,7 +148,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 	defer ts.Close()
 
 	big0 := mBodyTooLarge.Value()
-	// Default MaxProgramBytes 256 KiB + 64 KiB envelope headroom; 400 KiB
+	// maxProgramBytes 256 KiB + 64 KiB envelope headroom; 400 KiB
 	// of program is past the cap.
 	huge := strings.Repeat("; padding line\\n", (400<<10)/16)
 	body := `{"program":"` + huge + `","hierarchy":{"cache_bytes":1024,"spm_bytes":128}}`
@@ -168,11 +168,11 @@ func TestOversizedBodyIs413(t *testing.T) {
 // TestSlowLorisBodyTimeout: a client that sends headers and then
 // dribbles (here: abandons) its body must get a 408 when the
 // per-request read deadline expires — the handler goroutine is released
-// in BodyReadTimeout, not held for the listener-wide ReadTimeout.
+// in bodyReadTimeout, not held for the listener-wide readTimeout.
 func TestSlowLorisBodyTimeout(t *testing.T) {
-	cfg := testConfig()
-	cfg.BodyReadTimeout = 150 * time.Millisecond
-	ts := httptest.NewServer(New(cfg).Handler())
+	s := New(testConfig())
+	s.bodyReadTimeout = 150 * time.Millisecond
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	slow0 := mSlowClients.Value()
@@ -248,9 +248,8 @@ func TestDrainWaitsForStalledLeader(t *testing.T) {
 	fault.Set(fault.NewPlan().Always(fault.ServerStallRead))
 	defer fault.Set(nil)
 
-	cfg := testConfig()
-	cfg.StallDelay = 50 * time.Millisecond
-	s := New(cfg)
+	s := New(testConfig())
+	s.stallDelay = 50 * time.Millisecond
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var hookOnce sync.Once

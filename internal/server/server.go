@@ -77,6 +77,55 @@ var (
 	mWarmSolves = obs.GetCounter("casa_server_warm_solves_total")
 )
 
+// Fixed serving limits and timings.
+const (
+	// maxProgramBytes, maxSPMBytes and maxCacheBytes bound request
+	// sizes: program source, scratchpad and I-cache capacity.
+	maxProgramBytes = 256 << 10
+	maxSPMBytes     = 1 << 20
+	maxCacheBytes   = 4 << 20
+
+	// readTimeout, writeTimeout and idleTimeout harden the listener
+	// against stalled and parked connections: a connection that cannot
+	// deliver a request, consume a response or carry another request
+	// within these bounds is closed instead of pinning a file
+	// descriptor forever.
+	readTimeout  = 30 * time.Second
+	writeTimeout = 60 * time.Second
+	idleTimeout  = 2 * time.Minute
+
+	// deadlineMargin is the slice of a client deadline (X-Deadline-Ms)
+	// reserved for non-solve work — simulation, transfer valuation,
+	// response encoding. The solve budget is clamped to the remaining
+	// time minus this margin.
+	deadlineMargin = 20 * time.Millisecond
+
+	// slowChunkDelay is the pause between trickled response chunks of
+	// the injected server-slow-client fault.
+	slowChunkDelay = 20 * time.Millisecond
+
+	// memCheckEvery is the memory watchdog's heap sampling period.
+	memCheckEvery = 10 * time.Second
+
+	// traceKeepCap and traceSampleCap size the trace store's must-keep
+	// ring and random-sample ring.
+	traceKeepCap   = 256
+	traceSampleCap = 64
+
+	// accessLogEvery samples healthy-request access logs 1-in-N;
+	// failures, sheds and degraded answers always log.
+	accessLogEvery = 16
+
+	// defaultBodyReadTimeout bounds reading one request body. It is the
+	// slow-loris guard: a client dribbling its upload gets a structured
+	// 408 when the per-request read deadline expires, rather than
+	// holding a handler goroutine for the full readTimeout budget.
+	defaultBodyReadTimeout = 10 * time.Second
+	// defaultStallDelay is how long the injected server-stall-read
+	// fault holds a body read.
+	defaultStallDelay = 250 * time.Millisecond
+)
+
 // Config tunes the server. The zero value is usable: withDefaults fills
 // every field.
 type Config struct {
@@ -99,47 +148,15 @@ type Config struct {
 	// MaxPrograms bounds the interned custom-program table (default 64);
 	// eviction releases the program's sim memo entries.
 	MaxPrograms int
-	// MaxProgramBytes / MaxSPMBytes / MaxCacheBytes bound request sizes
-	// (defaults 256 KiB / 1 MiB / 4 MiB).
-	MaxProgramBytes int
-	MaxSPMBytes     int
-	MaxCacheBytes   int
 	// DrainTimeout bounds graceful shutdown (default 30s).
 	DrainTimeout time.Duration
-
-	// ReadTimeout / WriteTimeout / IdleTimeout harden the listener
-	// against stalled and parked connections (defaults 30s / 60s / 2m):
-	// a connection that cannot deliver a request, consume a response or
-	// carry another request within these bounds is closed instead of
-	// pinning a file descriptor forever.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-	// BodyReadTimeout bounds reading one request body (default 10s).
-	// It is the slow-loris guard: a client dribbling its upload gets a
-	// structured 408 when the per-request read deadline expires, rather
-	// than holding a handler goroutine for the full ReadTimeout budget.
-	BodyReadTimeout time.Duration
-	// DeadlineMargin is the slice of a client deadline (X-Deadline-Ms)
-	// reserved for non-solve work — simulation, transfer valuation,
-	// response encoding (default 20ms). The solve budget is clamped to
-	// the remaining time minus this margin.
-	DeadlineMargin time.Duration
-	// StallDelay / SlowChunkDelay tune the injected network fault
-	// points (server-stall-read, server-slow-client): how long a stalled
-	// body read sleeps, and the pause between trickled response chunks
-	// (defaults 250ms / 20ms). Only consulted when a fault plan fires.
-	StallDelay     time.Duration
-	SlowChunkDelay time.Duration
 
 	// MemSoftLimitBytes arms the memory-pressure watchdog: when the
 	// sampled heap exceeds it, the server sheds LRU state in priority
 	// order (result cache → interned programs and their sim memos →
 	// warm donors) before the kernel's OOM killer gets a say. Zero
-	// disables the watchdog. MemCheckEvery is the sampling period
-	// (default 10s).
+	// disables the watchdog, which samples every memCheckEvery.
 	MemSoftLimitBytes uint64
-	MemCheckEvery     time.Duration
 
 	// SnapshotPath, when set, makes warm state crash-safe: the result
 	// cache and the warm donor store are persisted there every
@@ -153,19 +170,14 @@ type Config struct {
 	// trace every request, a value in (0,1) samples roughly that
 	// fraction of requests and a negative value disables tracing.
 	TraceSample float64
-	// TraceKeepCap / TraceSlowCap / TraceSampleCap size the trace
-	// store's retention classes (must-keep ring, slowest-N heap, random
-	// sample ring; defaults 256/64/64). TraceSampleEvery is the
-	// systematic-sample stride (default 64: 1 in 64 healthy requests).
-	TraceKeepCap     int
+	// TraceSlowCap sizes the trace store's slowest-N heap (default 64;
+	// the must-keep and random-sample rings hold traceKeepCap and
+	// traceSampleCap). TraceSampleEvery is the systematic-sample stride
+	// (default 64: 1 in 64 healthy requests).
 	TraceSlowCap     int
-	TraceSampleCap   int
 	TraceSampleEvery int
 	// Logger receives structured request logs (nil: discard).
 	Logger *slog.Logger
-	// AccessLogEvery samples healthy-request access logs 1-in-N
-	// (default 16); failures, sheds and degraded answers always log.
-	AccessLogEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -187,62 +199,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxPrograms <= 0 {
 		c.MaxPrograms = 64
 	}
-	if c.MaxProgramBytes <= 0 {
-		c.MaxProgramBytes = 256 << 10
-	}
-	if c.MaxSPMBytes <= 0 {
-		c.MaxSPMBytes = 1 << 20
-	}
-	if c.MaxCacheBytes <= 0 {
-		c.MaxCacheBytes = 4 << 20
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 60 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.BodyReadTimeout <= 0 {
-		c.BodyReadTimeout = 10 * time.Second
-	}
-	if c.DeadlineMargin <= 0 {
-		c.DeadlineMargin = 20 * time.Millisecond
-	}
-	if c.StallDelay <= 0 {
-		c.StallDelay = 250 * time.Millisecond
-	}
-	if c.SlowChunkDelay <= 0 {
-		c.SlowChunkDelay = 20 * time.Millisecond
-	}
-	if c.MemCheckEvery <= 0 {
-		c.MemCheckEvery = 10 * time.Second
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
 	}
-	if c.TraceKeepCap <= 0 {
-		c.TraceKeepCap = 256
-	}
 	if c.TraceSlowCap <= 0 {
 		c.TraceSlowCap = 64
-	}
-	if c.TraceSampleCap <= 0 {
-		c.TraceSampleCap = 64
 	}
 	if c.TraceSampleEvery <= 0 {
 		c.TraceSampleEvery = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slogx.Discard()
-	}
-	if c.AccessLogEvery <= 0 {
-		c.AccessLogEvery = 16
 	}
 	return c
 }
@@ -288,6 +258,12 @@ type Server struct {
 	// clamped) solve budget the tier ended up with.
 	testHookSolving func(key, tier string)
 	testHookBudget  func(tier string, budget time.Duration)
+	// bodyReadTimeout (defaultBodyReadTimeout) bounds one request-body
+	// read and stallDelay (defaultStallDelay) is the injected
+	// server-stall-read pause; tests shorten them to keep chaos runs
+	// fast.
+	bodyReadTimeout time.Duration
+	stallDelay      time.Duration
 }
 
 // New returns a ready-to-serve Server.
@@ -298,11 +274,14 @@ func New(cfg Config) *Server {
 		cache:        newShardedCache(cfg.CacheEntries, cfg.CacheShards),
 		programs:     newInternTable(cfg.MaxPrograms),
 		start:        time.Now(),
-		traces:       obs.NewTraceStore(cfg.TraceKeepCap, cfg.TraceSlowCap, cfg.TraceSampleCap, cfg.TraceSampleEvery),
+		traces:       obs.NewTraceStore(traceKeepCap, cfg.TraceSlowCap, traceSampleCap, cfg.TraceSampleEvery),
 		traceEvery:   traceEveryFrom(cfg.TraceSample),
 		logger:       cfg.Logger,
-		accessSample: slogx.NewSampler(cfg.AccessLogEvery),
+		accessSample: slogx.NewSampler(accessLogEvery),
 		stop:         make(chan struct{}),
+
+		bodyReadTimeout: defaultBodyReadTimeout,
+		stallDelay:      defaultStallDelay,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/allocate", s.handleAllocate)
@@ -343,9 +322,9 @@ func (s *Server) Serve(l net.Listener) error {
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       s.cfg.ReadTimeout,
-		WriteTimeout:      s.cfg.WriteTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	s.startBackground()
 	err := s.httpSrv.Serve(l)
@@ -482,7 +461,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.normalize()
-	if err := req.validate(s.cfg); err != nil {
+	if err := req.validate(); err != nil {
 		s.failRequest(rec, w, badRequestf("%v", err))
 		return
 	}
@@ -532,7 +511,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		// independently, each bounded by its own remaining time. Refuse
 		// outright when the budget is already spent — an admission slot
 		// gains a dead request nothing.
-		if _, ok := clampBudget(0, deadline, s.cfg.DeadlineMargin, time.Now()); !ok {
+		if _, ok := clampBudget(0, deadline, deadlineMargin, time.Now()); !ok {
 			s.failRequest(rec, w, deadlineExceededErr(time.Until(deadline)))
 			return
 		}
@@ -629,7 +608,7 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 	}
 	_, asp := obs.StartSpan(ctx, "admission")
 	tier, tierBudget := s.tierFor(n)
-	budget, viable := clampBudget(tierBudget, deadline, s.cfg.DeadlineMargin, time.Now())
+	budget, viable := clampBudget(tierBudget, deadline, deadlineMargin, time.Now())
 	asp.SetAttr("tier", tier)
 	asp.SetAttr("inflight", n)
 	asp.SetAttr("budget_ms", float64(budget)/1e6)

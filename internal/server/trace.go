@@ -162,7 +162,7 @@ func (s *Server) sampleTrace() bool {
 // retention, records latency (with an exemplar pointing at the trace
 // when it was retained, so /metrics buckets link to /debug/traces), and
 // emits the access log line — errors, sheds and degraded answers
-// always, healthy requests 1-in-AccessLogEvery.
+// always, healthy requests 1-in-accessLogEvery.
 func (s *Server) finishRequest(rec *reqRecord) {
 	durNS := time.Since(rec.start).Nanoseconds()
 	kept := false

@@ -12,7 +12,7 @@ import (
 // memos, warm donors with their trace sets — is an optimization, not an
 // obligation; under memory pressure each is better released than kept
 // at the price of the kernel's OOM killer choosing for us. The watchdog
-// samples the heap every MemCheckEvery and, above MemSoftLimitBytes,
+// samples the heap every memCheckEvery and, above MemSoftLimitBytes,
 // sheds state in priority order (cheapest to rebuild first):
 //
 //  1. half of the result cache (LRU tail) — rebuilt by one solve each;
@@ -31,7 +31,7 @@ var (
 
 // watchMemory is the background sampler; Shutdown stops it.
 func (s *Server) watchMemory() {
-	t := time.NewTicker(s.cfg.MemCheckEvery)
+	t := time.NewTicker(memCheckEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -298,41 +298,6 @@ func TestEdgeKindString(t *testing.T) {
 	}
 }
 
-func TestSplitPreservesProfile(t *testing.T) {
-	pb := ir.NewProgramBuilder("split")
-	f := pb.Func("main")
-	f.Block("hot").Code(40).Branch("hot", "mid", ir.Loop{Trips: 7})
-	f.Block("mid").Code(25).Call("leaf")
-	f.Block("exit").Return()
-	leaf := pb.Func("leaf")
-	leaf.Block("l").Code(30).Return()
-	p := mustBuild(t, pb)
-
-	orig, err := ProfileProgram(p)
-	if err != nil {
-		t.Fatalf("ProfileProgram: %v", err)
-	}
-	np, err := ir.SplitBlocks(p, 6)
-	if err != nil {
-		t.Fatalf("SplitBlocks: %v", err)
-	}
-	split, err := ProfileProgram(np)
-	if err != nil {
-		t.Fatalf("ProfileProgram(split): %v", err)
-	}
-	// Splitting adds block boundaries but no instructions: the dynamic
-	// fetch count must be identical.
-	if orig.Fetches != split.Fetches {
-		t.Errorf("fetches changed: %d vs %d", orig.Fetches, split.Fetches)
-	}
-	// The split program's entry block executes exactly as often as the
-	// original's.
-	if got, want := split.BlockCount(ir.BlockRef{Func: 0, Block: 0}),
-		orig.BlockCount(ir.BlockRef{Func: 0, Block: 0}); got != want {
-		t.Errorf("entry count %d, want %d", got, want)
-	}
-}
-
 func TestWithMaxFetchesBoundary(t *testing.T) {
 	// A program with exactly N fetches runs with limit N but fails with
 	// limit N-1.
