@@ -123,9 +123,11 @@ func BenchmarkAblationCopyVsMove(b *testing.B) {
 
 // ---- Substrate micro-benchmarks -----------------------------------------
 
-// BenchmarkProfileMpeg measures the instruction-fetch interpreter on the
-// largest workload (~2.7M fetches per run).
-func BenchmarkProfileMpeg(b *testing.B) {
+// BenchmarkRecordProfileMpeg measures the one interpreter run a cold
+// program costs on the largest workload (~2.7M fetches per run):
+// sim.ProfileProgram records the block trace and derives the profile
+// from the recording.
+func BenchmarkRecordProfileMpeg(b *testing.B) {
 	p, err := workload.Load("mpeg")
 	if err != nil {
 		b.Fatal(err)

@@ -17,7 +17,9 @@ package conflict
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Edge is a directed conflict edge: From (x_i) missed Misses times because
@@ -27,10 +29,24 @@ type Edge struct {
 	Misses   int64
 }
 
-// Graph is the conflict graph. Construct with New and AddMisses.
+// Graph is the conflict graph. Construct with New and AddMisses. Once
+// built, a graph is safe for concurrent readers; AddMisses must not run
+// concurrently with anything else.
 type Graph struct {
 	fetches []int64
 	weights map[[2]int]int64
+
+	// idx is the edge index, built under mu by the first read after the
+	// last AddMisses, which drops it.
+	mu  sync.Mutex
+	idx *edgeIndex
+}
+
+// edgeIndex lists a graph's edges sorted by (From, To), grouped by
+// vertex: the edges leaving vertex i are edges[start[i]:start[i+1]].
+type edgeIndex struct {
+	edges []Edge
+	start []int
 }
 
 // New creates a graph over n memory objects with the given per-object
@@ -59,7 +75,36 @@ func (g *Graph) AddMisses(victim, evictor int, n int64) error {
 		return nil
 	}
 	g.weights[[2]int{victim, evictor}] += n
+	g.idx = nil
 	return nil
+}
+
+// index returns the edge index, building it once per finished graph.
+func (g *Graph) index() *edgeIndex {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.idx != nil {
+		return g.idx
+	}
+	x := &edgeIndex{
+		edges: make([]Edge, 0, len(g.weights)),
+		start: make([]int, len(g.fetches)+1),
+	}
+	for k, v := range g.weights {
+		x.edges = append(x.edges, Edge{From: k[0], To: k[1], Misses: v})
+		x.start[k[0]+1]++
+	}
+	sort.Slice(x.edges, func(a, b int) bool {
+		if x.edges[a].From != x.edges[b].From {
+			return x.edges[a].From < x.edges[b].From
+		}
+		return x.edges[a].To < x.edges[b].To
+	})
+	for i := range g.fetches {
+		x.start[i+1] += x.start[i]
+	}
+	g.idx = x
+	return x
 }
 
 // Misses returns m_ij, the misses of victim caused by evictor.
@@ -71,22 +116,8 @@ func (g *Graph) Misses(victim, evictor int) int64 {
 // of vertex i.
 func (g *Graph) ConflictMissesOf(i int) int64 {
 	var sum int64
-	for k, v := range g.weights {
-		if k[0] == i {
-			sum += v
-		}
-	}
-	return sum
-}
-
-// CausedBy returns Σ_i m_ij, the misses inflicted on others (and itself)
-// by vertex j.
-func (g *Graph) CausedBy(j int) int64 {
-	var sum int64
-	for k, v := range g.weights {
-		if k[1] == j {
-			sum += v
-		}
+	for _, e := range g.OutEdges(i) {
+		sum += e.Misses
 	}
 	return sum
 }
@@ -104,43 +135,15 @@ func (g *Graph) TotalConflictMisses() int64 {
 func (g *Graph) NumEdges() int { return len(g.weights) }
 
 // Edges returns all edges sorted by (From, To) — a deterministic order for
-// ILP construction and reporting.
-func (g *Graph) Edges() []Edge {
-	edges := make([]Edge, 0, len(g.weights))
-	for k, v := range g.weights {
-		edges = append(edges, Edge{From: k[0], To: k[1], Misses: v})
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].From != edges[b].From {
-			return edges[a].From < edges[b].From
-		}
-		return edges[a].To < edges[b].To
-	})
-	return edges
-}
+// ILP construction and reporting. The slice is the caller's own.
+func (g *Graph) Edges() []Edge { return slices.Clone(g.index().edges) }
 
 // OutEdges returns the edges leaving vertex i (its misses, attributed),
-// sorted by To.
+// sorted by To: the run of Edges() whose From is i. The slice is the
+// graph's own and must not be modified.
 func (g *Graph) OutEdges(i int) []Edge {
-	var edges []Edge
-	for k, v := range g.weights {
-		if k[0] == i {
-			edges = append(edges, Edge{From: i, To: k[1], Misses: v})
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a].To < edges[b].To })
-	return edges
-}
-
-// Neighbors returns N_i = {j : e_ij ∈ E}, the vertices whose presence in
-// the cache costs vertex i misses.
-func (g *Graph) Neighbors(i int) []int {
-	out := g.OutEdges(i)
-	ns := make([]int, len(out))
-	for k, e := range out {
-		ns[k] = e.To
-	}
-	return ns
+	x := g.index()
+	return x.edges[x.start[i]:x.start[i+1]:x.start[i+1]]
 }
 
 // WriteHeatmap renders the conflict matrix m_ij as a text heatmap:

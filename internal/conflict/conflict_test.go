@@ -1,7 +1,10 @@
 package conflict
 
 import (
+	"math/rand/v2"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -64,8 +67,8 @@ func TestAggregates(t *testing.T) {
 	if got := g.ConflictMissesOf(0); got != 15 {
 		t.Errorf("ConflictMissesOf(0) = %d, want 15", got)
 	}
-	if got := g.CausedBy(2); got != 12 { // 5 on vertex 0 + 7 on itself
-		t.Errorf("CausedBy(2) = %d, want 12", got)
+	if got := causedBy(g, 2); got != 12 { // 5 on vertex 0 + 7 on itself
+		t.Errorf("misses caused by 2 = %d, want 12", got)
 	}
 	if got := g.ConflictMissesOf(3); got != 0 {
 		t.Errorf("ConflictMissesOf(3) = %d, want 0", got)
@@ -83,18 +86,69 @@ func TestEdgesSorted(t *testing.T) {
 	}
 }
 
-func TestOutEdgesAndNeighbors(t *testing.T) {
+// causedBy sums m_ij over victims i: the misses vertex j inflicts.
+func causedBy(g *Graph, j int) int64 {
+	var sum int64
+	for _, e := range g.Edges() {
+		if e.To == j {
+			sum += e.Misses
+		}
+	}
+	return sum
+}
+
+func TestOutEdges(t *testing.T) {
 	g := sample()
 	out := g.OutEdges(0)
-	if len(out) != 2 || out[0].To != 1 || out[1].To != 2 {
+	if len(out) != 2 || out[0] != (Edge{0, 1, 10}) || out[1] != (Edge{0, 2, 5}) {
 		t.Errorf("OutEdges(0) = %v", out)
 	}
-	ns := g.Neighbors(0)
-	if len(ns) != 2 || ns[0] != 1 || ns[1] != 2 {
-		t.Errorf("Neighbors(0) = %v", ns)
-	}
-	if len(g.Neighbors(3)) != 0 {
+	if len(g.OutEdges(3)) != 0 {
 		t.Error("vertex 3 has no out edges")
+	}
+	// A read indexes the graph; a later AddMisses must show in the next
+	// read.
+	g.AddMisses(3, 0, 4)
+	g.AddMisses(0, 1, 1)
+	if out := g.OutEdges(3); len(out) != 1 || out[0] != (Edge{3, 0, 4}) {
+		t.Errorf("OutEdges(3) after AddMisses = %v", out)
+	}
+	if got := g.ConflictMissesOf(0); got != 16 {
+		t.Errorf("ConflictMissesOf(0) after AddMisses = %d, want 16", got)
+	}
+}
+
+// TestOutEdgesMatchEdgesConcurrent: on random graphs, OutEdges(i) is
+// exactly the run of Edges() leaving i, for every vertex, while several
+// goroutines read the same fresh graph at once (run under -race).
+func TestOutEdgesMatchEdgesConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.IntN(12)
+		g := New(make([]int64, n))
+		for k := rng.IntN(3 * n * n); k > 0; k-- {
+			g.AddMisses(rng.IntN(n), rng.IntN(n), int64(rng.IntN(1000)))
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				edges := g.Edges()
+				for i := 0; i < n; i++ {
+					var want []Edge
+					for _, e := range edges {
+						if e.From == i {
+							want = append(want, e)
+						}
+					}
+					if got := g.OutEdges(i); !slices.Equal(got, want) {
+						t.Errorf("trial %d: OutEdges(%d) = %v, want %v", trial, i, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -121,7 +175,7 @@ func TestWriteDOT(t *testing.T) {
 }
 
 // Property: the sum over vertices of ConflictMissesOf equals the sum of
-// CausedBy and the total.
+// the misses each vertex causes and the total.
 func TestConservationProperty(t *testing.T) {
 	f := func(weights []uint16) bool {
 		const n = 6
@@ -132,7 +186,7 @@ func TestConservationProperty(t *testing.T) {
 		var byVictim, byEvictor int64
 		for i := 0; i < n; i++ {
 			byVictim += g.ConflictMissesOf(i)
-			byEvictor += g.CausedBy(i)
+			byEvictor += causedBy(g, i)
 		}
 		total := g.TotalConflictMisses()
 		return byVictim == total && byEvictor == total

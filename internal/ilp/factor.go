@@ -134,17 +134,13 @@ type fsx struct {
 	objLimit     float64
 	iters        int // lifetime pivot count
 	sinceRefresh int
-	tol          float64
 }
 
 // newFSX builds the factored engine for md, or returns nil when some
 // column cannot be placed dual-feasibly at a finite bound (free
 // variables, or an infinite bound on the side the objective pulls
 // toward); such models take the dense path instead.
-func newFSX(md *Model, tol float64) *fsx {
-	if tol <= 0 {
-		tol = defaultTol
-	}
+func newFSX(md *Model) *fsx {
 	n, m := md.NumVars(), len(md.cons)
 	tot := n + m
 	e := &fsx{
@@ -173,7 +169,6 @@ func newFSX(md *Model, tol float64) *fsx {
 		bs:    make([]float64, m),
 
 		objLimit: math.Inf(1),
-		tol:      tol,
 	}
 	sign := 1.0
 	if md.sense == Maximize {
@@ -232,12 +227,12 @@ func newFSX(md *Model, tol float64) *fsx {
 func (e *fsx) reset() bool {
 	for j := 0; j < e.n; j++ {
 		switch {
-		case e.c[j] > e.tol:
+		case e.c[j] > defaultTol:
 			if math.IsInf(e.lo[j], -1) {
 				return false
 			}
 			e.status[j] = nbLower
-		case e.c[j] < -e.tol:
+		case e.c[j] < -defaultTol:
 			if math.IsInf(e.hi[j], 1) {
 				return false
 			}

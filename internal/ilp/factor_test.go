@@ -20,7 +20,7 @@ import (
 func TestDSEWeightsMatchRowNorms(t *testing.T) {
 	r := casaRNG(0x5deece66d)
 	m := buildCASAModel(&r, 40, 80, true)
-	e := newFSX(m, 0)
+	e := newFSX(m)
 	if e == nil {
 		t.Fatal("no factored engine for a CASA model")
 	}

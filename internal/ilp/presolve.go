@@ -105,15 +105,12 @@ type presolver struct {
 	kinds  []VarKind
 	alive  []bool
 	rows   []psRow
-	// nrows[j] counts alive rows referencing alive column j; rowOf[j] is
-	// the row index of the unique reference when nrows[j] == 1.
-	res presolveResult
-	tol float64
+	res    presolveResult
 }
 
 // presolve runs the reduction fixpoint on m and returns the reduced
 // model plus the postsolve recipe. The input model is not modified.
-func presolve(m *Model, tol float64) *presolveResult {
+func presolve(m *Model) *presolveResult {
 	n := m.NumVars()
 	ps := &presolver{
 		m:     m,
@@ -122,7 +119,6 @@ func presolve(m *Model, tol float64) *presolveResult {
 		cost:  make([]float64, n),
 		kinds: append([]VarKind(nil), m.kinds...),
 		alive: make([]bool, n),
-		tol:   tol,
 	}
 	sign := 1.0
 	if m.sense == Maximize {
@@ -219,20 +215,20 @@ func (ps *presolver) activity(terms []Term, skip int) (lo, hi float64) {
 // bounds inward. Reports whether anything changed; flags infeasibility.
 func (ps *presolver) tightenBound(j int, newLo, newHi float64, haveLo, haveHi bool) bool {
 	changed := false
-	if haveLo && newLo > ps.lo[j]+ps.tol {
+	if haveLo && newLo > ps.lo[j]+defaultTol {
 		if ps.kinds[j] != Continuous {
 			newLo = math.Ceil(newLo - 1e-7)
 		}
-		if newLo > ps.lo[j]+ps.tol {
+		if newLo > ps.lo[j]+defaultTol {
 			ps.lo[j] = newLo
 			changed = true
 		}
 	}
-	if haveHi && newHi < ps.hi[j]-ps.tol {
+	if haveHi && newHi < ps.hi[j]-defaultTol {
 		if ps.kinds[j] != Continuous {
 			newHi = math.Floor(newHi + 1e-7)
 		}
-		if newHi < ps.hi[j]-ps.tol {
+		if newHi < ps.hi[j]-defaultTol {
 			ps.hi[j] = newHi
 			changed = true
 		}
@@ -253,7 +249,7 @@ func (ps *presolver) pass() bool {
 		if !ps.alive[j] {
 			continue
 		}
-		if ps.hi[j]-ps.lo[j] < ps.tol {
+		if ps.hi[j]-ps.lo[j] < defaultTol {
 			val := ps.lo[j]
 			if ps.kinds[j] != Continuous {
 				val = math.Round(val)
@@ -279,7 +275,7 @@ func (ps *presolver) pass() bool {
 				ps.infeasible()
 				return false
 			}
-			if actHi <= r.rhs+ps.tol {
+			if actHi <= r.rhs+defaultTol {
 				r.alive = false
 				ps.res.rowsDropped++
 				changed = true
@@ -290,7 +286,7 @@ func (ps *presolver) pass() bool {
 				ps.infeasible()
 				return false
 			}
-			if actLo >= r.rhs-ps.tol {
+			if actLo >= r.rhs-defaultTol {
 				r.alive = false
 				ps.res.rowsDropped++
 				changed = true
@@ -301,7 +297,7 @@ func (ps *presolver) pass() bool {
 				ps.infeasible()
 				return false
 			}
-			if actHi-actLo < ps.tol && math.Abs(actLo-r.rhs) <= feasTol {
+			if actHi-actLo < defaultTol && math.Abs(actLo-r.rhs) <= feasTol {
 				r.alive = false
 				ps.res.rowsDropped++
 				changed = true
@@ -350,17 +346,20 @@ func (ps *presolver) pass() bool {
 		}
 	}
 
-	// Column scans: count alive references per column.
-	nrefs := make([]int, len(ps.alive))
-	rowOf := make([]int, len(ps.alive))
+	// Column lists: refs[j] holds the alive rows referencing column j,
+	// with j's coefficient there, so each column reads only its own
+	// rows. The counts nrefs are taken now, when refs[j][0] is j's first
+	// row; rows that singleton substitution appends below join the
+	// lists but not the counts.
+	refs := make([][]colRef, len(ps.alive))
 	for i := range ps.rows {
-		if !ps.rows[i].alive {
-			continue
+		if ps.rows[i].alive {
+			ps.addRefs(refs, i)
 		}
-		for _, t := range ps.rows[i].terms {
-			nrefs[t.Var]++
-			rowOf[t.Var] = i
-		}
+	}
+	nrefs := make([]int, len(refs))
+	for j := range refs {
+		nrefs[j] = len(refs[j])
 	}
 
 	for j := range ps.alive {
@@ -371,25 +370,20 @@ func (ps *presolver) pass() bool {
 		// never hurts the (minimization) objective, pin it to its lower
 		// bound; symmetrically for increasing.
 		downSafe, upSafe := true, true
-		for i := range ps.rows {
-			r := &ps.rows[i]
+		for _, ref := range refs[j] {
+			r := &ps.rows[ref.row]
 			if !r.alive {
 				continue
 			}
-			for _, t := range r.terms {
-				if int(t.Var) != j {
-					continue
-				}
-				if r.rel == EQ {
-					downSafe, upSafe = false, false
-					break
-				}
-				// LE row: decreasing a*x is safe; GE row: increasing is.
-				if (r.rel == LE) == (t.Coef > 0) {
-					upSafe = false
-				} else {
-					downSafe = false
-				}
+			if r.rel == EQ {
+				downSafe, upSafe = false, false
+				break
+			}
+			// LE row: decreasing a*x is safe; GE row: increasing is.
+			if (r.rel == LE) == (ref.coef > 0) {
+				upSafe = false
+			} else {
+				downSafe = false
 			}
 		}
 		switch {
@@ -411,7 +405,7 @@ func (ps *presolver) pass() bool {
 		// Column-singleton substitution: a continuous variable whose only
 		// appearance is one equality row.
 		if nrefs[j] == 1 && ps.kinds[j] == Continuous {
-			r := &ps.rows[rowOf[j]]
+			r := &ps.rows[refs[j][0].row]
 			if r.rel != EQ {
 				continue
 			}
@@ -452,9 +446,11 @@ func (ps *presolver) pass() bool {
 			r.alive = false
 			if !math.IsInf(lim1, -1) {
 				ps.rows = append(ps.rows, psRow{terms: append([]Term(nil), rest...), rel: GE, rhs: lim1, alive: true})
+				ps.addRefs(refs, len(ps.rows)-1)
 			}
 			if !math.IsInf(lim2, 1) {
 				ps.rows = append(ps.rows, psRow{terms: append([]Term(nil), rest...), rel: LE, rhs: lim2, alive: true})
+				ps.addRefs(refs, len(ps.rows)-1)
 			}
 			// Objective: cost_j*x_j = cost_j*(rhs - rest)/coef.
 			if c := ps.cost[j]; c != 0 {
@@ -467,6 +463,20 @@ func (ps *presolver) pass() bool {
 		}
 	}
 	return changed
+}
+
+// colRef is one entry of a column's row list: the row and the column's
+// coefficient in it.
+type colRef struct {
+	row  int
+	coef float64
+}
+
+// addRefs appends row i to the row list of each column it references.
+func (ps *presolver) addRefs(refs [][]colRef, i int) {
+	for _, t := range ps.rows[i].terms {
+		refs[t.Var] = append(refs[t.Var], colRef{row: i, coef: t.Coef})
+	}
 }
 
 func (ps *presolver) run() {

@@ -13,7 +13,7 @@ func TestPresolveFixesUnconstrainedColumns(t *testing.T) {
 	x := m.AddContinuous("x", 0, 1)
 	y := m.AddContinuous("y", 0, 1)
 	m.SetObjective(Expr(1, x, -1, y), Minimize)
-	pr := presolve(m, 1e-9)
+	pr := presolve(m)
 	if pr.status != Optimal {
 		t.Fatalf("status = %v, want optimal", pr.status)
 	}
@@ -31,7 +31,7 @@ func TestPresolveDropsRedundantRow(t *testing.T) {
 	y := m.AddBinary("y")
 	m.AddConstraint("slack", Expr(1, x, 1, y), LE, 5)
 	m.SetObjective(Expr(2, x, 3, y), Minimize)
-	pr := presolve(m, 1e-9)
+	pr := presolve(m)
 	if pr.rowsDropped == 0 {
 		t.Error("redundant row not dropped")
 	}
@@ -51,7 +51,7 @@ func TestPresolveDetectsInfeasibleActivity(t *testing.T) {
 	y := m.AddBinary("y")
 	m.AddConstraint("c", Expr(1, x, 1, y), GE, 3)
 	m.SetObjective(Expr(1, x), Minimize)
-	if pr := presolve(m, 1e-9); pr.status != Infeasible {
+	if pr := presolve(m); pr.status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", pr.status)
 	}
 }
@@ -63,7 +63,7 @@ func TestPresolveIntegerBoundRounding(t *testing.T) {
 	x := m.AddBinary("x")
 	m.AddConstraint("c", Expr(2, x), EQ, 1)
 	m.SetObjective(Expr(1, x), Minimize)
-	if pr := presolve(m, 1e-9); pr.status != Infeasible {
+	if pr := presolve(m); pr.status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", pr.status)
 	}
 }
@@ -78,7 +78,7 @@ func TestPresolveTightensAndFixesImpliedBinaries(t *testing.T) {
 	m.AddConstraint("pin", Expr(1, x), GE, 1)
 	m.AddConstraint("cap", Expr(3, x, 3, y), LE, 4)
 	m.SetObjective(Expr(-5, x, -1, y), Minimize)
-	pr := presolve(m, 1e-9)
+	pr := presolve(m)
 	if pr.status != Optimal {
 		t.Fatalf("status = %v, want optimal", pr.status)
 	}
@@ -97,7 +97,7 @@ func TestPresolveSingletonEqualitySubstitution(t *testing.T) {
 	m.AddConstraint("tie", Expr(1, x, 1, z), EQ, 3)
 	m.AddConstraint("keep", Expr(1, x), LE, 1)
 	m.SetObjective(Expr(-4, x, 1, z), Minimize)
-	pr := presolve(m, 1e-9)
+	pr := presolve(m)
 	if pr.colsSubst == 0 {
 		t.Fatal("singleton column not substituted")
 	}
@@ -126,7 +126,7 @@ func TestPresolveLinearizationImpliedByFixedDecisions(t *testing.T) {
 	m.SetBounds(l2, 1, 1)
 	m.AddConstraint("lin", Expr(1, l1, 1, l2, -1, L), LE, 1)
 	m.SetObjective(Expr(3, l1, 4, l2, 10, L), Minimize)
-	pr := presolve(m, 1e-9)
+	pr := presolve(m)
 	if pr.status != Optimal {
 		t.Fatalf("status = %v, want optimal (everything implied)", pr.status)
 	}
@@ -146,7 +146,7 @@ func TestPresolvePreservesBranchPriorities(t *testing.T) {
 	keep := m.AddBinary("keep")
 	m.AddConstraint("c", Expr(1, l, 1, keep), LE, 1)
 	m.SetObjective(Expr(-1, l, -1, keep), Minimize)
-	pr := presolve(m, 1e-9)
+	pr := presolve(m)
 	if pr.status != needsSolve || pr.reduced == nil {
 		t.Fatalf("expected a reduced model, got status %v", pr.status)
 	}

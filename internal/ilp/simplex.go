@@ -54,9 +54,9 @@ type lpOutcome struct {
 }
 
 const (
-	// defaultTol is the simplex numerical tolerance. It also scales the
-	// incumbent-pruning tolerance, which is relative to the incumbent
-	// objective's magnitude.
+	// defaultTol is the numerical tolerance of presolve and both simplex
+	// engines. It also scales the incumbent-pruning tolerance, which is
+	// relative to the incumbent objective's magnitude.
 	defaultTol = 1e-9
 	feasTol    = 1e-7
 	// intTol is the integrality tolerance of branch & bound.
@@ -76,10 +76,7 @@ type varMap struct {
 // become tableau rows; nonbasic variables may sit at either bound and
 // "bound flips" move them without pivoting. The returned objective
 // respects the model's sense.
-func solveLP(m *Model, lo, hi []float64, tol float64) lpOutcome {
-	if tol <= 0 {
-		tol = defaultTol
-	}
+func solveLP(m *Model, lo, hi []float64) lpOutcome {
 	n := m.NumVars()
 
 	// Column layout: structural columns first. Lower bounds shift to 0;
@@ -197,7 +194,6 @@ func solveLP(m *Model, lo, hi []float64, tol float64) lpOutcome {
 		artStart: artStart,
 		upper:    upper,
 		flipped:  make([]bool, totalCols),
-		tol:      tol,
 	}
 
 	// Phase 1: minimize the sum of artificials.
@@ -279,7 +275,6 @@ type simplex struct {
 	banned   []bool
 	upper    []float64
 	flipped  []bool
-	tol      float64
 	iters    int
 }
 
@@ -361,13 +356,13 @@ func (s *simplex) iterate() Status {
 func (s *simplex) chooseEntering(bland bool) int {
 	if bland {
 		for j := 0; j < s.cols; j++ {
-			if s.enterable(j) && s.objRow[j] < -s.tol {
+			if s.enterable(j) && s.objRow[j] < -defaultTol {
 				return j
 			}
 		}
 		return -1
 	}
-	best, bestVal := -1, -s.tol
+	best, bestVal := -1, -defaultTol
 	for j := 0; j < s.cols; j++ {
 		if s.enterable(j) && s.objRow[j] < bestVal {
 			best, bestVal = j, s.objRow[j]
@@ -381,7 +376,7 @@ func (s *simplex) enterable(j int) bool {
 		return false
 	}
 	// Fixed variables (zero range) can never move off their bound.
-	return s.upper[j] > s.tol
+	return s.upper[j] > defaultTol
 }
 
 type leaveKind int
@@ -404,10 +399,10 @@ func (s *simplex) chooseLeaving(e int) (leaveKind, int, float64) {
 	// pivots beat bound flips and Bland's rule (smallest basic index)
 	// orders rows.
 	better := func(ti float64, bi int) bool {
-		if ti < t-s.tol {
+		if ti < t-defaultTol {
 			return true
 		}
-		if ti > t+s.tol {
+		if ti > t+defaultTol {
 			return false
 		}
 		if row < 0 {
@@ -419,12 +414,12 @@ func (s *simplex) chooseLeaving(e int) (leaveKind, int, float64) {
 		a := s.tab[i][e]
 		bi := s.basis[i]
 		switch {
-		case a > s.tol:
+		case a > defaultTol:
 			// Basic variable decreases toward zero.
 			if ti := s.tab[i][s.cols] / a; better(ti, bi) {
 				kind, row, t = leaveAtZero, i, ti
 			}
-		case a < -s.tol && !math.IsInf(s.upper[bi], 1):
+		case a < -defaultTol && !math.IsInf(s.upper[bi], 1):
 			// Basic variable increases toward its upper bound.
 			if ti := (s.upper[bi] - s.tab[i][s.cols]) / -a; better(ti, bi) {
 				kind, row, t = leaveAtUpper, i, ti
@@ -510,7 +505,7 @@ func (s *simplex) evictArtificials() {
 			continue
 		}
 		for j := 0; j < s.artStart; j++ {
-			if math.Abs(s.tab[i][j]) > s.tol {
+			if math.Abs(s.tab[i][j]) > defaultTol {
 				s.pivot(i, j)
 				break
 			}

@@ -142,7 +142,7 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	out := solveLP(m, m.lo, m.hi, defaultTol)
+	out := solveLP(m, m.lo, m.hi)
 	sol := &Solution{Status: out.status, Objective: out.obj, X: out.x, SimplexIters: out.iters}
 	mSolves.Inc()
 	mIters.Add(int64(out.iters))
@@ -204,7 +204,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	var pr *presolveResult
 	work := m
 	if !opt.DisablePresolve {
-		pr = presolve(m, defaultTol)
+		pr = presolve(m)
 		mPreRows.Add(int64(pr.rowsDropped))
 		mPreCols.Add(int64(pr.colsFixed + pr.colsSubst))
 		switch pr.status {
@@ -407,7 +407,7 @@ func (s *bbState) run() {
 		s.deadline = time.Now().Add(s.opt.Budget)
 	}
 	if !s.opt.DisableWarmStart {
-		s.eng = newFSX(s.w, defaultTol)
+		s.eng = newFSX(s.w)
 	}
 	s.pc = newPCTable(s.w.NumVars())
 
@@ -489,7 +489,7 @@ func (s *bbState) solveNodeLP(lo, hi []float64) (Status, []float64) {
 		}
 		s.fallbacks++
 	}
-	out := solveLP(s.w, lo, hi, defaultTol)
+	out := solveLP(s.w, lo, hi)
 	s.iters += out.iters
 	return out.status, out.x
 }
@@ -636,7 +636,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			// Warm-basis drift produced an integral point that fails the
 			// feasibility screen: re-solve this node from scratch.
 			s.fallbacks++
-			out := solveLP(s.w, nd.lo, nd.hi, defaultTol)
+			out := solveLP(s.w, nd.lo, nd.hi)
 			s.iters += out.iters
 			st, x, fromEngine = out.status, out.x, false
 			continue

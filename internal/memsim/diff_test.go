@@ -19,6 +19,7 @@ import (
 	"repro/internal/loopcache"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // runEngines runs the same (program, layout, hierarchy) through the
@@ -264,6 +265,85 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 	}
 }
 
+// countLayout bases every block at address 0, names each block's memory
+// object after its reference, and materializes an appended jump at the
+// odd address 1 after every block. Through it, sim.Run's stream counts
+// each block's executions (fetches of address 0) and fall-through exits
+// (jump fetches, attributed to their owner) without the trace recorder.
+type countLayout struct{}
+
+func (countLayout) BlockBase(ir.BlockRef) uint32                { return 0 }
+func (countLayout) BlockMO(ref ir.BlockRef) int                 { return int(ref.Func)<<16 | int(ref.Block) }
+func (countLayout) FallJump(ir.BlockRef) (addr uint32, ok bool) { return 1, true }
+
+// checkProfileMatchesCount asserts that p's profile, derived from its
+// recorded trace, equals an independent count taken by sim.Run through
+// countLayout: block by block, fall edge by fall edge, and in total
+// fetches.
+func checkProfileMatchesCount(t testing.TB, p *ir.Program) {
+	t.Helper()
+	prof, err := sim.ProfileProgram(p)
+	if err != nil {
+		t.Fatalf("ProfileProgram: %v", err)
+	}
+	execs, falls := map[int]int64{}, map[int]int64{}
+	n, err := sim.Run(p, countLayout{}, sim.FetcherFunc(func(addr uint32, mo int) {
+		switch addr {
+		case 0:
+			execs[mo]++
+		case 1:
+			falls[mo]++
+		}
+	}))
+	if err != nil {
+		t.Fatalf("sim.Run: %v", err)
+	}
+	var jumps int64
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			ref := ir.BlockRef{Func: f.ID, Block: b.ID}
+			mo := countLayout{}.BlockMO(ref)
+			if got := prof.BlockCount(ref); got != execs[mo] {
+				t.Errorf("%s/%d: block count %d, counted %d", f.Name, b.ID, got, execs[mo])
+			}
+			var got int64
+			if b.FallThrough != ir.NoBlock {
+				got = prof.FallCount(ref, ir.BlockRef{Func: f.ID, Block: b.FallThrough})
+			}
+			if got != falls[mo] {
+				t.Errorf("%s/%d: fall count %d, counted %d", f.Name, b.ID, got, falls[mo])
+			}
+			jumps += falls[mo]
+		}
+	}
+	if prof.Fetches != n-jumps {
+		t.Errorf("profile fetches %d, counted %d", prof.Fetches, n-jumps)
+	}
+}
+
+// TestProfileMatchesRunCount: the trace-derived profile equals sim.Run's
+// independent count on every bundled workload and on random programs.
+func TestProfileMatchesRunCount(t *testing.T) {
+	var progs []*ir.Program
+	for _, name := range workload.Names() {
+		p, err := workload.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		p, err := workload.Random(workload.RandomSpec{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		t.Run(p.Name, func(t *testing.T) { checkProfileMatchesCount(t, p) })
+	}
+}
+
 // fuzzReader deals deterministic bytes off the fuzz input, yielding
 // zeros once exhausted.
 type fuzzReader struct {
@@ -342,6 +422,7 @@ func FuzzReplayMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Skipf("unbuildable program: %v", err)
 		}
+		checkProfileMatchesCount(t, p)
 		set := buildTraces(t, p, trace.Options{
 			MaxBytes:  16 << (fz.byte() % 4),
 			LineBytes: 4 << (fz.byte() % 5),

@@ -1,9 +1,12 @@
 // Memoization layer: because every simulation in this repository is
-// deterministic, a program fully determines its profile and its dynamic
-// block trace. The experiment engine runs the same workloads many times
-// across figures — every study re-profiles its workload, and each grid
-// cell simulates the workload under several layouts — so both results are
-// cached process-wide and shared across concurrent experiment cells.
+// deterministic, a program fully determines its dynamic block trace, and
+// the trace determines its profile. The experiment engine runs the same
+// workloads many times across figures — every study re-profiles its
+// workload, and each grid cell simulates the workload under several
+// layouts — so both results are cached process-wide and shared across
+// concurrent experiment cells. The interpreter runs once per program:
+// the trace memo records it, and the profile memo derives its counts
+// from that recording (NewProfile) instead of executing it again.
 //
 // Keys: profiles and traces are both keyed by program identity
 // (*ir.Program). A recorded Trace is layout-independent (it stores the
@@ -58,9 +61,10 @@ type profileEntry struct {
 var profileMemo sync.Map // *ir.Program → *profileEntry
 
 // CachedProfile is ProfileProgram with process-wide memoization: the first
-// caller executes the program, every later caller (concurrent ones
-// included) receives the same immutable Profile. The program must not be
-// mutated after the first call.
+// caller derives the profile from the memoized trace (CachedTrace), so a
+// cold program runs the interpreter once for both; every later caller
+// (concurrent ones included) receives the same immutable Profile. The
+// program must not be mutated after the first call.
 func CachedProfile(p *ir.Program) (*Profile, error) {
 	if fault.Hit(fault.MemoMiss) {
 		// Injected memo miss: recompute without touching the cache. The
@@ -77,14 +81,16 @@ func CachedProfile(p *ir.Program) (*Profile, error) {
 	}
 	e := slot.(*profileEntry)
 	e.once.Do(func() {
-		e.prof, e.err = ProfileProgram(p)
-		if e.err != nil {
+		var t *Trace
+		if t, e.err = CachedTrace(p); e.err != nil {
 			// Do not let a transient failure poison the memo forever: drop
 			// the slot so a later caller can retry. CompareAndDelete only
 			// removes OUR slot — a concurrent retry that already replaced
 			// it is left alone.
 			profileMemo.CompareAndDelete(p, slot)
+			return
 		}
+		e.prof = NewProfile(p, t)
 	})
 	return e.prof, e.err
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -12,25 +13,41 @@ import (
 	"repro/internal/workload"
 )
 
+// TestCachedProfileMatchesProfileProgram: the memoized profile equals a
+// fresh one, and a cold program misses the profile memo and the trace
+// memo once each. The profile is derived from the memoized recording, so
+// the trace read after it hits and the interpreter runs once. Forget
+// makes the program cold again.
 func TestCachedProfileMatchesProfileProgram(t *testing.T) {
 	p := loopProgram(t, 25)
 	want, err := ProfileProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CachedProfile(p)
-	if err != nil {
-		t.Fatal(err)
+	counts := func() [4]int64 {
+		return [4]int64{mProfileMisses.Value(), mProfileHits.Value(), mStreamMisses.Value(), mStreamHits.Value()}
 	}
-	if got.Fetches != want.Fetches {
-		t.Errorf("fetches %d, want %d", got.Fetches, want.Fetches)
-	}
-	for f := range want.Blocks {
-		for b := range want.Blocks[f] {
-			if got.Blocks[f][b] != want.Blocks[f][b] {
-				t.Errorf("block %d/%d count %d, want %d", f, b, got.Blocks[f][b], want.Blocks[f][b])
-			}
+	for round := 0; round < 2; round++ {
+		before := counts()
+		got, err := CachedProfile(p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := CachedTrace(p); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := CachedProfile(p); again != got {
+			t.Fatal("profile not memoized")
+		}
+		after := counts()
+		// Profile misses and hits, then trace misses and hits.
+		if d := [4]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3]}; d != [4]int64{1, 1, 1, 1} {
+			t.Errorf("round %d: memo counter deltas %v, want one miss and one hit each", round, d)
+		}
+		if got.Fetches != want.Fetches || !reflect.DeepEqual(got.Blocks, want.Blocks) || !reflect.DeepEqual(got.falls, want.falls) {
+			t.Errorf("round %d: memoized profile differs from a fresh one", round)
+		}
+		Forget(p)
 	}
 }
 
@@ -125,9 +142,9 @@ func jumpEverywhere(p *ir.Program, lay *testLayout) {
 }
 
 // streamMatchesRun checks fetch for fetch that the recording of p,
-// expanded under lay, is Run's stream, and that its per-block counts are
-// the profile's execution counts and its steps' jump owners. It reports
-// whether any step repeats.
+// expanded under lay, is Run's stream, and that its per-block counts
+// agree with its steps: executions with the repeats, jumps with the
+// links. It reports whether any step repeats.
 func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repeated bool) {
 	t.Helper()
 	want := &packedSink{}
@@ -148,27 +165,25 @@ func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repea
 		}
 	}
 
-	prof, err := ProfileProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	execs := make([]int64, len(tr.Blocks()))
 	jumps := make([]int64, len(tr.Blocks()))
 	for _, s := range tr.Steps() {
+		execs[s.Block] += s.Repeat()
 		if s.Link >= 0 {
 			jumps[s.Link]++
 		}
 		repeated = repeated || s.Repeat() > 1
 	}
-	var execs int64
+	var total int64
 	for i, b := range tr.Blocks() {
-		execs += b.Execs
-		if b.Execs != prof.BlockCount(b.Ref) || b.Jumps != jumps[i] {
-			t.Fatalf("block %v: execs/jumps %d/%d, want %d/%d",
-				b.Ref, b.Execs, b.Jumps, prof.BlockCount(b.Ref), jumps[i])
+		total += b.Execs
+		if b.Execs != execs[i] || b.Jumps != jumps[i] {
+			t.Fatalf("block %v: execs/jumps %d/%d, steps say %d/%d",
+				b.Ref, b.Execs, b.Jumps, execs[i], jumps[i])
 		}
 	}
-	if execs != tr.Executions() {
-		t.Fatalf("per-block execs sum to %d, trace counts %d", execs, tr.Executions())
+	if total != tr.Executions() {
+		t.Fatalf("per-block execs sum to %d, trace counts %d", total, tr.Executions())
 	}
 	return repeated
 }

@@ -172,7 +172,6 @@ func RecordTrace(p *ir.Program, opts ...Option) (*Trace, error) {
 	err := e.run(
 		func(ir.BlockRef, int) {},
 		nil,
-		nil,
 		r.push,
 	)
 	if err != nil {

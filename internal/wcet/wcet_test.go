@@ -151,9 +151,9 @@ func TestRecursionRejected(t *testing.T) {
 	b.Block("x").ALU(1).Call("a")
 	b.Block("r").Return()
 	p := mustBuild(t, pb)
-	// A recursive program cannot be profiled; hand the trace builder an
-	// empty profile instead.
-	prof := sim.NewProfile(p)
+	// A recursive program cannot be profiled; hand the trace builder the
+	// all-zero profile of an empty recording instead.
+	prof := sim.NewProfile(p, &sim.Trace{})
 	set, err := trace.Build(p, prof, trace.Options{MaxBytes: 4096, LineBytes: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -88,7 +88,8 @@ func RandomWorkload(seed uint64) (*Program, error) {
 // Profile holds a program's execution counts.
 type Profile = sim.Profile
 
-// ProfileProgram executes a program and returns its profile.
+// ProfileProgram executes a program once, recording its block trace, and
+// returns the profile derived from that recording.
 func ProfileProgram(p *Program) (*Profile, error) { return sim.ProfileProgram(p) }
 
 // TraceSet is a program partitioned into traces (memory objects).
