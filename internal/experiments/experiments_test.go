@@ -674,6 +674,68 @@ func TestCacheOnlyDerivedMatchesSimulated(t *testing.T) {
 	}
 }
 
+// TestCacheOnlyIdentityExact gates the energy model where it must be
+// exact: on the cache-only layout every simulated miss is either cold
+// or attributed to an evictor in the conflict graph. On every Figure 4
+// and sensitivity cell the profiling run (Pipeline.Baseline) must fetch
+// exactly the traces' f_i, its conflict misses must equal the graph's
+// edge weights, and its energy must equal the model's prediction for
+// the empty selection plus the cold misses' extra cost, to 1e-12
+// relative. A conflict-attribution or copy-semantics bug breaks one of
+// the three.
+func TestCacheOnlyIdentityExact(t *testing.T) {
+	type cell struct {
+		name  string
+		cache CacheSpec
+		spm   int
+	}
+	var cells []cell
+	fig4 := DefaultFig4()
+	for _, spm := range fig4.SPMSizes {
+		cells = append(cells, cell{fig4.Workload, fig4.Cache, spm})
+	}
+	sens := DefaultSensitivity()
+	for _, spec := range sens.Variants {
+		cells = append(cells, cell{sens.Workload, spec, sens.SPMSize})
+	}
+	s := NewSuite()
+	worst := 0.0
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%s/%dB-%dB-%dway-%s/spm%d", c.name, c.cache.Size, c.cache.Line,
+			c.cache.Assoc, c.cache.Policy, c.spm), func(t *testing.T) {
+			p, err := s.Pipeline(context.Background(), c.name, c.cache, c.spm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := p.Baseline
+			var fetches int64
+			for _, tr := range p.Set.Traces {
+				fetches += tr.Fetches
+			}
+			if fetches != base.Fetches {
+				t.Errorf("Σ f_i = %d, baseline fetched %d", fetches, base.Fetches)
+			}
+			var attributed int64
+			for _, e := range p.Graph.Edges() {
+				attributed += e.Misses
+			}
+			if attributed != base.ConflictMisses {
+				t.Errorf("Σ m_ij = %d, baseline conflict misses %d", attributed, base.ConflictMisses)
+			}
+			prm := p.casaParams()
+			model := core.PredictEnergy(p.Set, p.Graph, prm, make([]bool, len(p.Set.Traces))) +
+				float64(base.ColdMisses)*(prm.ECacheMiss-prm.ECacheHit)
+			simulated := base.TotalEnergyNJ()
+			rel := math.Abs(simulated-model) / simulated
+			worst = max(worst, rel)
+			if rel > 1e-12 {
+				t.Errorf("simulated %v nJ, model %v nJ: relative error %.3g", simulated, model, rel)
+			}
+		})
+	}
+	t.Logf("largest relative energy error over %d cells: %.3g", len(cells), worst)
+}
+
 // assertSameRun compares two simulation results counter for counter and
 // float bit for float bit.
 func assertSameRun(t *testing.T, want, got *memsim.Result) {

@@ -1,6 +1,9 @@
 package ilp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Root presolve. Before any simplex runs, Solve shrinks the model with a
 // fixpoint of safe reductions:
@@ -105,7 +108,13 @@ type presolver struct {
 	kinds  []VarKind
 	alive  []bool
 	rows   []psRow
-	res    presolveResult
+	// refs[j] lists the rows that have referenced column j, with j's
+	// coefficient there, in row order. It is built once and extended
+	// with every row singleton substitution appends; terms only ever
+	// leave rows, so the alive rows in refs[j] are exactly the alive
+	// rows holding j while j is alive.
+	refs [][]colRef
+	res  presolveResult
 }
 
 // presolve runs the reduction fixpoint on m and returns the reduced
@@ -150,6 +159,10 @@ func presolve(m *Model) *presolveResult {
 		}
 		ps.rows[i] = psRow{terms: terms, rel: c.Rel, rhs: c.RHS - c.Expr.Const, alive: true}
 	}
+	ps.refs = make([][]colRef, n)
+	for i := range ps.rows {
+		ps.addRefs(i)
+	}
 
 	ps.run()
 	return &ps.res
@@ -157,36 +170,24 @@ func presolve(m *Model) *presolveResult {
 
 func (ps *presolver) infeasible() { ps.res.status = Infeasible }
 
-// fixVar eliminates column v at value val, folding it into row RHS.
+// fixVar eliminates column v at value val, folding it into the RHS of
+// the alive rows that hold it.
 func (ps *presolver) fixVar(v int, val float64) {
 	ps.alive[v] = false
 	ps.res.actions = append(ps.res.actions, fixPost{v: v, val: val})
 	ps.res.colsFixed++
-	if val != 0 {
-		for i := range ps.rows {
-			r := &ps.rows[i]
-			if !r.alive {
-				continue
-			}
-			for k, t := range r.terms {
-				if int(t.Var) == v {
-					r.rhs -= t.Coef * val
-					r.terms = append(r.terms[:k], r.terms[k+1:]...)
-					break
-				}
-			}
+	for _, ref := range ps.refs[v] {
+		r := &ps.rows[ref.row]
+		if !r.alive {
+			continue
 		}
-	} else {
-		for i := range ps.rows {
-			r := &ps.rows[i]
-			if !r.alive {
-				continue
-			}
-			for k, t := range r.terms {
-				if int(t.Var) == v {
-					r.terms = append(r.terms[:k], r.terms[k+1:]...)
-					break
+		for k, t := range r.terms {
+			if int(t.Var) == v {
+				if val != 0 {
+					r.rhs -= t.Coef * val
 				}
+				r.terms = append(r.terms[:k], r.terms[k+1:]...)
+				break
 			}
 		}
 	}
@@ -346,19 +347,14 @@ func (ps *presolver) pass() bool {
 		}
 	}
 
-	// Column lists: refs[j] holds the alive rows referencing column j,
-	// with j's coefficient there, so each column reads only its own
-	// rows. The counts nrefs are taken now, when refs[j][0] is j's first
-	// row; rows that singleton substitution appends below join the
-	// lists but not the counts.
-	refs := make([][]colRef, len(ps.alive))
-	for i := range ps.rows {
-		if ps.rows[i].alive {
-			ps.addRefs(refs, i)
-		}
-	}
+	// Drop the dead rows from the column lists, so each column reads
+	// only its own alive rows. The counts nrefs are taken now, when
+	// refs[j][0] is j's first row; rows that singleton substitution
+	// appends below join the lists but not the counts.
+	refs := ps.refs
 	nrefs := make([]int, len(refs))
 	for j := range refs {
+		refs[j] = slices.DeleteFunc(refs[j], func(c colRef) bool { return !ps.rows[c.row].alive })
 		nrefs[j] = len(refs[j])
 	}
 
@@ -446,11 +442,11 @@ func (ps *presolver) pass() bool {
 			r.alive = false
 			if !math.IsInf(lim1, -1) {
 				ps.rows = append(ps.rows, psRow{terms: append([]Term(nil), rest...), rel: GE, rhs: lim1, alive: true})
-				ps.addRefs(refs, len(ps.rows)-1)
+				ps.addRefs(len(ps.rows) - 1)
 			}
 			if !math.IsInf(lim2, 1) {
 				ps.rows = append(ps.rows, psRow{terms: append([]Term(nil), rest...), rel: LE, rhs: lim2, alive: true})
-				ps.addRefs(refs, len(ps.rows)-1)
+				ps.addRefs(len(ps.rows) - 1)
 			}
 			// Objective: cost_j*x_j = cost_j*(rhs - rest)/coef.
 			if c := ps.cost[j]; c != 0 {
@@ -473,9 +469,9 @@ type colRef struct {
 }
 
 // addRefs appends row i to the row list of each column it references.
-func (ps *presolver) addRefs(refs [][]colRef, i int) {
+func (ps *presolver) addRefs(i int) {
 	for _, t := range ps.rows[i].terms {
-		refs[t.Var] = append(refs[t.Var], colRef{row: i, coef: t.Coef})
+		ps.refs[t.Var] = append(ps.refs[t.Var], colRef{row: i, coef: t.Coef})
 	}
 }
 

@@ -265,6 +265,56 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesReferenceAcrossChunks replays mpeg's full recording,
+// 352,581 steps in 19 chunks, 10 of them at the recorder's 32,768-step
+// cap, so the engine walks every chunk boundary of a real trace, not
+// only the first chunk the small fixtures fit in. Under the race
+// detector one cache and the plain layout keep the pass short.
+func TestReplayMatchesReferenceAcrossChunks(t *testing.T) {
+	p, err := workload.Load("mpeg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.CachedTrace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Chunks()); n < 11 {
+		t.Fatalf("mpeg's trace fills %d chunks; want at least 11, two of them at the cap", n)
+	}
+	const spm = 512
+	set := buildTraces(t, p, trace.Options{MaxBytes: spm, LineBytes: 16})
+	alloc := make([]bool, len(set.Traces))
+	alloc[hottestTrace(set)] = true
+	layouts := []struct {
+		name string
+		lay  *layout.Layout
+		spm  int
+	}{
+		{"no-spm", mustLayout(t, set, nil, layout.Options{}), 0},
+		{"copy-spm", mustLayout(t, set, alloc, layout.Options{Mode: layout.Copy, SPMSize: spm}), spm},
+	}
+	caches := []struct {
+		name string
+		l1   cache.Config
+	}{
+		{"dm-2k", cache.Config{SizeBytes: 2048, LineBytes: 16, Assoc: 1}},
+		{"2way-lru-1k", cache.Config{SizeBytes: 1024, LineBytes: 16, Assoc: 2}},
+	}
+	if raceEnabled {
+		layouts, caches = layouts[:1], caches[:1]
+	}
+	for _, lc := range layouts {
+		for _, cc := range caches {
+			t.Run(lc.name+"/"+cc.name, func(t *testing.T) {
+				cfg := Config{Cache: cc.l1, Cost: costFor(t, cc.l1, lc.spm), TrackConflicts: true}
+				ref, got := runEngines(t, p, lc.lay, cfg)
+				diffResults(t, ref, got)
+			})
+		}
+	}
+}
+
 // countLayout bases every block at address 0, names each block's memory
 // object after its reference, and materializes an appended jump at the
 // odd address 1 after every block. Through it, sim.Run's stream counts

@@ -363,42 +363,44 @@ func derive(res *Result, tr *sim.Trace, tab []compiled, probes []cache.Probe, ic
 // on their exact final values. A loop whose working set never fits
 // probes every pass.
 func walk(tr *sim.Trace, tab []compiled, probes []cache.Probe, ic *cache.Cache, onMiss func(*cache.Probe, cache.Result)) {
-	for _, s := range tr.Steps() {
-		c := &tab[s.Block]
-		if s.Link >= 0 {
-			if s.Link == s.Block {
-				// Fall exit: the block's own jump follows it.
-				if c.jend > c.lo {
-					ic.Probe(probes[c.lo:c.jend], onMiss)
+	for _, chunk := range tr.Chunks() {
+		for _, s := range chunk {
+			c := &tab[s.Block]
+			if s.Link >= 0 {
+				if s.Link == s.Block {
+					// Fall exit: the block's own jump follows it.
+					if c.jend > c.lo {
+						ic.Probe(probes[c.lo:c.jend], onMiss)
+					}
+					continue
+				}
+				if c.hi > c.lo {
+					ic.Probe(probes[c.lo:c.hi], onMiss)
+				}
+				if o := &tab[s.Link]; o.jend > o.hi {
+					ic.Probe(probes[o.hi:o.jend], onMiss)
 				}
 				continue
 			}
-			if c.hi > c.lo {
-				ic.Probe(probes[c.lo:c.hi], onMiss)
+			if c.hi == c.lo {
+				continue
 			}
-			if o := &tab[s.Link]; o.jend > o.hi {
-				ic.Probe(probes[o.hi:o.jend], onMiss)
+			ps := probes[c.lo:c.hi]
+			if s.Link == -1 {
+				ic.Probe(ps, onMiss)
+				continue
 			}
-			continue
-		}
-		if c.hi == c.lo {
-			continue
-		}
-		ps := probes[c.lo:c.hi]
-		if s.Link == -1 {
-			ic.Probe(ps, onMiss)
-			continue
-		}
-		rem := s.Repeat()
-		for rem > 0 {
-			rem--
-			if ic.Probe(ps, onMiss) == 0 {
-				break
+			rem := s.Repeat()
+			for rem > 0 {
+				rem--
+				if ic.Probe(ps, onMiss) == 0 {
+					break
+				}
 			}
-		}
-		if rem > 0 {
-			ic.Skip((rem - 1) * c.blk.cache)
-			ic.Probe(ps, onMiss)
+			if rem > 0 {
+				ic.Skip((rem - 1) * c.blk.cache)
+				ic.Probe(ps, onMiss)
+			}
 		}
 	}
 }

@@ -89,20 +89,22 @@ func TestCachedProfileSingleflight(t *testing.T) {
 func expand(tr *Trace, lay Layout, sink Fetcher) int64 {
 	blocks := tr.Blocks()
 	var n int64
-	for _, s := range tr.Steps() {
-		b := blocks[s.Block]
-		base, mo := lay.BlockBase(b.Ref), lay.BlockMO(b.Ref)
-		for r := s.Repeat(); r > 0; r-- {
-			for i := 0; i < int(b.Instrs); i++ {
-				sink.Fetch(base+uint32(i*ir.InstrSize), mo)
+	for _, chunk := range tr.Chunks() {
+		for _, s := range chunk {
+			b := blocks[s.Block]
+			base, mo := lay.BlockBase(b.Ref), lay.BlockMO(b.Ref)
+			for r := s.Repeat(); r > 0; r-- {
+				for i := 0; i < int(b.Instrs); i++ {
+					sink.Fetch(base+uint32(i*ir.InstrSize), mo)
+				}
+				n += int64(b.Instrs)
 			}
-			n += int64(b.Instrs)
-		}
-		if s.Link >= 0 {
-			o := blocks[s.Link].Ref
-			if addr, ok := lay.FallJump(o); ok {
-				sink.Fetch(addr, lay.BlockMO(o))
-				n++
+			if s.Link >= 0 {
+				o := blocks[s.Link].Ref
+				if addr, ok := lay.FallJump(o); ok {
+					sink.Fetch(addr, lay.BlockMO(o))
+					n++
+				}
 			}
 		}
 	}
@@ -167,12 +169,14 @@ func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repea
 
 	execs := make([]int64, len(tr.Blocks()))
 	jumps := make([]int64, len(tr.Blocks()))
-	for _, s := range tr.Steps() {
-		execs[s.Block] += s.Repeat()
-		if s.Link >= 0 {
-			jumps[s.Link]++
+	for _, chunk := range tr.Chunks() {
+		for _, s := range chunk {
+			execs[s.Block] += s.Repeat()
+			if s.Link >= 0 {
+				jumps[s.Link]++
+			}
+			repeated = repeated || s.Repeat() > 1
 		}
-		repeated = repeated || s.Repeat() > 1
 	}
 	var total int64
 	for i, b := range tr.Blocks() {
@@ -262,8 +266,11 @@ func TestTraceRLECompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	// entry(fall), body×trips(taken self-loop repeat + final fall), exit:
-	// far fewer steps than block executions.
-	steps := tr.Steps()
+	// far fewer steps than block executions, all in the first chunk.
+	if n := len(tr.Chunks()); n != 1 {
+		t.Fatalf("%d chunks, want 1", n)
+	}
+	steps := tr.Chunks()[0]
 	if len(steps) >= 10 {
 		t.Fatalf("compression failed: %d steps for a %d-trip loop", len(steps), trips)
 	}
@@ -371,17 +378,18 @@ func irregularProgram(t *testing.T, trips int) *ir.Program {
 }
 
 // TestTraceSizeBytesCountsCapacity: the eviction bound must charge what
-// the allocator committed (slice capacity), not the logical length.
+// the allocator committed (every chunk's capacity), not the logical
+// length.
 func TestTraceSizeBytesCountsCapacity(t *testing.T) {
 	tr := &Trace{
 		blocks: make([]Block, 1, 10),
-		steps:  make([]Step, 2, 100),
+		chunks: [][]Step{make([]Step, 64), make([]Step, 2, 128)},
 	}
-	if got, want := tr.SizeBytes(), 10*int(unsafe.Sizeof(Block{}))+100*8; got != want {
+	if got, want := tr.SizeBytes(), 10*int(unsafe.Sizeof(Block{}))+(64+128)*8; got != want {
 		t.Fatalf("SizeBytes = %d, want %d (capacity-based)", got, want)
 	}
-	if len(tr.Steps()) != 2 {
-		t.Fatalf("len(Steps) = %d, want 2", len(tr.Steps()))
+	if n := tr.NumSteps(); n != 66 {
+		t.Fatalf("NumSteps = %d, want 66", n)
 	}
 }
 
@@ -398,7 +406,7 @@ func TestTraceCacheBytesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tr.Steps()); tr.SizeBytes() < 8*n {
+	if n := tr.NumSteps(); tr.SizeBytes() < 8*n {
 		t.Fatalf("SizeBytes %d below the 8·steps floor %d", tr.SizeBytes(), 8*n)
 	}
 
