@@ -264,9 +264,9 @@ func BenchmarkCASAILPMpeg(b *testing.B) {
 
 // BenchmarkSolveCASAILP measures the branch & bound solver alone — no
 // model build, no allocation decode — on the hardest cold solves of the
-// two evaluation grids: mpeg/128, fig4's hardest cell (139 nodes, 732
+// two evaluation grids: mpeg/128, fig4's hardest cell (173 nodes, 238
 // simplex iterations), and g721 on the sensitivity grid's 2-way random
-// cache (313 nodes, 1562 iterations). nodes/op and iters/op report the
+// cache (312 nodes, 1222 iterations). nodes/op and iters/op report the
 // search's work beside its time, so a weaker search shows even when the
 // host hides the slowdown.
 func BenchmarkSolveCASAILP(b *testing.B) {

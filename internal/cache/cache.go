@@ -474,6 +474,18 @@ func (c *Cache) LinesOf(mo int) int {
 	return n
 }
 
+// ReplacementState returns the replacement clock and every way's
+// LRU/FIFO stamp, set-major (for tests and diagnostics). Two caches with
+// equal residency and statistics but different replacement order dump
+// the same state; these tell them apart.
+func (c *Cache) ReplacementState() (clock uint64, stamps []uint64) {
+	stamps = make([]uint64, len(c.sets))
+	for i, w := range c.sets {
+		stamps[i] = w.stamp
+	}
+	return c.clock, stamps
+}
+
 // StatsOf returns the per-set totals for a set index.
 func (c *Cache) StatsOf(set int) SetStats { return c.stats[set] }
 

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ilp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -343,4 +345,39 @@ func TestFig4ConcurrentWarmStress(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRootLPWorkMpeg128 gates the root LP's work on fig4's hardest cell.
+// Its cache-only corner is feasible and a few traces away from the LP
+// optimum, so the root must take the primal path from it and finish in
+// at most 50 steps (pivots plus bound flips); the dual simplex from the
+// all-slack basis takes 554 pivots here.
+func TestRootLPWorkMpeg128(t *testing.T) {
+	p, err := NewSuite().Pipeline(context.Background(), "mpeg", DM(2048), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := core.Params{SPMSize: p.SPMSize, ESPHit: p.Cost.SPMAccess,
+		ECacheHit: p.Cost.CacheHit, ECacheMiss: p.Cost.CacheMiss}
+	m, _, err := core.BuildModel(p.Set, p.Graph, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr strings.Builder
+	prm.Solver.Trace = &tr
+	sol, err := ilp.Solve(context.Background(), m, prm.Solver)
+	if err != nil || sol.Status != ilp.Optimal {
+		t.Fatalf("solve: %v %v", err, sol.Status)
+	}
+	var path string
+	steps := -1
+	for _, line := range strings.Split(tr.String(), "\n") {
+		if strings.HasPrefix(line, "ilp: root ") {
+			fmt.Sscanf(line, "ilp: root lp=%s status=optimal iters=%d", &path, &steps)
+		}
+	}
+	if path != "primal" || steps < 0 || steps > 50 {
+		t.Fatalf("root LP: path %q, %d steps; want the primal path in at most 50\n%s", path, steps, tr.String())
+	}
+	t.Logf("root: %d steps; %d nodes, %d iterations in all", steps, sol.Nodes, sol.SimplexIters)
 }

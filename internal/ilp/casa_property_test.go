@@ -35,8 +35,22 @@ func (r *casaRNG) fl(lo, hi float64) float64 { return lo + (hi-lo)*float64(r.nex
 //	     faithful: L_e ≥ l_i + l_j − 1, L_e ≤ l_i, L_e ≤ l_j  (L binary)
 //
 // with l's at branch priority 1 and an occasional l pinned to a fixed
-// value (the oversized-trace case).
+// value (the oversized-trace case). Gains of either sign make the
+// cache-only corner (every l = 1) infeasible in many draws; see
+// buildCacheOnlyModel for core's sign pattern.
 func buildCASAModel(r *casaRNG, nl, ne int, faithful bool) *Model {
+	return buildCASAShape(r, nl, ne, faithful, false)
+}
+
+// buildCacheOnlyModel draws the same shape with core.BuildModel's sign
+// pattern: every trace costs more cached than on the scratchpad, and a
+// pinned l is pinned to the cache, so the cache-only corner is feasible
+// and the root LP takes the primal path from it.
+func buildCacheOnlyModel(r *casaRNG, nl, ne int, faithful bool) *Model {
+	return buildCASAShape(r, nl, ne, faithful, true)
+}
+
+func buildCASAShape(r *casaRNG, nl, ne int, faithful, cacheOnly bool) *Model {
 	m := NewModel()
 	ls := make([]Var, nl)
 	for i := range ls {
@@ -48,6 +62,9 @@ func buildCASAModel(r *casaRNG, nl, ne int, faithful bool) *Model {
 	total := 0.0
 	for _, l := range ls {
 		gain := r.fl(-40, 25) // energy delta for caching this trace
+		if cacheOnly {
+			gain = math.Abs(gain) + 1
+		}
 		obj = obj.Add(gain, l)
 		size := float64(1 + r.intn(9))
 		total += size
@@ -78,6 +95,9 @@ func buildCASAModel(r *casaRNG, nl, ne int, faithful bool) *Model {
 	if r.intn(3) == 0 {
 		v := ls[r.intn(nl)]
 		pin := float64(r.intn(2))
+		if cacheOnly {
+			pin = 1
+		}
 		m.SetBounds(v, pin, pin)
 	}
 	m.SetObjective(obj.AddConst(r.fl(0, 100)), Minimize)

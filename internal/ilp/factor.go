@@ -2,7 +2,7 @@ package ilp
 
 import "math"
 
-// Factored-basis revised dual simplex — the branch & bound node engine.
+// Factored-basis revised simplex — the branch & bound node engine.
 //
 // The branch & bound loop changes nothing but variable bounds between
 // node LPs. Dual feasibility of a basis does not depend on bounds at
@@ -13,6 +13,21 @@ import "math"
 // new optimum, even when best-bound search jumps to a distant part of
 // the tree. The dense from-scratch two-phase tableau (simplex.go)
 // remains as SolveLP's engine and as the per-node fallback.
+//
+// The root LP has no previous basis to start from. reset's all-slack
+// basis places every column at the bound its cost pulls it to: for CASA
+// every trace on the scratchpad and every conflict pair free, so the
+// capacity row is violated by the whole program and the dual simplex
+// pivots nearly every column back out (554 pivots on fig4's 128 B
+// cell). The root therefore starts from the opposite corner (crash):
+// every column at the bound opposite its cost pull — for CASA the
+// cache-only allocation, always feasible and only a few traces away from
+// the LP optimum — with each row's structural column singleton (CASA's
+// L's) basic in place of the row's slack where its implied value is in
+// bounds. From there a bounded primal simplex solves the root (9 steps
+// on the same cell). When that start is not primal feasible, or the
+// primal hits its iteration cap, the engine resets and the dual solves
+// the root from the all-slack basis instead (solveRoot).
 //
 // Standard form: min cᵀx s.t. Ax + s = b, with one slack per row
 // (LE: s ∈ [0,∞), GE: s ∈ (−∞,0], EQ: s ∈ [0,0]) and every structural
@@ -43,11 +58,13 @@ import "math"
 // row maximizes v_i²/β_i, its squared bound violation over the weight
 // β_i = ‖e_iᵀB⁻¹‖², the squared norm of the row of B⁻¹ the pivot would
 // use. The weights cost one extra FTRAN per pivot to update
-// (updateWeights). They start at 1, which is exact for the all-slack
-// crash basis every solve starts from, and are kept by basis position,
-// which neither a bound change nor a refactorization moves, so one set
-// serves the whole tree. After 200 + 2m iterations of one LP, Bland's
-// first-violated-row rule takes over against cycling.
+// (updateWeights). They start exact: 1 on the all-slack basis, and 1/a²
+// on the crash basis, which is diagonal with a column of coefficient a
+// at each position. The primal root updates them at every pivot too, so
+// the dual nodes after it inherit exact weights. They are kept by basis
+// position, which neither a bound change nor a refactorization moves,
+// so one set serves the whole tree. After 200 + 2m iterations of one
+// LP, Bland's rule takes over against cycling.
 //
 // fsx also honors an objective limit: at every dual-feasible iterate
 // the working point minimizes cᵀx over the relaxation that drops the
@@ -128,11 +145,12 @@ type fsx struct {
 	pv    []float64 // position-space scratch, len m
 	rv    []float64 // row-space scratch, len m
 	bs    []float64 // bump scratch, len m
+	x     []float64 // values' result, len n
 
 	costed []int32 // columns with c != 0, for objective evaluation
 
 	objLimit     float64
-	iters        int // lifetime pivot count
+	iters        int // lifetime iterations: pivots plus primal bound flips
 	sinceRefresh int
 }
 
@@ -167,6 +185,7 @@ func newFSX(md *Model) *fsx {
 		pv:    make([]float64, m),
 		rv:    make([]float64, m),
 		bs:    make([]float64, m),
+		x:     make([]float64, n),
 
 		objLimit: math.Inf(1),
 	}
@@ -263,13 +282,80 @@ func (e *fsx) reset() bool {
 	return true
 }
 
-// resetWeights sets every dual steepest-edge weight to 1. It runs only
-// from reset, on the all-slack crash basis, where B = I makes unit
-// weights exact; every other basis inherits its weights by update.
+// resetWeights sets every dual steepest-edge weight to 1. It runs from
+// reset and crash, on bases where B = I makes unit weights exact (crash
+// then rescales its singleton positions); every other basis inherits its
+// weights by update.
 func (e *fsx) resetWeights() {
 	for i := range e.dse {
 		e.dse[i] = 1
 	}
+}
+
+// crash installs the primal root's start: each structural column at the
+// bound opposite its cost pull (upper when c > 0, lower otherwise, the
+// finite one when that bound is infinite), and in each row the first
+// structural column singleton whose implied value — the one that makes
+// the row tight — lies within its bounds, in place of the row's slack.
+// B is then diagonal, so the weights 1/a² of those positions are exact.
+// For CASA this is the cache-only allocation, with every linearization
+// column L basic in its own row. Reports false when the start is not
+// primal feasible, or some column has no finite bound.
+func (e *fsx) crash() bool {
+	r := e.rv
+	copy(r, e.b)
+	for j := 0; j < e.n; j++ {
+		up := (e.c[j] > 0 && !math.IsInf(e.hi[j], 1)) || math.IsInf(e.lo[j], -1)
+		if up && math.IsInf(e.hi[j], 1) {
+			return false
+		}
+		e.status[j] = nbLower
+		if up {
+			e.status[j] = nbUpper
+		}
+		col := &e.cols[j]
+		for u, ri := range col.rows {
+			r[ri] -= col.vals[u] * e.nbValue(j)
+		}
+	}
+	e.resetWeights()
+	for i := 0; i < e.m; i++ {
+		e.basis[i] = e.n + i
+		e.status[e.n+i] = inBasis
+	}
+	for j := 0; j < e.n; j++ {
+		col := &e.cols[j]
+		if len(col.rows) != 1 || e.hi[j]-e.lo[j] < 1e-9 {
+			continue
+		}
+		i, a := col.rows[0], col.vals[0]
+		if e.basis[i] != e.n+int(i) {
+			continue // the row already holds a singleton
+		}
+		// r[i] is the slack's value; the row turns tight when x_j absorbs it.
+		if x := e.nbValue(j) + r[i]/a; x < e.lo[j]-feasTol || x > e.hi[j]+feasTol {
+			continue
+		}
+		s := e.n + int(i)
+		e.basis[i] = j
+		e.status[j] = inBasis
+		e.status[s] = nbLower
+		if math.IsInf(e.lo[s], -1) {
+			e.status[s] = nbUpper // GE slack: its finite bound is 0 above
+		}
+		e.dse[i] = 1 / (a * a)
+	}
+	if !e.refactor() {
+		return false // cannot happen: every basic column is a singleton
+	}
+	e.computeXB()
+	for i, bj := range e.basis {
+		if e.xB[i] < e.lo[bj]-feasTol || e.xB[i] > e.hi[bj]+feasTol {
+			return false
+		}
+	}
+	e.computeDuals()
+	return true
 }
 
 // setBounds installs a node's structural bounds.
@@ -778,20 +864,7 @@ func (e *fsx) reoptimize(maxIter int) Status {
 			return Optimal
 		}
 
-		// Pivot row in all nonbasic columns: alpha_j = (B⁻¹)_r · A_j.
-		e.btranUnit(r)
-		rho := e.rho
-		for j := 0; j < tot; j++ {
-			if e.status[j] == inBasis {
-				continue
-			}
-			col := &e.cols[j]
-			s := 0.0
-			for u, ri := range col.rows {
-				s += rho[ri] * col.vals[u]
-			}
-			e.alpha[j] = s
-		}
+		e.pivotRow(r)
 
 		// Bounded dual ratio test.
 		q, bestRatio, bestAbs := -1, math.Inf(1), 0.0
@@ -854,23 +927,11 @@ func (e *fsx) reoptimize(maxIter int) Status {
 		}
 		e.xB[r] = e.nbValue(q) + step
 
-		// Incremental dual update.
 		theta := e.d[q] / (sgn * piv)
 		if theta < 0 {
 			theta = 0
 		}
-		if theta != 0 {
-			for j := 0; j < tot; j++ {
-				if e.status[j] == inBasis || j == q {
-					continue
-				}
-				if a := e.alpha[j]; a != 0 {
-					e.d[j] -= theta * sgn * a
-				}
-			}
-		}
-		e.d[q] = 0
-		e.d[lb] = -theta * sgn
+		e.pivotDuals(q, lb, theta*sgn)
 
 		e.status[q] = inBasis
 		if sgn < 0 {
@@ -892,6 +953,178 @@ func (e *fsx) reoptimize(maxIter int) Status {
 			}
 		}
 	}
+}
+
+// solveRoot solves the root LP. When the crash start is primal feasible
+// the bounded primal simplex runs from it; otherwise, or when the primal
+// does not reach an optimum, the engine resets to the all-slack basis
+// and the dual simplex runs as at every other node, on what the primal
+// left of the maxIter budget. path names the simplex that produced the
+// status, "primal" or "dual".
+func (e *fsx) solveRoot(maxIter int) (st Status, path string) {
+	start := e.iters
+	if e.crash() && e.primal(maxIter) == Optimal {
+		return Optimal, "primal"
+	}
+	if !e.reset() {
+		return Aborted, "dual"
+	}
+	return e.solve(maxIter - (e.iters - start)), "dual"
+}
+
+// primal runs the bounded primal simplex from a primal feasible basis:
+// Dantzig pricing over the maintained reduced costs picks the entering
+// column, and the ratio test lets it either flip to its other bound
+// (no basis change) or push a basic column out at the bound it hits.
+// Both count as iterations: a flip costs the FTRAN and ratio test of a
+// pivot. The weights are updated at every pivot, so the dual nodes that
+// follow inherit exact ones. Bland's rule (first improving column, and
+// the lowest-index column among tied rows) takes over after 200 + 2m
+// iterations. Returns Optimal, or Aborted at the iteration cap or on a
+// numerical failure; the caller then falls back to the dual.
+func (e *fsx) primal(maxIter int) Status {
+	m, tot := e.m, e.n+e.m
+	blandAfter := 200 + 2*m
+	for it := 0; ; it++ {
+		if it > maxIter {
+			return Aborted
+		}
+		bland := it > blandAfter
+
+		// Entering column: x_q moves by dir·t, t ≥ 0.
+		q, dir, best := -1, 0.0, 0.0
+		for j := 0; j < tot; j++ {
+			if e.status[j] == inBasis || e.hi[j]-e.lo[j] < 1e-9 {
+				continue
+			}
+			dj, s := e.d[j], 1.0
+			if e.status[j] == nbUpper {
+				dj, s = -dj, -1
+			}
+			if dj >= -dualTol {
+				continue
+			}
+			if bland {
+				q, dir = j, s
+				break
+			}
+			if -dj > best {
+				q, dir, best = j, s, -dj
+			}
+		}
+		if q < 0 {
+			return Optimal
+		}
+
+		// Bounded ratio test: xB moves by −dir·t·w.
+		e.ftranCol(q)
+		r, step, bestAbs := -1, math.Inf(1), 0.0
+		for i := 0; i < m; i++ {
+			wi := dir * e.w[i]
+			if math.Abs(wi) <= pivTol {
+				continue
+			}
+			bj := e.basis[i]
+			room := e.hi[bj] - e.xB[i]
+			if wi > 0 {
+				room = e.xB[i] - e.lo[bj]
+			}
+			if math.IsInf(room, 1) {
+				continue
+			}
+			ratio := math.Max(room/math.Abs(wi), 0) // drift within tolerance
+			if bland {
+				if ratio < step-1e-12 || (ratio <= step+1e-12 && bj < e.basis[r]) {
+					r, step = i, ratio
+				}
+				continue
+			}
+			if ratio < step-1e-9 {
+				r, step, bestAbs = i, ratio, math.Abs(wi)
+			} else if ratio <= step+1e-9 && math.Abs(wi) > bestAbs {
+				r, step, bestAbs = i, math.Min(step, ratio), math.Abs(wi)
+			}
+		}
+		if flip := e.hi[q] - e.lo[q]; flip <= step {
+			if math.IsInf(flip, 1) {
+				return Aborted // unbounded ray: cannot happen when a dual feasible start exists
+			}
+			for i, wi := range e.w {
+				e.xB[i] -= dir * flip * wi
+			}
+			if dir > 0 {
+				e.status[q] = nbUpper
+			} else {
+				e.status[q] = nbLower
+			}
+			e.iters++
+			continue
+		}
+
+		piv := e.w[r] // |piv| > pivTol: the ratio test skips smaller entries
+		e.pivotRow(r)
+		e.updateWeights(r, piv)
+
+		lb := e.basis[r]
+		for i, wi := range e.w {
+			e.xB[i] -= dir * step * wi
+		}
+		e.xB[r] = e.nbValue(q) + dir*step
+		e.pivotDuals(q, lb, e.d[q]/piv)
+		e.status[lb] = nbUpper
+		if dir*piv > 0 {
+			e.status[lb] = nbLower // it fell to its lower bound
+		}
+		e.status[q] = inBasis
+		e.basis[r] = q
+		e.pushEta(r, piv)
+
+		e.iters++
+		e.sinceRefresh++
+		if e.sinceRefresh >= fsxRefactorEvery {
+			if !e.refactor() {
+				return Aborted
+			}
+			e.computeDuals()
+			e.computeXB()
+		}
+	}
+}
+
+// pivotRow computes row r of B⁻¹ into e.rho and the pivot row
+// alpha_j = ρ_r·A_j in every nonbasic column.
+func (e *fsx) pivotRow(r int) {
+	e.btranUnit(r)
+	for j := 0; j < e.n+e.m; j++ {
+		if e.status[j] == inBasis {
+			continue
+		}
+		col := &e.cols[j]
+		s := 0.0
+		for u, ri := range col.rows {
+			s += e.rho[ri] * col.vals[u]
+		}
+		e.alpha[j] = s
+	}
+}
+
+// pivotDuals updates the reduced costs across a pivot that brings q
+// into the basis in place of lb, by the dual step t = d_q/alpha_q:
+// d_j −= t·alpha_j for every other nonbasic column, d_q = 0, d_lb = −t.
+// It runs before the basis and statuses change.
+func (e *fsx) pivotDuals(q, lb int, t float64) {
+	if t != 0 {
+		for j := 0; j < e.n+e.m; j++ {
+			if e.status[j] == inBasis || j == q {
+				continue
+			}
+			if a := e.alpha[j]; a != 0 {
+				e.d[j] -= t * a
+			}
+		}
+	}
+	e.d[q] = 0
+	e.d[lb] = -t
 }
 
 // updateWeights applies the Forrest–Goldfarb dual steepest-edge update
@@ -926,9 +1159,10 @@ func (e *fsx) updateWeights(r int, piv float64) {
 	e.dse[r] = br / (piv * piv)
 }
 
-// values returns the structural solution vector.
+// values returns the structural solution vector, in a buffer the next
+// call overwrites.
 func (e *fsx) values() []float64 {
-	x := make([]float64, e.n)
+	x := e.x
 	for j := 0; j < e.n; j++ {
 		if e.status[j] != inBasis {
 			x[j] = e.nbValue(j)

@@ -398,8 +398,8 @@ func TestBruteForceRejectsContinuous(t *testing.T) {
 }
 
 // TestSolveTrace: with Options.Trace set the solver narrates its progress
-// — periodic node lines, incumbent improvements and a final summary — and
-// the reported effort counters match the Solution.
+// — the root LP, periodic node lines, incumbent improvements and a final
+// summary — and the reported effort counters match the Solution.
 func TestSolveTrace(t *testing.T) {
 	// A knapsack big enough to force branching.
 	m := NewModel()
@@ -425,6 +425,11 @@ func TestSolveTrace(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "ilp: node=1 ") {
 		t.Errorf("trace missing per-node progress:\n%s", out)
+	}
+	// Maximizing with nonnegative weights: the all-zero corner is
+	// feasible, so the root LP runs the primal simplex from it.
+	if !strings.Contains(out, "ilp: root lp=primal status=optimal ") {
+		t.Errorf("trace missing primal root line:\n%s", out)
 	}
 	if !strings.Contains(out, "ilp: incumbent ") {
 		t.Errorf("trace missing incumbent line:\n%s", out)

@@ -3,6 +3,7 @@ package ilp
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -73,14 +74,17 @@ func randBinaryModel(r *testRNG) *Model {
 // checkEngineParity solves m twice, with the factored engine (fsx) and
 // with the dense two-phase simplex at every node
 // (Options.DisableWarmStart), and requires the same status and, when
-// optimal, the same objective. It returns the fsx solve.
-func checkEngineParity(t *testing.T, name string, m *Model) *Solution {
+// optimal, the same objective. It returns the fsx solve and the path its
+// root LP took, read from the solver trace: "primal" from the cache-only
+// crash, "dual" after falling back, "" when no root LP ran.
+func checkEngineParity(t *testing.T, name string, m *Model) (*Solution, string) {
 	t.Helper()
 	dense, err := Solve(context.Background(), m, Options{DisableWarmStart: true})
 	if err != nil {
 		t.Fatalf("%s dense: %v", name, err)
 	}
-	warm, err := Solve(context.Background(), m, Options{})
+	var trace strings.Builder
+	warm, err := Solve(context.Background(), m, Options{Trace: &trace})
 	if err != nil {
 		t.Fatalf("%s fsx: %v", name, err)
 	}
@@ -90,31 +94,50 @@ func checkEngineParity(t *testing.T, name string, m *Model) *Solution {
 	if dense.Status == Optimal && !almostEq(dense.Objective, warm.Objective) {
 		t.Fatalf("%s: obj %.9g (fsx) vs %.9g (dense)", name, warm.Objective, dense.Objective)
 	}
-	return warm
+	root := ""
+	if _, rest, ok := strings.Cut(trace.String(), "ilp: root lp="); ok {
+		root, _, _ = strings.Cut(rest, " ")
+	}
+	return warm, root
 }
 
 // TestEngineParityRandomized cross-validates the factored engine against
 // the dense simplex on small random binary programs and on CASA-shaped
 // models: a capacity row plus linearization rows L ≥ l_i + l_j − 1 over
 // 30–45 traces, large enough that the engine's pivots run past a
-// refactorization (every fsxRefactorEvery pivots).
+// refactorization (every fsxRefactorEvery pivots). 24 CASA draws have
+// mixed-sign gains and 12 more use core's sign pattern, whose cache-only
+// corner is feasible; both root paths — the primal from that corner and
+// the dual fallback — must be exercised.
 func TestEngineParityRandomized(t *testing.T) {
+	paths := map[string]int{}
 	rng := testRNG(987654321)
 	for trial := 0; trial < 80; trial++ {
-		checkEngineParity(t, fmt.Sprintf("trial %d", trial), randBinaryModel(&rng))
+		_, root := checkEngineParity(t, fmt.Sprintf("trial %d", trial), randBinaryModel(&rng))
+		paths[root]++
 	}
 	r := casaRNG(0x2545f4914f6cdd1d)
 	refactored := 0
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 36; trial++ {
 		nl := 30 + r.intn(16)
-		m := buildCASAModel(&r, nl, nl+r.intn(2*nl), false)
-		if sol := checkEngineParity(t, fmt.Sprintf("casa trial %d", trial), m); sol.SimplexIters > fsxRefactorEvery {
+		build := buildCASAModel
+		if trial >= 24 {
+			build = buildCacheOnlyModel
+		}
+		m := build(&r, nl, nl+r.intn(2*nl), false)
+		sol, root := checkEngineParity(t, fmt.Sprintf("casa trial %d", trial), m)
+		paths[root]++
+		if sol.SimplexIters > fsxRefactorEvery {
 			refactored++
 		}
 	}
 	if refactored == 0 {
 		t.Fatalf("no CASA-shaped solve ran past a refactorization (%d pivots)", fsxRefactorEvery)
 	}
+	if paths["primal"] == 0 || paths["dual"] == 0 {
+		t.Fatalf("root paths %v: both the primal and the dual root must run", paths)
+	}
+	t.Logf("root paths: %v", paths)
 }
 
 // FuzzEngineParity fuzzes the factored engine against the dense simplex

@@ -399,10 +399,12 @@ func (ps *presolver) pass() bool {
 		}
 
 		// Column-singleton substitution: a continuous variable whose only
-		// appearance is one equality row.
+		// appearance is one equality row. The row must still be alive: a
+		// substitution earlier in this sweep may have consumed it (two
+		// singletons of one row), and the rows it left hold j instead.
 		if nrefs[j] == 1 && ps.kinds[j] == Continuous {
 			r := &ps.rows[refs[j][0].row]
-			if r.rel != EQ {
+			if r.rel != EQ || !r.alive {
 				continue
 			}
 			var coef float64

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -155,4 +156,99 @@ func TestPresolvePreservesBranchPriorities(t *testing.T) {
 			t.Fatalf("priority lost for %s", m.names[orig])
 		}
 	}
+}
+
+// TestPresolveSubstitutesOnlyThroughAliveRows: x and y are both
+// continuous singletons of the one equality row. Substituting x away
+// kills that row; y must not then be substituted through the dead row
+// (which would drop x + y = 1 and let y float to its cheapest value).
+func TestPresolveSubstitutesOnlyThroughAliveRows(t *testing.T) {
+	m := NewModel()
+	x := m.AddContinuous("x", 0, 10)
+	y := m.AddContinuous("y", 0, 10)
+	b := m.AddBinary("b")
+	m.AddConstraint("sum", Expr(1, x, 1, y), EQ, 1)
+	m.SetObjective(Expr(1, x, 2, y, -1, b), Minimize)
+	for _, opt := range []Options{{}, {DisablePresolve: true}} {
+		sol, err := Solve(context.Background(), m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// min x + 2y − b with x + y = 1 => x = 1, y = 0, b = 1, obj = 0.
+		if sol.Status != Optimal || math.Abs(sol.Objective) > 1e-9 {
+			t.Fatalf("%s: got %v obj=%g, want optimal 0", comboName(opt), sol.Status, sol.Objective)
+		}
+		if math.Abs(sol.Value(x)-1) > 1e-9 || math.Abs(sol.Value(y)) > 1e-9 || sol.Value(b) != 1 {
+			t.Fatalf("%s: (x, y, b) = (%g, %g, %g), want (1, 0, 1)", comboName(opt),
+				sol.Value(x), sol.Value(y), sol.Value(b))
+		}
+	}
+}
+
+// FuzzPresolveParity checks presolve against no presolve on small mixed
+// models whose equality rows hold continuous column singletons — the
+// shape singleton substitution rewrites. Both solves must agree on the
+// status and, when optimal, the objective, and the presolved solution
+// must satisfy the original model.
+func FuzzPresolveParity(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0))
+	f.Add(uint64(1), uint8(1), uint8(2))
+	f.Add(uint64(1), uint8(3), uint8(2))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint8(6), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, bins, rows uint8) {
+		r := casaRNG(seed | 1) // xorshift's zero state is a fixed point
+		m := NewModel()
+		nb := 1 + int(bins)%6
+		var obj LinExpr
+		bs := make([]Var, nb)
+		for i := range bs {
+			bs[i] = m.AddBinary(fmt.Sprintf("b%d", i))
+			obj = obj.Add(r.fl(-10, 10), bs[i])
+		}
+		for k := 0; k < 1+int(rows)%4; k++ {
+			// An equality row over one to three continuous singletons
+			// plus some binaries.
+			var e LinExpr
+			for s := 0; s < 1+r.intn(3); s++ {
+				c := m.AddContinuous(fmt.Sprintf("c%d_%d", k, s), 0, r.fl(1, 10))
+				e = e.Add(r.fl(0.5, 3), c)
+				obj = obj.Add(r.fl(-5, 5), c)
+			}
+			for _, bv := range bs {
+				if r.intn(2) == 0 {
+					e = e.Add(r.fl(-3, 3), bv)
+				}
+			}
+			m.AddConstraint("", e, EQ, r.fl(0, 6))
+		}
+		if r.intn(2) == 0 {
+			var e LinExpr
+			for _, bv := range bs {
+				e = e.Add(r.fl(0, 4), bv)
+			}
+			m.AddConstraint("", e, LE, r.fl(1, 8))
+		}
+		m.SetObjective(obj, Minimize)
+
+		on, err := Solve(context.Background(), m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, err := Solve(context.Background(), m, Options{DisablePresolve: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if on.Status != off.Status {
+			t.Fatalf("status %v (presolve) vs %v (none)", on.Status, off.Status)
+		}
+		if on.Status != Optimal {
+			return
+		}
+		if math.Abs(on.Objective-off.Objective) > 1e-6*math.Max(1, math.Abs(off.Objective)) {
+			t.Fatalf("objective %.9g (presolve) vs %.9g (none)", on.Objective, off.Objective)
+		}
+		if !feasibleIn(m, on.X) {
+			t.Fatalf("presolved solution %v violates the model", on.X)
+		}
+	})
 }

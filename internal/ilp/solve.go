@@ -37,9 +37,10 @@ type Options struct {
 	// (default 200000). When the cap is hit with an incumbent in hand the
 	// solution is returned with Status == Feasible.
 	MaxNodes int
-	// Trace, when non-nil, receives solver progress lines: one per new
-	// incumbent and one every TraceEvery nodes. The per-node cost when
-	// nil is a single pointer test.
+	// Trace, when non-nil, receives solver progress lines: one for the
+	// root LP (which simplex solved it, in how many iterations), one per
+	// new incumbent and one every TraceEvery nodes. The per-node cost
+	// when nil is a single pointer test.
 	Trace io.Writer
 	// TraceEvery is the node interval of periodic progress lines
 	// (default 1000).
@@ -100,7 +101,8 @@ type Solution struct {
 	// Branches is the number of branchings performed (nodes split into
 	// floor/ceil children).
 	Branches int
-	// SimplexIters is the total simplex pivot count across all LP solves.
+	// SimplexIters is the total simplex iteration count across all LP
+	// solves: pivots, plus the bound flips of the primal root.
 	SimplexIters int
 	// Degraded marks an anytime result: the search stopped early (wall-
 	// clock budget, context cancellation, node limit, or an injected
@@ -154,7 +156,9 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 // integer variables it is equivalent to SolveLP.
 //
 // The solve pipeline: a root presolve shrinks the model (presolve.go);
-// node relaxations run on a factored-basis revised dual simplex that
+// the root relaxation runs on a factored-basis primal simplex from the
+// cache-only corner when that corner is feasible, and every node
+// relaxation after it on the same engine's revised dual simplex, which
 // warm-starts from the basis left by the previous node and picks its
 // leaving rows by dual steepest edge, with weights kept across the
 // whole tree (factor.go); the dense two-phase simplex (simplex.go) is
@@ -474,8 +478,18 @@ func (s *bbState) solveNodeLP(lo, hi []float64) (Status, []float64) {
 			}
 		}
 		s.eng.objLimit = lim
-		before := s.eng.iters
-		st := s.eng.solve(2000 + 50*(s.eng.m+s.eng.n))
+		before, maxIter := s.eng.iters, 2000+50*(s.eng.m+s.eng.n)
+		var st Status
+		if s.engSolves == 0 {
+			// Only the root has no previous basis to warm-start from.
+			var path string
+			st, path = s.eng.solveRoot(maxIter)
+			if s.opt.Trace != nil {
+				fmt.Fprintf(s.opt.Trace, "ilp: root lp=%s status=%v iters=%d\n", path, st, s.eng.iters-before)
+			}
+		} else {
+			st = s.eng.solve(maxIter)
+		}
 		s.iters += s.eng.iters - before
 		if s.engSolves > 0 {
 			s.warm++
@@ -645,18 +659,19 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		s.branches++
 		v := x[branchVar]
 		frac := v - math.Floor(v)
-		floorNode := &bbNode{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...), bound: bound,
-			pvar: branchVar, pfrac: frac, pup: false}
-		floorNode.hi[branchVar] = math.Floor(v)
-		ceilNode := &bbNode{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...), bound: bound,
-			pvar: branchVar, pfrac: frac, pup: true}
-		ceilNode.lo[branchVar] = math.Ceil(v)
 		// Plunge into the side nearer the fractional value; the other
-		// child joins the best-bound heap.
-		near, far := ceilNode, floorNode
-		if v-math.Floor(v) < 0.5 {
-			near, far = floorNode, ceilNode
+		// child joins the best-bound heap with its own copy of the box,
+		// while the plunged child takes over the finished parent's.
+		up := frac >= 0.5
+		near := &bbNode{lo: nd.lo, hi: nd.hi, bound: bound, pvar: branchVar, pfrac: frac, pup: up}
+		far := &bbNode{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...), bound: bound,
+			pvar: branchVar, pfrac: frac, pup: !up}
+		ceil, floor := far, near
+		if up {
+			ceil, floor = near, far
 		}
+		ceil.lo[branchVar] = math.Ceil(v)
+		floor.hi[branchVar] = math.Floor(v)
 		s.pushNode(far)
 		return near
 	}

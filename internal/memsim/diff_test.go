@@ -112,6 +112,19 @@ func diffResults(t testing.TB, ref, got *Result) {
 			t.Errorf("final cache state differs:\n--- reference ---\n%s--- replay ---\n%s",
 				rb.String(), gb.String())
 		}
+		// Replacement order: a walk that drops an all-hit step leaves
+		// residency and statistics intact but not the clock and stamps.
+		rc, rs := ref.Cache.ReplacementState()
+		gc, gs := got.Cache.ReplacementState()
+		if rc != gc {
+			t.Errorf("replacement clock: reference %d, replay %d", rc, gc)
+		}
+		for i := range rs {
+			if rs[i] != gs[i] {
+				t.Errorf("way %d stamp: reference %d, replay %d", i, rs[i], gs[i])
+				break
+			}
+		}
 	}
 }
 
