@@ -139,20 +139,18 @@ func dumpBlockTrace(p *ir.Program) error {
 		}
 		return fn.Name + ":" + label
 	}
-	fmt.Printf("%s block trace: %d steps, %d block executions, %d fetches, %dB encoded\n",
-		p.Name, tr.NumSteps(), tr.Executions(), tr.Fetches(), tr.SizeBytes())
+	fmt.Printf("%s block trace: %d steps in %d entries over %d runs, %d block executions, %d fetches, %dB encoded\n",
+		p.Name, tr.NumSteps(), len(tr.Entries()), tr.NumRuns(), tr.Executions(), tr.Fetches(), tr.SizeBytes())
 	fmt.Printf("%8s %10s %7s %-24s %s\n", "step", "repeat", "instrs", "block", "jump owner")
 	i := 0
-	for _, chunk := range tr.Chunks() {
-		for _, s := range chunk {
-			owner := "-"
-			if s.Link >= 0 {
-				owner = name(s.Link)
-			}
-			fmt.Printf("%8d %10d %7d %-24s %s\n", i, s.Repeat(), blocks[s.Block].Instrs, name(s.Block), owner)
-			i++
+	tr.EachStep(func(s sim.Step) {
+		owner := "-"
+		if s.Link >= 0 {
+			owner = name(s.Link)
 		}
-	}
+		fmt.Printf("%8d %10d %7d %-24s %s\n", i, s.Repeat(), blocks[s.Block].Instrs, name(s.Block), owner)
+		i++
+	})
 	return nil
 }
 

@@ -42,14 +42,20 @@ func knapModel(n int, cap float64) *Model {
 	return m
 }
 
-// randBinaryModel builds a small random binary program.
+// randBinaryModel builds a small random binary program: 6–13 binaries
+// under 3–5 rows with mixed-sign coefficients, each row's right-hand
+// side drawn within reach of a random binary point, so every model is
+// feasible. Mixed signs keep dual fixing from settling the variables, so
+// most draws reach a root LP instead of being solved by presolve.
 func randBinaryModel(r *testRNG) *Model {
-	n := 3 + int(r.next()%6)
-	nc := 1 + int(r.next()%4)
+	n := 6 + int(r.next()%8)
+	nc := 3 + int(r.next()%3)
 	m := NewModel()
 	vars := make([]Var, n)
+	x0 := make([]float64, n)
 	for i := range vars {
 		vars[i] = m.AddBinary("")
+		x0[i] = float64(r.next() % 2)
 	}
 	obj := LinExpr{}
 	for _, v := range vars {
@@ -62,11 +68,17 @@ func randBinaryModel(r *testRNG) *Model {
 	m.SetObjective(obj, sense)
 	for c := 0; c < nc; c++ {
 		e := LinExpr{}
-		for _, v := range vars {
-			e = e.Add(r.fl(0, 5), v)
+		act := 0.0
+		for i, v := range vars {
+			a := r.fl(-5, 5)
+			e = e.Add(a, v)
+			act += a * x0[i]
 		}
-		rel := []Rel{LE, GE}[r.next()%2]
-		m.AddConstraint("", e, rel, r.fl(1, float64(n)*2.5))
+		if r.next()%2 == 0 {
+			m.AddConstraint("", e, LE, act+r.fl(0, 2))
+		} else {
+			m.AddConstraint("", e, GE, act-r.fl(0, 2))
+		}
 	}
 	return m
 }
@@ -102,7 +114,9 @@ func checkEngineParity(t *testing.T, name string, m *Model) (*Solution, string) 
 }
 
 // TestEngineParityRandomized cross-validates the factored engine against
-// the dense simplex on small random binary programs and on CASA-shaped
+// the dense simplex on 80 small random binary programs, at least 60 of
+// which must reach a root LP rather than be solved by presolve, and on
+// CASA-shaped
 // models: a capacity row plus linearization rows L ≥ l_i + l_j − 1 over
 // 30–45 traces, large enough that the engine's pivots run past a
 // refactorization (every fsxRefactorEvery pivots). 24 CASA draws have
@@ -115,6 +129,10 @@ func TestEngineParityRandomized(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		_, root := checkEngineParity(t, fmt.Sprintf("trial %d", trial), randBinaryModel(&rng))
 		paths[root]++
+	}
+	// A trial that presolve solves outright compares no LP engine.
+	if lp := 80 - paths[""]; lp < 60 {
+		t.Fatalf("only %d of 80 random binary programs reached a root LP (paths %v); want at least 60", lp, paths)
 	}
 	r := casaRNG(0x2545f4914f6cdd1d)
 	refactored := 0

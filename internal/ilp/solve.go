@@ -315,12 +315,13 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	return done(sol)
 }
 
-// bbNode is one open branch & bound node: a box of variable bounds plus
-// the parent relaxation bound used for best-bound ordering.
+// bbNode is one open branch & bound node: the branchings that carve its
+// box out of the root box, plus the parent relaxation bound used for
+// best-bound ordering.
 type bbNode struct {
-	lo, hi []float64
-	bound  float64 // parent LP objective, minimization space
-	seq    int     // FIFO tie-break
+	path  []boundChange // root box → this node's box, in branching order
+	bound float64       // parent LP objective, minimization space
+	seq   int           // FIFO tie-break
 
 	// Pseudocost bookkeeping: the branching that created this node
 	// (pvar < 0 for the root), its fractional part at the parent, and
@@ -354,6 +355,12 @@ type bbState struct {
 	incumbentVal float64   // minimization space
 
 	heap []bbNode // open nodes, min (bound, seq) at the top
+
+	// lo and hi are the box of the node being processed; rootLo and
+	// rootHi the root box, after reduced-cost fixing, that a popped
+	// node's box is rebuilt from.
+	lo, hi         []float64
+	rootLo, rootHi []float64
 
 	nodes, branches, iters           int
 	pruned, warm, fallbacks          int
@@ -415,11 +422,11 @@ func (s *bbState) run() {
 	}
 	s.pc = newPCTable(s.w.NumVars())
 
-	cur := &bbNode{
-		lo:   append([]float64(nil), s.w.lo...),
-		hi:   append([]float64(nil), s.w.hi...),
-		pvar: -1,
-	}
+	s.lo = append([]float64(nil), s.w.lo...)
+	s.hi = append([]float64(nil), s.w.hi...)
+	s.rootLo = append([]float64(nil), s.w.lo...)
+	s.rootHi = append([]float64(nil), s.w.hi...)
+	cur := &bbNode{pvar: -1}
 	for {
 		if cur == nil {
 			cur = s.nextNode()
@@ -583,7 +590,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			s.nodes, len(s.heap), s.branches, s.iters, inc)
 	}
 
-	st, x := s.solveNodeLP(nd.lo, nd.hi)
+	st, x := s.solveNodeLP(s.lo, s.hi)
 	fromEngine := s.eng != nil
 	for {
 		switch st {
@@ -614,7 +621,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		if s.nodes == 1 && s.hasCutoff && fromEngine && st == Optimal {
 			// Root reduced-cost fixing against the transferred cutoff,
 			// while the engine still holds the root LP's reduced costs.
-			s.fixByReducedCost(nd, bound)
+			s.fixByReducedCost(bound)
 		}
 
 		// Branch variable: among fractional integer variables, the
@@ -650,7 +657,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			// Warm-basis drift produced an integral point that fails the
 			// feasibility screen: re-solve this node from scratch.
 			s.fallbacks++
-			out := solveLP(s.w, nd.lo, nd.hi)
+			out := solveLP(s.w, s.lo, s.hi)
 			s.iters += out.iters
 			st, x, fromEngine = out.status, out.x, false
 			continue
@@ -659,21 +666,38 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		s.branches++
 		v := x[branchVar]
 		frac := v - math.Floor(v)
-		// Plunge into the side nearer the fractional value; the other
-		// child joins the best-bound heap with its own copy of the box,
-		// while the plunged child takes over the finished parent's.
+		// Plunge into the side nearer the fractional value, which takes
+		// over the finished parent's box and path; the other child joins
+		// the best-bound heap with its own copy of the path.
 		up := frac >= 0.5
-		near := &bbNode{lo: nd.lo, hi: nd.hi, bound: bound, pvar: branchVar, pfrac: frac, pup: up}
-		far := &bbNode{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...), bound: bound,
-			pvar: branchVar, pfrac: frac, pup: !up}
-		ceil, floor := far, near
+		ceil := boundChange{j: int32(branchVar), up: true, val: math.Ceil(v)}
+		floor := boundChange{j: int32(branchVar), val: math.Floor(v)}
+		nearC, farC := floor, ceil
 		if up {
-			ceil, floor = near, far
+			nearC, farC = ceil, floor
 		}
-		ceil.lo[branchVar] = math.Ceil(v)
-		floor.hi[branchVar] = math.Floor(v)
+		far := &bbNode{path: append(append(make([]boundChange, 0, len(nd.path)+1), nd.path...), farC),
+			bound: bound, pvar: branchVar, pfrac: frac, pup: !up}
 		s.pushNode(far)
-		return near
+		s.apply(nearC)
+		return &bbNode{path: append(nd.path, nearC), bound: bound, pvar: branchVar, pfrac: frac, pup: up}
+	}
+}
+
+// boundChange is one branching: variable j's lower bound (up) or upper
+// bound set to val.
+type boundChange struct {
+	j   int32
+	up  bool
+	val float64
+}
+
+// apply narrows the working box by one branching.
+func (s *bbState) apply(c boundChange) {
+	if c.up {
+		s.lo[c.j] = c.val
+	} else {
+		s.hi[c.j] = c.val
 	}
 }
 
@@ -685,27 +709,29 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 // shifted), so it is fixed at its resting bound. Children inherit the
 // tightened box. Runs only while the engine still holds the root LP's
 // basis.
-func (s *bbState) fixByReducedCost(nd *bbNode, bound float64) {
+func (s *bbState) fixByReducedCost(bound float64) {
 	f := s.eng
 	lim := s.cutoffW + s.cutMargin
 	for _, j := range s.intVars {
-		if nd.hi[j]-nd.lo[j] < 0.5 {
+		if s.hi[j]-s.lo[j] < 0.5 {
 			continue // already fixed
 		}
 		d := f.d[j] // root LP reduced cost; 0 for basic columns
 		switch f.status[j] {
 		case nbLower:
 			if d > 0 && bound+d > lim {
-				nd.hi[j] = nd.lo[j]
+				s.hi[j] = s.lo[j]
 				s.rcFixed++
 			}
 		case nbUpper:
 			if d < 0 && bound-d > lim {
-				nd.lo[j] = nd.hi[j]
+				s.lo[j] = s.hi[j]
 				s.rcFixed++
 			}
 		}
 	}
+	copy(s.rootLo, s.lo)
+	copy(s.rootHi, s.hi)
 }
 
 // pushNode adds an open node to the best-bound heap.
@@ -744,6 +770,11 @@ func (s *bbState) nextNode() *bbNode {
 		return nil
 	}
 	top := s.heap[0]
+	copy(s.lo, s.rootLo)
+	copy(s.hi, s.rootHi)
+	for _, c := range top.path {
+		s.apply(c)
+	}
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]

@@ -278,11 +278,12 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesReferenceAcrossChunks replays mpeg's full recording,
-// 352,581 steps in 19 chunks, 10 of them at the recorder's 32,768-step
-// cap, so the engine walks every chunk boundary of a real trace, not
-// only the first chunk the small fixtures fit in. Under the race
-// detector one cache and the plain layout keep the pass short.
+// TestReplayMatchesReferenceAcrossChunks replays mpeg's full recording:
+// 352,581 steps, buffered in 19 recorder chunks and stored as 112,961
+// entries over a dictionary of 108 runs, so the engine walks every run
+// and repeat step of a real trace, not only the few runs the small
+// fixtures have. Under the race detector one cache and the plain layout
+// keep the pass short.
 func TestReplayMatchesReferenceAcrossChunks(t *testing.T) {
 	p, err := workload.Load("mpeg")
 	if err != nil {
@@ -292,8 +293,15 @@ func TestReplayMatchesReferenceAcrossChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tr.Chunks()); n < 11 {
-		t.Fatalf("mpeg's trace fills %d chunks; want at least 11, two of them at the cap", n)
+	repeats := 0
+	for _, e := range tr.Entries() {
+		if e.Repeat > 0 {
+			repeats++
+		}
+	}
+	if n := len(tr.Entries()); n < 100_000 || tr.NumRuns() < 100 || repeats < 1_000 {
+		t.Fatalf("mpeg's trace has %d entries (%d repeat steps) over %d runs; want at least 100,000 (1,000) over 100",
+			n, repeats, tr.NumRuns())
 	}
 	const spm = 512
 	set := buildTraces(t, p, trace.Options{MaxBytes: spm, LineBytes: 16})
@@ -479,6 +487,10 @@ func FuzzReplayMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 1, 3, 9, 2, 5, 8, 4, 6, 0, 11, 13, 17, 19, 23, 29, 31, 37})
 	f.Add([]byte{255, 254, 253, 3, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 127, 63, 200, 100, 50, 25})
 	f.Add([]byte{5, 0, 42, 2, 1, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5})
+	// A 193-step trace over a cache: both of its recorder buffer
+	// boundaries (steps 64 and 192) fall inside runs.
+	f.Add([]byte{29, 207, 230, 151, 62, 30, 116, 162, 118, 50, 30, 9, 134, 44, 56, 110, 253, 152, 213, 220,
+		157, 132, 239, 44, 195, 244, 27, 163, 111, 101, 170, 188, 55, 91, 206, 45, 211, 63, 174, 59})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := &fuzzReader{data: data}
 		p, err := fuzzProgram(fz)

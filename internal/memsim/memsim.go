@@ -206,7 +206,7 @@ func (r *Result) TotalEnergyMicroJ() float64 { return r.Energy.Total() / 1000 }
 type compiled struct {
 	// probes[lo:hi] are the block's I-cache line probes; probes[hi:jend]
 	// holds its appended jump's probe when the jump is fetched through
-	// the I-cache (so a fall exit probes probes[lo:jend] in one call).
+	// the I-cache.
 	lo, hi, jend int32
 	mo           int32
 	n            int64 // instructions per execution
@@ -349,10 +349,48 @@ func derive(res *Result, tr *sim.Trace, tab []compiled, probes []cache.Probe, ic
 	return lines, bulk
 }
 
-// walk drives the I-cache with the recorded steps: per step, the
-// block's line probes (repeat times), then its jump owner's appended
-// jump probe. Scratchpad, loop-cache and main-memory fetches were
-// accounted by derive and cost nothing here.
+// compileRuns compiles every run of tr's dictionary into one
+// contiguous probe list: per step, in fetch order, the block's line
+// probes, then its jump owner's appended-jump probe. The list is
+// allocated once, at its exact size, from fresh copies of the compiled
+// probes, so its miss counts start at zero. It returns the list and
+// each run's offset into it (run i is list[off[i]:off[i+1]]).
+func compileRuns(tr *sim.Trace, tab []compiled, probes []cache.Probe) (list []cache.Probe, off []int32) {
+	vals := tr.Values()
+	// stepProbes returns a step's block probes and its owner's jump probe.
+	stepProbes := func(s sim.Step) (blk, jmp []cache.Probe) {
+		c := &tab[s.Block]
+		blk = probes[c.lo:c.hi]
+		if s.Link >= 0 {
+			o := &tab[s.Link]
+			jmp = probes[o.hi:o.jend]
+		}
+		return blk, jmp
+	}
+	n := 0
+	for i := 0; i < tr.NumRuns(); i++ {
+		for _, v := range tr.Run(i) {
+			blk, jmp := stepProbes(vals[v])
+			n += len(blk) + len(jmp)
+		}
+	}
+	list = make([]cache.Probe, 0, n)
+	off = make([]int32, tr.NumRuns()+1)
+	for i := 0; i < tr.NumRuns(); i++ {
+		for _, v := range tr.Run(i) {
+			blk, jmp := stepProbes(vals[v])
+			list = append(list, blk...)
+			list = append(list, jmp...)
+		}
+		off[i+1] = int32(len(list))
+	}
+	return list, off
+}
+
+// walk drives the I-cache with the recorded entries: per run, its
+// compiled probe list in one call; per repeat step, the block's line
+// probes repeat times. Scratchpad, loop-cache and main-memory fetches
+// were accounted by derive and cost nothing here.
 //
 // A taken self-loop repeats one block back to back, and a pass over it
 // that misses nowhere evicts nothing, so the resident set — and with it
@@ -362,45 +400,29 @@ func derive(res *Result, tr *sim.Trace, tab []compiled, probes []cache.Probe, ic
 // final pass is probed for real so every LRU stamp and the MRU hint land
 // on their exact final values. A loop whose working set never fits
 // probes every pass.
-func walk(tr *sim.Trace, tab []compiled, probes []cache.Probe, ic *cache.Cache, onMiss func(*cache.Probe, cache.Result)) {
-	for _, chunk := range tr.Chunks() {
-		for _, s := range chunk {
-			c := &tab[s.Block]
-			if s.Link >= 0 {
-				if s.Link == s.Block {
-					// Fall exit: the block's own jump follows it.
-					if c.jend > c.lo {
-						ic.Probe(probes[c.lo:c.jend], onMiss)
-					}
-					continue
-				}
-				if c.hi > c.lo {
-					ic.Probe(probes[c.lo:c.hi], onMiss)
-				}
-				if o := &tab[s.Link]; o.jend > o.hi {
-					ic.Probe(probes[o.hi:o.jend], onMiss)
-				}
-				continue
+func walk(tr *sim.Trace, tab []compiled, probes, runs []cache.Probe, runOff []int32, ic *cache.Cache, onMiss func(*cache.Probe, cache.Result)) {
+	for _, e := range tr.Entries() {
+		if e.Repeat == 0 {
+			if lo, hi := runOff[e.ID], runOff[e.ID+1]; hi > lo {
+				ic.Probe(runs[lo:hi], onMiss)
 			}
-			if c.hi == c.lo {
-				continue
+			continue
+		}
+		c := &tab[e.ID]
+		if c.hi == c.lo {
+			continue
+		}
+		ps := probes[c.lo:c.hi]
+		rem := int64(e.Repeat)
+		for rem > 0 {
+			rem--
+			if ic.Probe(ps, onMiss) == 0 {
+				break
 			}
-			ps := probes[c.lo:c.hi]
-			if s.Link == -1 {
-				ic.Probe(ps, onMiss)
-				continue
-			}
-			rem := s.Repeat()
-			for rem > 0 {
-				rem--
-				if ic.Probe(ps, onMiss) == 0 {
-					break
-				}
-			}
-			if rem > 0 {
-				ic.Skip((rem - 1) * c.blk.cache)
-				ic.Probe(ps, onMiss)
-			}
+		}
+		if rem > 0 {
+			ic.Skip((rem - 1) * c.blk.cache)
+			ic.Probe(ps, onMiss)
 		}
 	}
 }
@@ -504,11 +526,15 @@ func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic,
 			}
 		}
 	}
-	walk(tr, tab, cp.probes, ic, onMiss)
+	runs, runOff := compileRuns(tr, tab, cp.probes)
+	walk(tr, tab, cp.probes, runs, runOff, ic, onMiss)
 
-	for _, p := range cp.probes {
-		res.CacheMisses += p.Misses
-		res.PerMO[p.MO].Misses += p.Misses
+	// Repeat steps probe the compiled probes, runs their copies.
+	for _, ps := range [][]cache.Probe{cp.probes, runs} {
+		for _, p := range ps {
+			res.CacheMisses += p.Misses
+			res.PerMO[p.MO].Misses += p.Misses
+		}
 	}
 	res.CacheHits = res.CacheAccesses - res.CacheMisses
 	for i := range res.PerMO {

@@ -13,7 +13,7 @@
 // dynamic block sequence, not addresses), so one entry serves every
 // layout and cache configuration — the predecessor design cached raw
 // per-(program, layout) address streams and needed a 128MB budget for
-// what a few traces of up to about 4 MB each now cover. Programs handed to
+// what a few traces of up to about 1.5 MB each now cover. Programs handed to
 // this layer must be treated as immutable; the bundled workloads and
 // every pipeline consumer already are.
 //

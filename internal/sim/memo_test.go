@@ -89,25 +89,23 @@ func TestCachedProfileSingleflight(t *testing.T) {
 func expand(tr *Trace, lay Layout, sink Fetcher) int64 {
 	blocks := tr.Blocks()
 	var n int64
-	for _, chunk := range tr.Chunks() {
-		for _, s := range chunk {
-			b := blocks[s.Block]
-			base, mo := lay.BlockBase(b.Ref), lay.BlockMO(b.Ref)
-			for r := s.Repeat(); r > 0; r-- {
-				for i := 0; i < int(b.Instrs); i++ {
-					sink.Fetch(base+uint32(i*ir.InstrSize), mo)
-				}
-				n += int64(b.Instrs)
+	tr.EachStep(func(s Step) {
+		b := blocks[s.Block]
+		base, mo := lay.BlockBase(b.Ref), lay.BlockMO(b.Ref)
+		for r := s.Repeat(); r > 0; r-- {
+			for i := 0; i < int(b.Instrs); i++ {
+				sink.Fetch(base+uint32(i*ir.InstrSize), mo)
 			}
-			if s.Link >= 0 {
-				o := blocks[s.Link].Ref
-				if addr, ok := lay.FallJump(o); ok {
-					sink.Fetch(addr, lay.BlockMO(o))
-					n++
-				}
+			n += int64(b.Instrs)
+		}
+		if s.Link >= 0 {
+			o := blocks[s.Link].Ref
+			if addr, ok := lay.FallJump(o); ok {
+				sink.Fetch(addr, lay.BlockMO(o))
+				n++
 			}
 		}
-	}
+	})
 	return n
 }
 
@@ -169,15 +167,13 @@ func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repea
 
 	execs := make([]int64, len(tr.Blocks()))
 	jumps := make([]int64, len(tr.Blocks()))
-	for _, chunk := range tr.Chunks() {
-		for _, s := range chunk {
-			execs[s.Block] += s.Repeat()
-			if s.Link >= 0 {
-				jumps[s.Link]++
-			}
-			repeated = repeated || s.Repeat() > 1
+	tr.EachStep(func(s Step) {
+		execs[s.Block] += s.Repeat()
+		if s.Link >= 0 {
+			jumps[s.Link]++
 		}
-	}
+		repeated = repeated || s.Repeat() > 1
+	})
 	var total int64
 	for i, b := range tr.Blocks() {
 		total += b.Execs
@@ -266,11 +262,14 @@ func TestTraceRLECompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	// entry(fall), body×trips(taken self-loop repeat + final fall), exit:
-	// far fewer steps than block executions, all in the first chunk.
-	if n := len(tr.Chunks()); n != 1 {
-		t.Fatalf("%d chunks, want 1", n)
+	// far fewer steps than block executions, in three entries: the
+	// entry's run, the repeat step and the run of the body's fall exit
+	// and the return.
+	if n := len(tr.Entries()); n != 3 {
+		t.Fatalf("%d entries, want 3", n)
 	}
-	steps := tr.Chunks()[0]
+	var steps []Step
+	tr.EachStep(func(s Step) { steps = append(steps, s) })
 	if len(steps) >= 10 {
 		t.Fatalf("compression failed: %d steps for a %d-trip loop", len(steps), trips)
 	}
@@ -331,9 +330,9 @@ func TestTraceCacheEviction(t *testing.T) {
 	// half the tiny budget, so the third insert must evict the
 	// least-recently-used entry.
 	progs := []*ir.Program{
-		irregularProgram(t, 40),
-		irregularProgram(t, 41),
-		irregularProgram(t, 42),
+		irregularProgram(t, 80),
+		irregularProgram(t, 81),
+		irregularProgram(t, 82),
 	}
 	evictsBefore := mStreamEvicts.Value()
 	var first *Trace
@@ -378,14 +377,19 @@ func irregularProgram(t *testing.T, trips int) *ir.Program {
 }
 
 // TestTraceSizeBytesCountsCapacity: the eviction bound must charge what
-// the allocator committed (every chunk's capacity), not the logical
-// length.
+// the allocator committed (every stored slice's capacity), not the
+// logical length.
 func TestTraceSizeBytesCountsCapacity(t *testing.T) {
 	tr := &Trace{
-		blocks: make([]Block, 1, 10),
-		chunks: [][]Step{make([]Step, 64), make([]Step, 2, 128)},
+		blocks:  make([]Block, 1, 10),
+		values:  make([]Step, 2, 4),
+		runVals: make([]int32, 3, 16),
+		runOff:  make([]int32, 2, 8),
+		entries: make([]Entry, 2, 32),
+		steps:   66,
 	}
-	if got, want := tr.SizeBytes(), 10*int(unsafe.Sizeof(Block{}))+(64+128)*8; got != want {
+	want := 10*int(unsafe.Sizeof(Block{})) + 4*8 + (16+8)*4 + 32*8
+	if got := tr.SizeBytes(); got != want {
 		t.Fatalf("SizeBytes = %d, want %d (capacity-based)", got, want)
 	}
 	if n := tr.NumSteps(); n != 66 {
@@ -406,8 +410,11 @@ func TestTraceCacheBytesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.NumSteps(); tr.SizeBytes() < 8*n {
-		t.Fatalf("SizeBytes %d below the 8·steps floor %d", tr.SizeBytes(), 8*n)
+	// The entries and values are 8 bytes each, the block table one Block
+	// per executed block: SizeBytes charges at least their lengths.
+	floor := 8*(len(tr.Entries())+len(tr.Values())) + int(unsafe.Sizeof(Block{}))*len(tr.Blocks())
+	if tr.SizeBytes() < floor {
+		t.Fatalf("SizeBytes %d below the stored-length floor %d", tr.SizeBytes(), floor)
 	}
 
 	// The gauge must equal the locked byte total, and that total must be
