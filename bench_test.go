@@ -229,6 +229,53 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateCopy times one simulation of CASA's copy layout with
+// the full walk and with the walk restricted to the cache sets its
+// scratchpad traces map to (the profiling run supplies the rest), on
+// the largest Figure 4 cell and a set-associative sensitivity cell.
+func BenchmarkSimulateCopy(b *testing.B) {
+	cells := []struct {
+		name     string
+		workload string
+		cache    experiments.CacheSpec
+		spm      int
+	}{
+		{"mpeg-2k-dm-1024", "mpeg", experiments.DM(2048), 1024},
+		{"g721-1k-2way-lru-256", "g721", experiments.CacheSpec{Size: 1024, Line: 16, Assoc: 2, Policy: cache.LRU}, 256},
+	}
+	for _, c := range cells {
+		p, err := experiments.NewSuite().Pipeline(context.Background(), c.workload, c.cache, c.spm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		alloc, err := p.CASAAllocation(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		lay, err := layout.New(p.Set, alloc.InSPM, layout.Options{Mode: layout.Copy, SPMSize: p.SPMSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ccfg := cache.Config{SizeBytes: c.cache.Size, LineBytes: c.cache.Line, Assoc: c.cache.Assoc, Replacement: c.cache.Policy}
+		for _, walk := range []struct {
+			name     string
+			baseline *memsim.Result
+		}{{"full", nil}, {"restricted", p.Baseline}} {
+			b.Run(c.name+"/"+walk.name, func(b *testing.B) {
+				cfg := memsim.Config{Cache: ccfg, Cost: p.Cost, Baseline: walk.baseline}
+				b.ReportAllocs()
+				var res *memsim.Result
+				for i := 0; i < b.N; i++ {
+					if res, err = memsim.Run(p.Prog, lay, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.SetsWalked), "sets_walked")
+			})
+		}
+	}
+}
+
 // BenchmarkTraceFormationMpeg measures trace formation on mpeg.
 func BenchmarkTraceFormationMpeg(b *testing.B) {
 	p, err := workload.Load("mpeg")

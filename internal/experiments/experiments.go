@@ -445,10 +445,18 @@ func (p *Pipeline) runSPM(ctx context.Context, name string, inSPM []bool, mode l
 	}
 	_, sp = obs.StartSpan(ctx, "simulate")
 	sp.SetAttr("allocator", name)
+	// Given the profiling run, a copy layout walks only the cache sets
+	// its scratchpad traces map to; memsim checks that Baseline matches
+	// and takes the full walk for every other run.
 	res, err := memsim.Run(p.Prog, lay, memsim.Config{
-		Cache: p.Cache.cacheConfig(),
-		Cost:  p.Cost,
+		Cache:    p.Cache.cacheConfig(),
+		Cost:     p.Cost,
+		Baseline: p.Baseline,
 	})
+	if err == nil {
+		sp.SetAttr("sets_walked", res.SetsWalked)
+		sp.SetAttr("sets", p.Cache.cacheConfig().Sets())
+	}
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -519,10 +527,13 @@ func (p *Pipeline) runCacheOnly() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := memsim.Reprice(p.Baseline, memsim.Config{
+	res, err := memsim.Reprice(p.Baseline, memsim.Config{
 		Cache: p.Cache.cacheConfig(),
 		Cost:  cost,
 	})
+	if err != nil {
+		return nil, err
+	}
 	return p.finish("cache-only", res, 0, 0, 0), nil
 }
 

@@ -203,6 +203,9 @@ func (l *Layout) MainImageBase(id int) (uint32, bool) {
 	return l.mainBase[id], l.hasMain[id]
 }
 
+// MainBase returns the main-memory code base address.
+func (l *Layout) MainBase() uint32 { return l.opt.MainBase }
+
 // SPMWindow returns the scratchpad address window [base, base+size).
 func (l *Layout) SPMWindow() (base uint32, size int) {
 	return l.opt.SPMBase, l.opt.SPMSize

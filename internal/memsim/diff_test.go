@@ -491,6 +491,11 @@ func FuzzReplayMatchesReference(f *testing.F) {
 	// boundaries (steps 64 and 192) fall inside runs.
 	f.Add([]byte{29, 207, 230, 151, 62, 30, 116, 162, 118, 50, 30, 9, 134, 44, 56, 110, 253, 152, 213, 220,
 		157, 132, 239, 44, 195, 244, 27, 163, 111, 101, 170, 188, 55, 91, 206, 45, 211, 63, 174, 59})
+	// Traces padded to 8 B under a 2-way cache of 16 B lines, copied to
+	// the scratchpad while a trace sharing their cache lines stays in
+	// main memory: the copy walk covers 4 of 8 sets.
+	f.Add([]byte{165, 228, 21, 172, 125, 247, 103, 213, 230, 187, 172, 160, 191, 255, 43, 249, 178, 178,
+		156, 180, 213, 193, 154, 241, 126, 16, 146, 181, 97, 33, 48, 75, 209, 91, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := &fuzzReader{data: data}
 		p, err := fuzzProgram(fz)
@@ -546,5 +551,36 @@ func FuzzReplayMatchesReference(f *testing.F) {
 
 		ref, got := runEngines(t, p, lay, cfg)
 		diffResults(t, ref, got)
+		if lay.Mode() == layout.Copy && cfg.Cache.SizeBytes > 0 && cfg.L2.SizeBytes == 0 && cfg.LoopCache == nil {
+			diffCopyWalk(t, p, set, lay, cfg)
+		}
 	})
+}
+
+// diffCopyWalk runs the plain-layout profiling run of a copy layout's
+// trace set and then the copy layout given it, which walks only the
+// sets its scratchpad traces map to, and diffs that against the
+// reference.
+func diffCopyWalk(t *testing.T, p *ir.Program, set *trace.Set, lay *layout.Layout, cfg Config) {
+	t.Helper()
+	plain := mustLayout(t, set, nil, layout.Options{MainBase: lay.MainBase()})
+	prof := cfg
+	prof.TrackConflicts = true
+	base, err := Run(p, plain, prof)
+	if err != nil {
+		t.Fatalf("profiling Run: %v", err)
+	}
+	cfg.TrackConflicts = false
+	ref := cfg
+	ref.Reference = true
+	want, err := Run(p, lay, ref)
+	if err != nil {
+		t.Fatalf("reference Run: %v", err)
+	}
+	cfg.Baseline = base
+	got, err := Run(p, lay, cfg)
+	if err != nil {
+		t.Fatalf("copy-walk Run: %v", err)
+	}
+	diffResults(t, want, got)
 }

@@ -81,6 +81,16 @@ type Config struct {
 	// enforce this); the reference survives as their oracle and as a
 	// debugging fallback.
 	Reference bool
+	// Baseline, when set, is the conflict-profiling run of the same
+	// program: TrackConflicts on the trace set's plain layout through
+	// the same cache. A copy layout of that set leaves every other trace
+	// at its address, so a cache set no scratchpad trace maps to sees
+	// exactly the profiling run's accesses; the run then walks only the
+	// sets its scratchpad traces map to and takes every other set's
+	// counts from Baseline (DESIGN.md §10). Runs the shortcut cannot
+	// cover, and a Baseline recorded for another trace set, main base
+	// or cache, take the full walk.
+	Baseline *Result
 }
 
 // Timing is the fetch-latency model (cycles per event). On-chip SRAMs
@@ -183,6 +193,23 @@ type Result struct {
 	// Cache is the final L1 state (per-set residency and statistics)
 	// when Config.KeepCache was set; nil otherwise.
 	Cache *cache.Cache
+	// SetsWalked counts the I-cache sets the run simulated: every set,
+	// or only those its scratchpad traces map to when Config.Baseline
+	// supplied the rest.
+	SetsWalked int
+
+	// hier is the hierarchy the run simulated; Reprice checks it.
+	hier hierarchy
+	// record is what a plain-layout conflict-profiling run leaves for
+	// copy-layout runs to take their unwalked sets from; nil otherwise.
+	record *setRecord
+}
+
+// hierarchy identifies the components whose behavior the event
+// counters depend on.
+type hierarchy struct {
+	l1, l2 cache.Config
+	lc     *loopcache.Controller
 }
 
 // CyclesPerFetch returns the run's average fetch latency.
@@ -217,8 +244,9 @@ type compiled struct {
 	jok      bool
 }
 
-// fetchSplit divides a run's fetches among the hierarchy's components.
-type fetchSplit struct{ spm, lc, mm, cache int64 }
+// fetchSplit divides a run's fetches among the hierarchy's components;
+// lines counts the cache-line segments of its I-cache part.
+type fetchSplit struct{ spm, lc, mm, cache, lines int64 }
 
 // compiler splits fetch runs into the hierarchy's components.
 type compiler struct {
@@ -227,7 +255,9 @@ type compiler struct {
 	hasSPM  bool
 	spmBase uint64
 	spmEnd  uint64
-	probes  []cache.Probe
+	// walked, when not nil, keeps only the probes of the sets it marks.
+	walked []bool
+	probes []cache.Probe
 }
 
 // fetchesBelow returns how many 4-byte fetches starting at addr precede
@@ -239,7 +269,8 @@ func fetchesBelow(addr, end uint64) int {
 // split classifies n consecutive fetches from base, all owned by mo,
 // exactly as the reference classifies them one at a time: the run is cut
 // at scratchpad-window and loop-cache-region boundaries, and the I-cache
-// part is compiled into line probes appended to cp.probes. Segment
+// part is compiled into line probes appended to cp.probes (those of the
+// walked sets, when cp.walked restricts them). Segment
 // lengths count the fetch addresses strictly below the next boundary
 // (ceil((boundary-addr)/4)), so every fetch lands where the reference
 // puts it.
@@ -277,7 +308,18 @@ func (cp *compiler) split(base uint32, n int, mo int) (f fetchSplit) {
 		if cp.ic == nil {
 			f.mm += int64(k)
 		} else {
+			n0 := len(cp.probes)
 			cp.probes = cp.ic.AppendProbes(cp.probes, uint32(addr), k, mo)
+			f.lines += int64(len(cp.probes) - n0)
+			if cp.walked != nil {
+				kept := cp.probes[:n0]
+				for _, p := range cp.probes[n0:] {
+					if cp.walked[p.Set] {
+						kept = append(kept, p)
+					}
+				}
+				cp.probes = kept
+			}
 			f.cache += int64(k)
 		}
 		addr += uint64(k) * 4
@@ -336,7 +378,7 @@ func derive(res *Result, tr *sim.Trace, tab []compiled, probes []cache.Probe, ic
 		res.MainMemoryFetches += x*c.blk.mm + j*c.jmp.mm
 		res.CacheAccesses += cached
 		st.Hits += cached // minus the object's misses once they are known
-		lines += x*int64(c.hi-c.lo) + j*int64(c.jend-c.hi)
+		lines += x*c.blk.lines + j*c.jmp.lines
 		bulk += j
 		if c.n > 0 {
 			bulk += x
@@ -462,6 +504,10 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("memsim: L2: %w", err)
 		}
 	}
+	res.hier = hierarchy{l1: cfg.Cache, l2: cfg.L2, lc: cfg.LoopCache}
+	if ic != nil {
+		res.SetsWalked = cfg.Cache.Sets()
+	}
 	var lines, bulk int64
 	var err error
 	if cfg.Reference {
@@ -477,21 +523,30 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config) (*Result, error) {
 	if cfg.KeepCache {
 		res.Cache = ic
 	}
-	flushMetrics(res, ic, lines, bulk)
+	flushMetrics(res, lines, bulk)
 	return res, nil
 }
 
 // simulate is the default engine: it compiles the layout into probes,
 // derives every layout-determined counter, and walks the memoized trace
-// through the I-cache for the misses. It returns the line transitions
-// and bulk deliveries derive computed.
+// through the I-cache for the misses — in every set, or, for a copy
+// layout given a matching Baseline, in the sets its scratchpad traces
+// map to. It returns the line transitions and bulk deliveries derive
+// computed.
 func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic, l2 *cache.Cache) (lines, bulk int64, err error) {
 	tr, err := sim.CachedTrace(prog)
 	if err != nil {
 		return 0, 0, err
 	}
 	mTraceReplays.Inc()
+	var base *setRecord
+	if cfg.Baseline != nil {
+		base = cfg.Baseline.record
+	}
 	cp := &compiler{ic: ic, lc: cfg.LoopCache}
+	if walked, n := base.walked(prog, lay, cfg); walked != nil {
+		cp.walked, res.SetsWalked = walked, n
+	}
 	if base, size := lay.SPMWindow(); size > 0 {
 		cp.hasSPM = true
 		cp.spmBase = uint64(base)
@@ -536,14 +591,20 @@ func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic,
 			res.PerMO[p.MO].Misses += p.Misses
 		}
 	}
+	// Every miss that replaced a valid line is a conflict miss; the rest
+	// filled an empty way.
+	res.ConflictMisses = ic.TotalStats().Evictions
+	if cp.walked != nil {
+		base.addUnwalked(res, cp.walked)
+	}
 	res.CacheHits = res.CacheAccesses - res.CacheMisses
 	for i := range res.PerMO {
 		res.PerMO[i].Hits -= res.PerMO[i].Misses
 	}
-	// Every miss that replaced a valid line is a conflict miss; the rest
-	// filled an empty way.
-	res.ConflictMisses = ic.TotalStats().Evictions
 	res.ColdMisses = res.CacheMisses - res.ConflictMisses
+	if cfg.TrackConflicts {
+		res.record = recordSets(prog, lay, cfg, ic, cp.probes, runs)
+	}
 	for k, n := range conf {
 		if n > 0 {
 			res.Conflicts[ConflictKey{Victim: k / nMO, Evictor: k % nMO}] = n
@@ -605,22 +666,28 @@ func reference(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic
 }
 
 // Reprice returns the outcome of simulating again what run simulated —
-// same program, layout and hierarchy (cache, L2, loop cache, timing) —
-// priced under cfg's cost model instead. The event counters depend only
-// on the fetch stream and the hierarchy, so they are copied (PerMO
-// deep-copied); energy and cycles are recomputed by finalize, the path
-// every simulation prices through, so the floats equal a fresh run's
-// bit for bit. Conflicts and the final cache state are not carried over.
-// The caller guarantees that run and cfg describe the same hierarchy.
-func Reprice(run *Result, cfg Config) *Result {
+// same program and layout — priced under cfg's cost model and timing
+// instead. The event counters depend only on the fetch stream and the
+// hierarchy, so they are copied (PerMO deep-copied); energy and cycles
+// are recomputed by finalize, the path every simulation prices through,
+// so the floats equal a fresh run's bit for bit. Conflicts, the final
+// cache state and the per-set record are not carried over. A cfg whose
+// cache, L2 or loop cache differs from the one run simulated is an
+// error: its counters would not be run's.
+func Reprice(run *Result, cfg Config) (*Result, error) {
+	if h := (hierarchy{l1: cfg.Cache, l2: cfg.L2, lc: cfg.LoopCache}); h != run.hier {
+		return nil, fmt.Errorf("memsim: reprice under cache %+v, L2 %+v, loop cache %p: the run simulated cache %+v, L2 %+v, loop cache %p",
+			h.l1, h.l2, h.lc, run.hier.l1, run.hier.l2, run.hier.lc)
+	}
 	res := *run
 	res.PerMO = append([]MOStats(nil), run.PerMO...)
 	res.Conflicts = nil
 	res.Cache = nil
+	res.record = nil
 	res.Energy = Energy{}
 	finalize(&res, cfg, cfg.LoopCache != nil, cfg.L2.SizeBytes > 0)
 	mSimDerived.Inc()
-	return &res
+	return &res, nil
 }
 
 // finalize derives the energy and cycle totals from the run's integer
@@ -672,14 +739,14 @@ func finalize(res *Result, cfg Config, hasLC, hasL2 bool) {
 
 // flushMetrics records the run's totals into the default registry — once
 // per run, at the end, so the per-fetch path stays metric-free.
-func flushMetrics(res *Result, ic *cache.Cache, lines, bulk int64) {
+func flushMetrics(res *Result, lines, bulk int64) {
 	mSimRuns.Inc()
 	mSimFetches.Add(res.Fetches)
 	mSimHits.Add(res.CacheHits)
 	mSimMisses.Add(res.CacheMisses)
 	mSimSPM.Add(res.SPMAccesses)
-	if ic != nil {
-		mSimEvicts.Add(ic.TotalStats().Evictions)
+	if res.ConflictMisses > 0 {
+		mSimEvicts.Add(res.ConflictMisses) // every eviction, walked sets or not
 	}
 	if lines > 0 {
 		mSimLines.Add(lines)

@@ -429,3 +429,38 @@ func TestL2RequiresL1(t *testing.T) {
 		t.Fatal("L2 without L1 accepted")
 	}
 }
+
+// TestRepriceChecksHierarchy: Reprice under the run's own hierarchy
+// equals a fresh run priced under the new cost model, and a cache or
+// second level the run did not simulate is an error, not counters from
+// another hierarchy.
+func TestRepriceChecksHierarchy(t *testing.T) {
+	p, set := thrashFixture(t)
+	lay := mustLayout(t, set, nil, layout.Options{})
+	ccfg := cache.Config{SizeBytes: 64, LineBytes: 16, Assoc: 1}
+	run, err := Run(p, lay, Config{Cache: ccfg, Cost: costFor(t, ccfg, 256), TrackConflicts: true})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	cfg := Config{Cache: ccfg, Cost: costFor(t, ccfg, 0)}
+	got, err := Reprice(run, cfg)
+	if err != nil {
+		t.Fatalf("Reprice: %v", err)
+	}
+	want, err := Run(p, lay, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	diffResults(t, want, got)
+
+	twoWay := ccfg
+	twoWay.Assoc = 2
+	for name, bad := range map[string]Config{
+		"other-cache": {Cache: twoWay, Cost: cfg.Cost},
+		"added-l2":    {Cache: ccfg, L2: cache.Config{SizeBytes: 256, LineBytes: 16, Assoc: 2}, Cost: cfg.Cost},
+	} {
+		if _, err := Reprice(run, bad); err == nil {
+			t.Errorf("%s: Reprice accepted a hierarchy the run did not simulate", name)
+		}
+	}
+}
