@@ -140,55 +140,6 @@ func BenchmarkRecordProfileMpeg(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccess measures the raw I-cache model under thrashing:
-// a pseudo-random 64 kB working set overwhelms the 2 kB cache, so the
-// miss, eviction and victim-attribution paths dominate (the sequential
-// same-line hits the old stride pattern measured now have their own
-// benchmark below). Each op is a batch of 32768 accesses so the ns/op
-// stays well above timer resolution even at -benchtime=1x, where the
-// CI gate runs it.
-func BenchmarkCacheAccess(b *testing.B) {
-	c, err := cache.New(cache.Config{SizeBytes: 2048, LineBytes: 16, Assoc: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 1 << 15
-	addrs := make([]uint32, n)
-	rng := uint64(0x9e3779b97f4a7c15)
-	for i := range addrs {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		addrs[i] = uint32(rng) % (64 << 10) &^ 3
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, a := range addrs {
-			c.Access(a, j&7)
-		}
-	}
-}
-
-// BenchmarkCacheAccessSameLine measures repeated fetches within one
-// cache line — the case the MRU fast path short-circuits and the
-// simulator's probe kernel folds into one probe per line. Batched like
-// BenchmarkCacheAccess so a single op is measurable.
-func BenchmarkCacheAccessSameLine(b *testing.B) {
-	c, err := cache.New(cache.Config{SizeBytes: 2048, LineBytes: 16, Assoc: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Access(0x40, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 1<<15; j++ {
-			c.Access(0x40+uint32(j&3)*4, 0)
-		}
-	}
-}
-
 // BenchmarkTraceReplay measures the default simulation engine end to end
 // on the largest workload: the block trace is recorded (and memoized)
 // once, then every iteration compiles the layout into cache-line probes

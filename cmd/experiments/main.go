@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	experiments [-workers N] [-compare-serial] [-solve-budget 30s]
+//	experiments [-workers N] [-solve-budget 30s]
 //	            [-exp fig4|fig5|table1|sensitivity|wcet|overlay|data|placement|ablations|all]
 //	            [-repeat N] [-report out.jsonl] [-report-deterministic]
 //	            [-trace] [-pprof :6060]
@@ -43,8 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slogx"
 	"repro/internal/parallel"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 type study struct {
@@ -78,8 +76,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, table1, sensitivity, wcet, overlay, data, placement, ablations, all")
 	workers := flag.Int("workers", 0,
 		fmt.Sprintf("worker-pool width (0 = $%s, else NumCPU)", parallel.EnvWorkers))
-	compareSerial := flag.Bool("compare-serial", false,
-		"time each study serially (1 worker) and in parallel and report the speedup; suppresses table output and drops every bundled program's profile and trace memos before each timed run so neither run reuses the other's recordings")
 	repeat := flag.Int("repeat", 1,
 		"run the selected studies this many rounds on one shared suite; rounds after the first hit the memo layers and print nothing to stdout")
 	reportPath := flag.String("report", "",
@@ -115,23 +111,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	var err error
-	if *compareSerial {
-		err = compare(sel, *workers)
-	} else {
-		var report io.Writer
-		if *reportPath != "" {
-			f, ferr := os.Create(*reportPath)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", ferr)
-				os.Exit(1)
-			}
-			defer f.Close()
-			report = f
+	var report io.Writer
+	if *reportPath != "" {
+		f, err := os.Create(*reportPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
 		}
-		s := experiments.NewSuite().SetWorkers(*workers).SetSolveBudget(*solveBudget)
-		err = runStudies(sel, s, *repeat, os.Stdout, os.Stderr, report, *reportDet)
+		defer f.Close()
+		report = f
 	}
+	s := experiments.NewSuite().SetWorkers(*workers).SetSolveBudget(*solveBudget)
+	err := runStudies(sel, s, *repeat, os.Stdout, os.Stderr, report, *reportDet)
 	obs.MaybeDumpMetrics(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -236,36 +227,6 @@ func collectDegraded(spans []*obs.Span) []obs.DegradedCell {
 		walk(r, -1)
 	}
 	return out
-}
-
-// compare times each study twice on fresh suites — serial, then at the
-// requested width. Every bundled program's profile and trace memos are
-// dropped before each timed run, so the second run does not coast on
-// recordings the first one left behind.
-func compare(sel []study, workers int) error {
-	ctx := context.Background()
-	width := parallel.Workers(workers)
-	fmt.Printf("%-12s %10s %14s %9s\n", "study", "serial(s)", "parallel(s)", "speedup")
-	for _, st := range sel {
-		var secs [2]float64 // serial, parallel
-		for k, w := range []int{1, workers} {
-			for _, name := range workload.Names() {
-				prog, err := workload.Shared(name)
-				if err != nil {
-					return err
-				}
-				sim.Forget(prog)
-			}
-			start := time.Now()
-			if err := st.run(ctx, experiments.NewSuite().SetWorkers(w), io.Discard); err != nil {
-				return err
-			}
-			secs[k] = time.Since(start).Seconds()
-		}
-		fmt.Printf("%-12s %10.3f %14.3f %8.2fx  (%d workers)\n",
-			st.name, secs[0], secs[1], secs[0]/secs[1], width)
-	}
-	return nil
 }
 
 func runFig4(ctx context.Context, s *experiments.Suite, w io.Writer) error {

@@ -47,8 +47,6 @@ type Config struct {
 	Assoc int
 	// Replacement selects the victim policy.
 	Replacement Policy
-	// Seed seeds the Random policy; ignored otherwise.
-	Seed uint64
 }
 
 // Validate checks the configuration.
@@ -77,25 +75,6 @@ func (c Config) Validate() error {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
-// Fingerprint returns a stable FNV-1a hash of the geometry and policy —
-// the cache-configuration component of memoization keys (two configs with
-// equal fingerprints behave identically on every fetch stream).
-func (c Config) Fingerprint() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range [...]uint64{
-		uint64(c.SizeBytes), uint64(c.LineBytes), uint64(c.Assoc),
-		uint64(c.Replacement), c.Seed,
-	} {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	return h
-}
-
 // way is one resident line.
 type way struct {
 	// key is the line's tag plus one, and 0 marks an invalid way, so a
@@ -114,10 +93,6 @@ type Result struct {
 	// VictimMO is the memory object that owned the replaced line on a
 	// miss, or NoMO for a cold fill (or a hit).
 	VictimMO int
-	// SelfEvict reports whether the victim belonged to the accessing
-	// object itself (possible when an object is larger than the cache's
-	// per-set reach).
-	SelfEvict bool
 }
 
 // SetStats are the per-set access totals the cache keeps for
@@ -140,7 +115,6 @@ type Cache struct {
 	stats      []SetStats // per-set totals, indexed by set
 	setMask    uint32
 	wordMask   uint32 // words per line - 1; splits runs at line ends
-	lineShift  uint
 	indexShift uint
 	tagShift   uint
 	clock      uint64
@@ -149,13 +123,6 @@ type Cache struct {
 	// per-access path never chases the Config struct.
 	assoc int
 	lru   bool
-	// MRU fast path: the line of the most recent access and the global
-	// way index (into sets) holding it. Valid whenever lastWay >= 0 —
-	// only Access mutates ways, and it maintains both fields on every
-	// outcome, so a repeated access to the same line can skip the set
-	// walk entirely.
-	lastLine uint32
-	lastWay  int
 }
 
 // New returns an empty cache for the configuration.
@@ -164,18 +131,16 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:     cfg,
-		sets:    make([]way, cfg.Sets()*cfg.Assoc),
-		stats:   make([]SetStats, cfg.Sets()),
-		rng:     cfg.Seed ^ 0x9e3779b97f4a7c15,
-		lastWay: -1,
-		assoc:   cfg.Assoc,
-		lru:     cfg.Replacement == LRU,
+		cfg:   cfg,
+		sets:  make([]way, cfg.Sets()*cfg.Assoc),
+		stats: make([]SetStats, cfg.Sets()),
+		rng:   0x9e3779b97f4a7c15,
+		assoc: cfg.Assoc,
+		lru:   cfg.Replacement == LRU,
 	}
-	c.lineShift = log2(uint32(cfg.LineBytes))
 	c.setMask = uint32(cfg.Sets() - 1)
 	c.wordMask = uint32(cfg.LineBytes/4) - 1
-	c.indexShift = c.lineShift
+	c.indexShift = log2(uint32(cfg.LineBytes))
 	c.tagShift = c.indexShift + log2(uint32(cfg.Sets()))
 	return c, nil
 }
@@ -192,78 +157,17 @@ func log2(v uint32) uint {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Reset invalidates every line and restarts the policy state and the
-// per-set statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = way{}
-	}
-	for i := range c.stats {
-		c.stats[i] = SetStats{}
-	}
-	c.clock = 0
-	c.rng = c.cfg.Seed ^ 0x9e3779b97f4a7c15
-	c.lastWay = -1
-}
-
 // Set returns the set index for an address.
 func (c *Cache) Set(addr uint32) uint32 {
 	return (addr >> c.indexShift) & c.setMask
 }
 
-// disableFastPath turns off the same-line MRU fast path so tests can
-// differentially validate it against the plain set walk. Tests only; not
-// safe to flip while caches are in use concurrently.
-var disableFastPath bool
-
 // Access performs one fetch by the given memory object and returns the
 // outcome. On a miss the line is filled and attributed to mo.
 func (c *Cache) Access(addr uint32, mo int) Result {
-	line := addr >> c.lineShift
-	if line == c.lastLine && c.lastWay >= 0 && !disableFastPath {
-		// Same-line MRU fast path: the previous access resolved this
-		// line, and only Access mutates ways, so it is still resident in
-		// lastWay — a guaranteed hit with no set walk or tag compare.
-		// The accounting below is identical to the slow path's hit case.
-		c.clock++
-		if c.lru {
-			c.sets[c.lastWay].stamp = c.clock
-		}
-		c.stats[line&c.setMask].Hits++
-		return Result{Hit: true, VictimMO: NoMO}
-	}
-	return c.accessSlow(addr, line, mo)
-}
-
-// accessSlow resolves an access that missed the MRU fast path. The
-// direct-mapped organization — the paper's default geometry — gets a
-// dedicated branch with no way loop.
-func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
-	set := line & c.setMask
+	set := c.Set(addr)
 	tag := addr >> c.tagShift
 	c.clock++
-	if c.assoc == 1 {
-		w := &c.sets[set]
-		if w.key == tag+1 {
-			if c.lru {
-				w.stamp = c.clock
-			}
-			c.stats[set].Hits++
-			c.lastLine, c.lastWay = line, int(set)
-			return Result{Hit: true, VictimMO: NoMO}
-		}
-		c.stats[set].Misses++
-		res := Result{Hit: false, VictimMO: NoMO}
-		if w.key != 0 {
-			res.VictimMO = int(w.mo)
-			res.SelfEvict = int(w.mo) == mo
-			c.stats[set].Evictions++
-		}
-		*w = way{key: tag + 1, mo: int32(mo), stamp: c.clock}
-		c.lastLine, c.lastWay = line, int(set)
-		return res
-	}
-
 	base := int(set) * c.assoc
 	ways := c.sets[base : base+c.assoc]
 	for i := range ways {
@@ -272,22 +176,17 @@ func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 				ways[i].stamp = c.clock
 			}
 			c.stats[set].Hits++
-			c.lastLine, c.lastWay = line, base+i
 			return Result{Hit: true, VictimMO: NoMO}
 		}
 	}
-
-	// Miss: choose a victim.
 	c.stats[set].Misses++
 	victim := c.chooseVictim(ways)
 	res := Result{Hit: false, VictimMO: NoMO}
 	if ways[victim].key != 0 {
 		res.VictimMO = int(ways[victim].mo)
-		res.SelfEvict = int(ways[victim].mo) == mo
 		c.stats[set].Evictions++
 	}
 	ways[victim] = way{key: tag + 1, mo: int32(mo), stamp: c.clock}
-	c.lastLine, c.lastWay = line, base+victim
 	return res
 }
 
@@ -348,27 +247,23 @@ func (c *Cache) CreditHits(ps []Probe, times int64) {
 // hit and whose hits were credited: the passes of a loop in steady state.
 // Hits refresh only the state of lines the loop itself touches, so the
 // caller must follow up with one real pass, which lands every LRU stamp
-// and the MRU hint on their exact final values.
+// on its exact final value.
 func (c *Cache) Skip(n int64) { c.clock += uint64(n) }
 
 // Probe performs the probes in order. With the hits credited in advance
 // (CreditHits), it leaves the cache exactly as the probes' ΣN sequential
 // Access calls would — ways, clock, LRU/FIFO stamps, the Random
-// generator, per-set statistics and the MRU hint. A hit costs a tag
-// compare at the probe's remembered way (the set is walked only when the
-// line is not there) and a clock and LRU-stamp update; the first fetch
-// of a probe decides hit or miss and the rest are same-line hits. A miss counts
+// generator and per-set statistics. A hit costs a tag compare at the
+// probe's remembered way (the set is walked only when the line is not
+// there) and a clock and LRU-stamp update; the first fetch of a probe
+// decides hit or miss and the rest are same-line hits. A miss counts
 // itself in the probe's Misses and, when onMiss is not nil, calls onMiss
 // after the fill with the outcome Access would have reported for the
 // probe's first fetch, so the caller can attribute the victim or drive a
 // second level. Returns the number of misses.
 func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64) {
-	if len(ps) == 0 {
-		return 0
-	}
 	sets, assoc, lru := c.sets, c.assoc, c.lru
 	clock := c.clock
-	last := 0
 	for i := range ps {
 		p := &ps[i]
 		key := p.Tag + 1
@@ -390,7 +285,6 @@ func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64
 			if lru {
 				sets[w].stamp = clock
 			}
-			last = w
 			continue
 		}
 		wy := &sets[w]
@@ -400,7 +294,6 @@ func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64
 		r := Result{Hit: false, VictimMO: NoMO}
 		if wy.key != 0 {
 			r.VictimMO = int(wy.mo)
-			r.SelfEvict = wy.mo == p.MO
 			st.Evictions++
 		}
 		clock++
@@ -409,7 +302,6 @@ func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64
 		if lru {
 			wy.stamp = clock
 		}
-		last = w
 		misses++
 		p.Misses++
 		if onMiss != nil {
@@ -418,13 +310,17 @@ func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64
 		}
 	}
 	c.clock = clock
-	c.lastLine, c.lastWay = ps[len(ps)-1].Addr>>c.lineShift, last
 	return misses
 }
 
-// chooseVictim picks the way a miss fills: the first invalid way if any,
-// else the policy's choice.
+// chooseVictim picks the way a miss fills: the only way of a one-way
+// set, else the first invalid way if any, else the policy's choice. A
+// one-way set draws nothing from the Random generator, as Probe, which
+// never walks a one-way set, draws nothing.
 func (c *Cache) chooseVictim(ways []way) int {
+	if len(ways) == 1 {
+		return 0
+	}
 	if c.cfg.Replacement != Random {
 		// LRU and FIFO evict the smallest stamp. Fills stamp a clock of at
 		// least 1 and invalid ways keep stamp 0, so the first invalid way

@@ -99,6 +99,23 @@ func (w *WarmStore) Clear() int {
 	return n
 }
 
+// Forget drops every donor over prog and returns how many there were.
+// The serving daemon calls it when it releases a program: a re-parsed
+// program is a new instance, so the old one's donors could never
+// donate again, yet they would keep it and its trace set alive.
+func (w *WarmStore) Forget(prog *ir.Program) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := 0
+	for k := range w.cells {
+		if k.prog == prog {
+			delete(w.cells, k)
+			n++
+		}
+	}
+	return n
+}
+
 // Len returns the donor count.
 func (w *WarmStore) Len() int {
 	w.mu.Lock()

@@ -223,9 +223,6 @@ func (m *Model) AddContinuous(name string, lo, hi float64) Var {
 // VarName returns the variable's name.
 func (m *Model) VarName(v Var) string { return m.names[v] }
 
-// VarKindOf returns the variable's kind.
-func (m *Model) VarKindOf(v Var) VarKind { return m.kinds[v] }
-
 // Bounds returns the variable's bounds.
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.lo[v], m.hi[v] }
 

@@ -5,9 +5,6 @@ import "fmt"
 // DataID names a data object within its program.
 type DataID int
 
-// NoData is the sentinel for absent data references.
-const NoData DataID = -1
-
 // DataObject is a statically-allocated data item (a state struct, lookup
 // table or buffer) that scratchpad allocation may place on-chip — the
 // paper's §7 future work ("preloading of data"). Data objects carry no

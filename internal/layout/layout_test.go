@@ -276,13 +276,13 @@ func TestRunOverLayouts(t *testing.T) {
 	set := fixture(t)
 	plain := mustNew(t, set, nil, Options{})
 	var plainN, spmN int64
-	total1, err := sim.Run(set.Prog, plain, sim.FetcherFunc(func(addr uint32, mo int) {
+	total1, err := sim.Run(set.Prog, plain, func(addr uint32, mo int) {
 		if plain.IsSPMAddr(addr) {
 			spmN++
 		} else {
 			plainN++
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestRunOverLayouts(t *testing.T) {
 	alloc[hot] = true
 	cl := mustNew(t, set, alloc, Options{Mode: Copy, SPMSize: 1024})
 	var spmFetch, mainFetch int64
-	total2, err := sim.Run(set.Prog, cl, sim.FetcherFunc(func(addr uint32, mo int) {
+	total2, err := sim.Run(set.Prog, cl, func(addr uint32, mo int) {
 		if cl.IsSPMAddr(addr) {
 			spmFetch++
 			if mo != hot {
@@ -309,7 +309,7 @@ func TestRunOverLayouts(t *testing.T) {
 		} else {
 			mainFetch++
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

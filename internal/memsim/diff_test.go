@@ -241,7 +241,7 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 		{name: "dm-64", l1: cache.Config{SizeBytes: 64, LineBytes: 16, Assoc: 1}},
 		{name: "2way-lru", l1: cache.Config{SizeBytes: 128, LineBytes: 16, Assoc: 2}},
 		{name: "2way-fifo", l1: cache.Config{SizeBytes: 128, LineBytes: 16, Assoc: 2, Replacement: cache.FIFO}},
-		{name: "4way-random", l1: cache.Config{SizeBytes: 128, LineBytes: 8, Assoc: 4, Replacement: cache.Random, Seed: 0xC0FFEE}},
+		{name: "4way-random", l1: cache.Config{SizeBytes: 128, LineBytes: 8, Assoc: 4, Replacement: cache.Random}},
 		{name: "word-lines", l1: cache.Config{SizeBytes: 64, LineBytes: 4, Assoc: 2}},
 		{name: "dm-32B-lines", l1: cache.Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}},
 		{name: "8way-fifo", l1: cache.Config{SizeBytes: 256, LineBytes: 16, Assoc: 8, Replacement: cache.FIFO}},
@@ -358,14 +358,14 @@ func checkProfileMatchesCount(t testing.TB, p *ir.Program) {
 		t.Fatalf("ProfileProgram: %v", err)
 	}
 	execs, falls := map[int]int64{}, map[int]int64{}
-	n, err := sim.Run(p, countLayout{}, sim.FetcherFunc(func(addr uint32, mo int) {
+	n, err := sim.Run(p, countLayout{}, func(addr uint32, mo int) {
 		switch addr {
 		case 0:
 			execs[mo]++
 		case 1:
 			falls[mo]++
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}
@@ -490,12 +490,12 @@ func FuzzReplayMatchesReference(f *testing.F) {
 	// A 193-step trace over a cache: both of its recorder buffer
 	// boundaries (steps 64 and 192) fall inside runs.
 	f.Add([]byte{29, 207, 230, 151, 62, 30, 116, 162, 118, 50, 30, 9, 134, 44, 56, 110, 253, 152, 213, 220,
-		157, 132, 239, 44, 195, 244, 27, 163, 111, 101, 170, 188, 55, 91, 206, 45, 211, 63, 174, 59})
+		157, 132, 239, 44, 195, 244, 27, 163, 111, 101, 170, 188, 55, 91, 45, 211, 63, 174, 59})
 	// Traces padded to 8 B under a 2-way cache of 16 B lines, copied to
 	// the scratchpad while a trace sharing their cache lines stays in
 	// main memory: the copy walk covers 4 of 8 sets.
 	f.Add([]byte{165, 228, 21, 172, 125, 247, 103, 213, 230, 187, 172, 160, 191, 255, 43, 249, 178, 178,
-		156, 180, 213, 193, 154, 241, 126, 16, 146, 181, 97, 33, 48, 75, 209, 91, 23})
+		156, 180, 213, 193, 154, 241, 126, 16, 146, 181, 97, 33, 48, 75, 91, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := &fuzzReader{data: data}
 		p, err := fuzzProgram(fz)
@@ -538,7 +538,6 @@ func FuzzReplayMatchesReference(f *testing.F) {
 				LineBytes:   line,
 				Assoc:       assoc,
 				Replacement: cache.Policy(fz.byte() % 3),
-				Seed:        uint64(fz.byte()),
 			}
 			if fz.byte()%3 == 0 {
 				cfg.L2 = cache.Config{SizeBytes: size * 4, LineBytes: line, Assoc: 2}

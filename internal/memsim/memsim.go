@@ -439,9 +439,8 @@ func compileRuns(tr *sim.Trace, tab []compiled, probes []cache.Probe) (list []ca
 // the outcome of every later pass — is unchanged. Passes are probed
 // until one misses nowhere; the clock is then advanced past the
 // remaining passes but one, whose hits derive already credited, and the
-// final pass is probed for real so every LRU stamp and the MRU hint land
-// on their exact final values. A loop whose working set never fits
-// probes every pass.
+// final pass is probed for real so every LRU stamp lands on its exact
+// final value. A loop whose working set never fits probes every pass.
 func walk(tr *sim.Trace, tab []compiled, probes, runs []cache.Probe, runOff []int32, ic *cache.Cache, onMiss func(*cache.Probe, cache.Result)) {
 	for _, e := range tr.Entries() {
 		if e.Repeat == 0 {
@@ -661,7 +660,7 @@ func reference(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic
 			}
 		}
 	}
-	_, err := sim.Run(prog, lay, sim.FetcherFunc(fetch))
+	_, err := sim.Run(prog, lay, fetch)
 	return err
 }
 

@@ -171,14 +171,14 @@ func TestOverlayLayoutSimulates(t *testing.T) {
 	}
 	// Every placed trace executes from the scratchpad window.
 	var spmFetches int64
-	total, err := sim.Run(p, lay, sim.FetcherFunc(func(addr uint32, mo int) {
+	total, err := sim.Run(p, lay, func(addr uint32, mo int) {
 		if lay.IsSPMAddr(addr) {
 			spmFetches++
 			if a.PhaseOf[mo] == NotPlaced {
 				t.Fatalf("unplaced trace %d fetched from scratchpad", mo)
 			}
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

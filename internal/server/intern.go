@@ -9,7 +9,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 var (
@@ -23,14 +22,15 @@ var (
 // identity, so two requests carrying the same asm text only profile and
 // trace the program once — but only if they resolve to the same Program
 // instance, which is exactly what interning provides. The table is a
-// bounded LRU; eviction releases the program's memo entries through
-// sim.Forget so a long-running daemon cannot accumulate one profile per
-// program it ever saw.
+// bounded LRU; eviction hands the program to release, which drops its
+// memo entries and warm donors, so a long-running daemon cannot
+// accumulate one profile per program it ever saw.
 type internTable struct {
-	mu  sync.Mutex
-	max int
-	m   map[[32]byte]*list.Element
-	ll  *list.List // front = most recently used
+	mu      sync.Mutex
+	max     int
+	m       map[[32]byte]*list.Element
+	ll      *list.List // front = most recently used
+	release func(*ir.Program)
 }
 
 type internEntry struct {
@@ -43,11 +43,11 @@ type internEntry struct {
 	err  error
 }
 
-func newInternTable(max int) *internTable {
+func newInternTable(max int, release func(*ir.Program)) *internTable {
 	if max < 1 {
 		max = 1
 	}
-	return &internTable{max: max, m: make(map[[32]byte]*list.Element), ll: list.New()}
+	return &internTable{max: max, m: make(map[[32]byte]*list.Element), ll: list.New(), release: release}
 }
 
 // program returns the canonical *ir.Program for src, parsing it at most
@@ -63,6 +63,7 @@ func (t *internTable) program(src string) (_ *ir.Program, hit bool, _ error) {
 	t.mu.Lock()
 	el, ok := t.m[h]
 	var e *internEntry
+	var evicted []*ir.Program
 	if ok {
 		t.ll.MoveToFront(el)
 		e = el.Value.(*internEntry)
@@ -75,16 +76,20 @@ func (t *internTable) program(src string) (_ *ir.Program, hit bool, _ error) {
 			oe := old.Value.(*internEntry)
 			delete(t.m, oe.hash)
 			// An entry evicted while its parse is still running keeps its
-			// eventual memos (the leader creates them after this point);
-			// that leak is bounded by the in-flight request count and the
-			// table has no safe way to forget a program mid-solve.
+			// eventual memos and donors (the leader creates them after
+			// this point); that leak is bounded by the in-flight request
+			// count and the table has no safe way to forget a program
+			// mid-solve.
 			if oe.done.Load() && oe.prog != nil {
-				sim.Forget(oe.prog)
+				evicted = append(evicted, oe.prog)
 			}
 			mInternEvicts.Inc()
 		}
 	}
 	t.mu.Unlock()
+	for _, p := range evicted {
+		t.release(p)
+	}
 	if ok {
 		mInternHits.Inc()
 	} else {
@@ -106,8 +111,8 @@ func (t *internTable) program(src string) (_ *ir.Program, hit bool, _ error) {
 	return e.prog, ok, e.err
 }
 
-// shedAll empties the table, releasing every parsed program's sim memos
-// (profiles, recorded traces, stream caches) through sim.Forget — the
+// shedAll empties the table, releasing every parsed program — its sim
+// memos (profiles, recorded traces, stream caches) and warm donors — the
 // memory watchdog's second lever. Entries whose parse is still running
 // keep their eventual memos, exactly like a racing eviction; the leak
 // is bounded by the in-flight request count.
@@ -125,7 +130,7 @@ func (t *internTable) shedAll() int {
 	t.ll = list.New()
 	t.mu.Unlock()
 	for _, p := range progs {
-		sim.Forget(p)
+		t.release(p)
 	}
 	if n > 0 {
 		mInternEvicts.Add(int64(n))

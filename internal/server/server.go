@@ -54,6 +54,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/promexport"
 	"repro/internal/obs/slogx"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -272,7 +273,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:          cfg,
 		cache:        newShardedCache(cfg.CacheEntries, cfg.CacheShards),
-		programs:     newInternTable(cfg.MaxPrograms),
 		start:        time.Now(),
 		traces:       obs.NewTraceStore(traceKeepCap, cfg.TraceSlowCap, traceSampleCap, cfg.TraceSampleEvery),
 		traceEvery:   traceEveryFrom(cfg.TraceSample),
@@ -283,6 +283,7 @@ func New(cfg Config) *Server {
 		bodyReadTimeout: defaultBodyReadTimeout,
 		stallDelay:      defaultStallDelay,
 	}
+	s.programs = newInternTable(cfg.MaxPrograms, s.releaseProgram)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/allocate", s.handleAllocate)
 	mux.HandleFunc("/healthz", getOnly(s.handleHealthz))
@@ -715,6 +716,13 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 		s.cache.put(key, resp)
 	}
 	return resp, nil
+}
+
+// releaseProgram drops what the daemon keeps for a custom program the
+// intern table let go: its sim memos and its warm donors.
+func (s *Server) releaseProgram(p *ir.Program) {
+	sim.Forget(p)
+	s.warm.Forget(p)
 }
 
 // resolveProgram maps the request to the canonical *ir.Program instance:

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 // TestStressShardedCache hammers one shardedCache from many goroutines
@@ -47,7 +49,7 @@ func TestStressShardedCache(t *testing.T) {
 // TestStressInternTable interns a handful of distinct program texts far
 // more often than the table holds, racing parse, hit and evict paths.
 func TestStressInternTable(t *testing.T) {
-	tab := newInternTable(2)
+	tab := newInternTable(2, func(*ir.Program) {})
 	srcs := make([]string, 5)
 	for i := range srcs {
 		// Same shape, different loop counts — distinct hashes.
@@ -74,9 +76,10 @@ func TestStressInternTable(t *testing.T) {
 }
 
 // TestStressServer drives the whole serving path — admission controller,
-// singleflight, result cache, pipeline memo layers — with concurrent
-// mixed traffic. Every response must be a 200 or a well-formed 503; the
-// race detector watches the rest.
+// singleflight, result cache, pipeline memo layers, and the intern
+// table's evictions releasing warm donors while solves record them —
+// with concurrent mixed traffic. Every response must be a 200 or a
+// well-formed 503; the race detector watches the rest.
 func TestStressServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -87,6 +90,13 @@ func TestStressServer(t *testing.T) {
 	ts := httptest.NewServer(New(cfg).Handler())
 	defer ts.Close()
 
+	// One more custom program than the intern table holds.
+	custom := make([]string, cfg.MaxPrograms+1)
+	for i := range custom {
+		src := strings.Replace(tinyProgram, "64", fmt.Sprint(40+8*i), 1)
+		custom[i] = fmt.Sprintf(`{"program":%q,"hierarchy":{"cache_bytes":512,"spm_bytes":64}}`, src)
+	}
+
 	const workers = 16
 	const perWorker = 25
 	var ok, shed atomic.Int64
@@ -96,8 +106,12 @@ func TestStressServer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				// 8 distinct keys: plenty of duplicates in flight at once.
+				// 8 distinct adpcm keys: plenty of duplicates in flight at
+				// once. Every third request is a custom program instead.
 				body := adpcmBody(64 + 16*((w+i)%8))
+				if i%3 == 2 {
+					body = custom[(w+i)%len(custom)]
+				}
 				resp, err := http.Post(ts.URL+"/v1/allocate", "application/json",
 					strings.NewReader(body))
 				if err != nil {

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -79,5 +81,47 @@ func TestWarmCacheGeometryNeighborAcrossRequests(t *testing.T) {
 		warm.UsedBytes != golden.UsedBytes ||
 		warm.Degraded != golden.Degraded {
 		t.Errorf("warm answer diverged from cold golden:\nwarm %+v\ncold %+v", warm, golden)
+	}
+}
+
+// TestWarmDonorsReleasedWithProgram: a custom program's warm donors go
+// when the intern table lets the program go, by eviction or by the
+// watchdog's shedAll. A re-parsed program is a new instance its old
+// donors can never serve, so a donor that outlived its intern entry
+// would only pin the old program and its trace set.
+func TestWarmDonorsReleasedWithProgram(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxPrograms = 2
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	srcs := make([]string, 4)
+	for i := range srcs {
+		srcs[i] = strings.Replace(tinyProgram, "64", fmt.Sprint(40+8*i), 1)
+	}
+	// Round-robin over four programs with room for two: every request
+	// evicts one program and re-parses another. The scratchpad size moves
+	// each round so no request is a result-cache hit.
+	for round := 0; round < 10; round++ {
+		for _, src := range srcs {
+			body, _ := json.Marshal(map[string]any{
+				"program":   src,
+				"hierarchy": map[string]int{"cache_bytes": 512, "spm_bytes": 64 + 16*round},
+			})
+			allocate(t, ts.URL, string(body))
+			if d, p := s.warm.Len(), s.programs.len(); d > p {
+				t.Fatalf("round %d: %d warm donors outlive their programs (%d interned)", round, d, p)
+			}
+		}
+	}
+	if d := s.warm.Len(); d != 2 {
+		t.Fatalf("%d warm donors after the cycle, want one per interned program (2)", d)
+	}
+	if n := s.programs.shedAll(); n != 2 {
+		t.Fatalf("shedAll released %d programs, want 2", n)
+	}
+	if d := s.warm.Len(); d != 0 {
+		t.Fatalf("%d warm donors outlive shedAll", d)
 	}
 }

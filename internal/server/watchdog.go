@@ -17,8 +17,8 @@ import (
 //
 //  1. half of the result cache (LRU tail) — rebuilt by one solve each;
 //  2. the interned-program table, releasing every custom program's
-//     profile/trace/stream memos through sim.Forget — rebuilt by one
-//     parse + profile each;
+//     profile/trace/stream memos (sim.Forget) and warm donors — rebuilt
+//     by one parse + profile each;
 //  3. the warm donor store — only costs later solves their warm start.
 //
 // After each level it runs a GC and re-samples; it stops as soon as the

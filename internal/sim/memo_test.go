@@ -86,7 +86,7 @@ func TestCachedProfileSingleflight(t *testing.T) {
 // expand writes the fetch stream a recording stands for under lay: per
 // step, the block's instructions repeat times, then the jump owner's
 // appended jump when lay materialized one. It returns the fetch count.
-func expand(tr *Trace, lay Layout, sink Fetcher) int64 {
+func expand(tr *Trace, lay Layout, fetch func(addr uint32, mo int)) int64 {
 	blocks := tr.Blocks()
 	var n int64
 	tr.EachStep(func(s Step) {
@@ -94,14 +94,14 @@ func expand(tr *Trace, lay Layout, sink Fetcher) int64 {
 		base, mo := lay.BlockBase(b.Ref), lay.BlockMO(b.Ref)
 		for r := s.Repeat(); r > 0; r-- {
 			for i := 0; i < int(b.Instrs); i++ {
-				sink.Fetch(base+uint32(i*ir.InstrSize), mo)
+				fetch(base+uint32(i*ir.InstrSize), mo)
 			}
 			n += int64(b.Instrs)
 		}
 		if s.Link >= 0 {
 			o := blocks[s.Link].Ref
 			if addr, ok := lay.FallJump(o); ok {
-				sink.Fetch(addr, lay.BlockMO(o))
+				fetch(addr, lay.BlockMO(o))
 				n++
 			}
 		}
@@ -148,7 +148,7 @@ func jumpEverywhere(p *ir.Program, lay *testLayout) {
 func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repeated bool) {
 	t.Helper()
 	want := &packedSink{}
-	n, err := Run(p, lay, want)
+	n, err := Run(p, lay, want.Fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func streamMatchesRun(t *testing.T, p *ir.Program, tr *Trace, lay Layout) (repea
 		t.Fatalf("trace fetches %d should exclude the %d-total run's jumps", tr.Fetches(), n)
 	}
 	got := &packedSink{}
-	if m := expand(tr, lay, got); m != n || int64(len(got.fetches)) != n {
+	if m := expand(tr, lay, got.Fetch); m != n || int64(len(got.fetches)) != n {
 		t.Fatalf("expansion delivered %d (%d seen) fetches, want %d", m, len(got.fetches), n)
 	}
 	for i := range want.fetches {
@@ -309,7 +309,7 @@ func TestCachedTraceConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			expand(tr, lay, &packedSink{})
+			expand(tr, lay, (&packedSink{}).Fetch)
 			traces[i] = tr
 		}(i)
 	}
@@ -358,7 +358,7 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Error("eviction not counted in casa_stream_cache_evictions_total")
 	}
 	// The evicted trace stays usable for existing holders.
-	if expand(first, newTestLayout(progs[0]), &packedSink{}) == 0 {
+	if expand(first, newTestLayout(progs[0]), (&packedSink{}).Fetch) == 0 {
 		t.Error("evicted trace lost its recording")
 	}
 }
@@ -480,8 +480,8 @@ func TestCachedTraceInjectedMemoMissBypassesCache(t *testing.T) {
 	}
 	// Determinism: the bypassed recording expands byte-identically.
 	a, b := &packedSink{}, &packedSink{}
-	expand(cached, lay, a)
-	expand(fresh, lay, b)
+	expand(cached, lay, a.Fetch)
+	expand(fresh, lay, b.Fetch)
 	if !slices.Equal(a.fetches, b.fetches) {
 		t.Fatal("fetch streams differ under memo-miss bypass")
 	}

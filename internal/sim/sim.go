@@ -51,18 +51,6 @@ type Layout interface {
 	FallJump(ref ir.BlockRef) (addr uint32, ok bool)
 }
 
-// Fetcher consumes the instruction fetch stream of a run. mo is the
-// memory-object ID owning the address (see Layout.BlockMO).
-type Fetcher interface {
-	Fetch(addr uint32, mo int)
-}
-
-// FetcherFunc adapts a function to the Fetcher interface.
-type FetcherFunc func(addr uint32, mo int)
-
-// Fetch implements Fetcher.
-func (f FetcherFunc) Fetch(addr uint32, mo int) { f(addr, mo) }
-
 // Profile aggregates one run's execution counts. It is derived from the
 // run's recorded Trace (NewProfile), so profiling a program costs no
 // interpreter run beyond the recording the simulator replays anyway.
@@ -144,28 +132,28 @@ func ProfileProgram(p *ir.Program, opts ...Option) (*Profile, error) {
 }
 
 // Run executes p under the given layout, streaming every instruction fetch
-// (including layout-appended jump fetches) to sink. It returns the total
-// number of fetches delivered.
-func Run(p *ir.Program, lay Layout, sink Fetcher, opts ...Option) (int64, error) {
+// to fetch: per step, the block's instructions, then its jump owner's
+// appended jump if the layout materialized one. mo is the memory-object
+// ID owning the address (Layout.BlockMO). It returns the total number of
+// fetches delivered.
+func Run(p *ir.Program, lay Layout, fetch func(addr uint32, mo int), opts ...Option) (int64, error) {
 	e := newExec(p, opts)
 	var total int64
-	err := e.run(
-		func(ref ir.BlockRef, n int) {
-			base := lay.BlockBase(ref)
-			mo := lay.BlockMO(ref)
-			for i := 0; i < n; i++ {
-				sink.Fetch(base+uint32(i*ir.InstrSize), mo)
-			}
-			total += int64(n)
-		},
-		func(ref ir.BlockRef) {
-			if addr, ok := lay.FallJump(ref); ok {
-				sink.Fetch(addr, lay.BlockMO(ref))
-				total++
-			}
-		},
-		nil,
-	)
+	err := e.run(func(ref ir.BlockRef, n int, owner ir.BlockRef, hasOwner bool) {
+		base := lay.BlockBase(ref)
+		mo := lay.BlockMO(ref)
+		for i := 0; i < n; i++ {
+			fetch(base+uint32(i*ir.InstrSize), mo)
+		}
+		total += int64(n)
+		if !hasOwner {
+			return
+		}
+		if addr, ok := lay.FallJump(owner); ok {
+			fetch(addr, lay.BlockMO(owner))
+			total++
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -199,30 +187,14 @@ func newExec(p *ir.Program, opts []Option) *exec {
 	return e
 }
 
-// run walks the program. onBlock is called once per dynamic block execution
-// with the block's instruction count; onFallExit (optional) is called when
-// control leaves a block along its fall-through path, letting Run account
-// for appended jumps; onStep (optional) is called once per dynamic block execution with the
-// block's jump owner, which is what trace recording consumes: the block
-// itself on a fall exit, the popped caller on a return (its fall-exit is
-// the one whose appended jump follows), and none otherwise.
-func (e *exec) run(
-	onBlock func(ref ir.BlockRef, instrs int),
-	onFallExit func(ref ir.BlockRef),
-	onStep func(ref ir.BlockRef, instrs int, owner ir.BlockRef, hasOwner bool),
-) error {
+// run walks the program, calling step once per dynamic block execution
+// with the block's instruction count and its jump owner: the block whose
+// fall-through path control leaves right after it, and whose appended
+// jump is therefore fetched next. That is the block itself on a fall
+// exit, the popped caller on a return, and none otherwise.
+func (e *exec) run(step func(ref ir.BlockRef, instrs int, owner ir.BlockRef, hasOwner bool)) error {
 	cur := ir.BlockRef{Func: e.p.Entry, Block: e.p.Func(e.p.Entry).Entry}
 	var stack []ir.BlockRef // return continuations
-	fallExit := func(from ir.BlockRef) {
-		if onFallExit != nil {
-			onFallExit(from)
-		}
-	}
-	step := func(ref ir.BlockRef, instrs int, owner ir.BlockRef, hasOwner bool) {
-		if onStep != nil {
-			onStep(ref, instrs, owner, hasOwner)
-		}
-	}
 	for {
 		f := e.p.Func(cur.Func)
 		b := f.Block(cur.Block)
@@ -231,37 +203,29 @@ func (e *exec) run(
 		if e.fetches > e.maxFetches {
 			return fmt.Errorf("%w (%d)", ErrFetchLimit, e.maxFetches)
 		}
-		onBlock(cur, n)
 		switch b.Term() {
 		case ir.TermFallThrough:
-			next := ir.BlockRef{Func: cur.Func, Block: b.FallThrough}
-			fallExit(cur)
 			step(cur, n, cur, true)
-			cur = next
+			cur.Block = b.FallThrough
 		case ir.TermBranch:
 			if e.behaviors[cur.Func][cur.Block].Next() {
-				next := ir.BlockRef{Func: cur.Func, Block: b.Taken}
 				step(cur, n, ir.BlockRef{}, false)
-				cur = next
+				cur.Block = b.Taken
 			} else {
-				next := ir.BlockRef{Func: cur.Func, Block: b.FallThrough}
-				fallExit(cur)
 				step(cur, n, cur, true)
-				cur = next
+				cur.Block = b.FallThrough
 			}
 		case ir.TermJump:
-			next := ir.BlockRef{Func: cur.Func, Block: b.Taken}
 			step(cur, n, ir.BlockRef{}, false)
-			cur = next
+			cur.Block = b.Taken
 		case ir.TermCall:
-			callee := e.p.Func(b.CallTarget)
-			next := ir.BlockRef{Func: callee.ID, Block: callee.Entry}
 			if len(stack) >= maxCallDepth {
 				return fmt.Errorf("%w (%d)", ErrCallDepth, maxCallDepth)
 			}
 			step(cur, n, ir.BlockRef{}, false)
 			stack = append(stack, cur)
-			cur = next
+			callee := e.p.Func(b.CallTarget)
+			cur = ir.BlockRef{Func: callee.ID, Block: callee.Entry}
 		case ir.TermReturn:
 			if len(stack) == 0 {
 				step(cur, n, ir.BlockRef{}, false)
@@ -270,10 +234,7 @@ func (e *exec) run(
 			caller := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			step(cur, n, caller, true)
-			cb := e.p.Func(caller.Func).Block(caller.Block)
-			next := ir.BlockRef{Func: caller.Func, Block: cb.FallThrough}
-			fallExit(caller)
-			cur = next
+			cur = ir.BlockRef{Func: caller.Func, Block: e.p.Func(caller.Func).Block(caller.Block).FallThrough}
 		}
 	}
 }

@@ -197,7 +197,7 @@ func TestRunEmitsSequentialAddresses(t *testing.T) {
 	p := loopProgram(t, 2)
 	lay := newTestLayout(p)
 	var rec recordingFetcher
-	total, err := Run(p, lay, &rec)
+	total, err := Run(p, lay, rec.Fetch)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestRunEmitsAppendedJumps(t *testing.T) {
 	body := ir.BlockRef{Func: 0, Block: 1}
 	lay.jumps[body] = 0x1000
 	var rec recordingFetcher
-	_, err := Run(p, lay, &rec)
+	_, err := Run(p, lay, rec.Fetch)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestRunJumpFetchOnReturnContinuation(t *testing.T) {
 	callBlock := ir.BlockRef{Func: 0, Block: 0}
 	lay.jumps[callBlock] = 0x2000
 	var rec recordingFetcher
-	_, err := Run(p, lay, &rec)
+	_, err := Run(p, lay, rec.Fetch)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestRunMatchesProfileFetches(t *testing.T) {
 	}
 	lay := newTestLayout(p) // no appended jumps
 	var n int64
-	total, err := Run(p, lay, FetcherFunc(func(uint32, int) { n++ }))
+	total, err := Run(p, lay, func(uint32, int) { n++ })
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -397,12 +397,7 @@ func (t *Trace) SizeBytes() int {
 func RecordTrace(p *ir.Program, opts ...Option) (*Trace, error) {
 	r := newRecorder(p)
 	e := newExec(p, opts)
-	err := e.run(
-		func(ir.BlockRef, int) {},
-		nil,
-		r.push,
-	)
-	if err != nil {
+	if err := e.run(r.push); err != nil {
 		return nil, err
 	}
 	return r.finish(), nil

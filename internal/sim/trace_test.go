@@ -15,7 +15,7 @@ import (
 func recordBuffered(t *testing.T, p *ir.Program) (*Trace, *recorder) {
 	t.Helper()
 	r := newRecorder(p)
-	if err := newExec(p, nil).run(func(ir.BlockRef, int) {}, nil, r.push); err != nil {
+	if err := newExec(p, nil).run(r.push); err != nil {
 		t.Fatal(err)
 	}
 	return r.finish(), r
@@ -215,19 +215,18 @@ func perStepRecording(t *testing.T, p *ir.Program) []Step {
 		return i
 	}
 	var steps []Step
-	err := newExec(p, nil).run(func(ir.BlockRef, int) {}, nil,
-		func(ref ir.BlockRef, _ int, owner ir.BlockRef, hasOwner bool) {
-			b := idx(ref)
-			if hasOwner {
-				steps = append(steps, Step{Block: b, Link: idx(owner)})
-				return
-			}
-			if n := len(steps) - 1; n >= 0 && steps[n].Block == b && steps[n].Link < 0 {
-				steps[n].Link--
-				return
-			}
-			steps = append(steps, Step{Block: b, Link: -1})
-		})
+	err := newExec(p, nil).run(func(ref ir.BlockRef, _ int, owner ir.BlockRef, hasOwner bool) {
+		b := idx(ref)
+		if hasOwner {
+			steps = append(steps, Step{Block: b, Link: idx(owner)})
+			return
+		}
+		if n := len(steps) - 1; n >= 0 && steps[n].Block == b && steps[n].Link < 0 {
+			steps[n].Link--
+			return
+		}
+		steps = append(steps, Step{Block: b, Link: -1})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
