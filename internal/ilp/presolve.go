@@ -1,12 +1,10 @@
 package ilp
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Root presolve. Before any simplex runs, Solve shrinks the model with a
-// fixpoint of safe reductions:
+// fixpoint of safe reductions, none of which rewrites a row or the
+// objective in terms of other columns:
 //
 //   - fixed-variable substitution: variables with lo == hi are folded
 //     into row RHS and the objective constant;
@@ -19,14 +17,10 @@ import (
 //   - dual fixing: a variable whose objective coefficient and row
 //     coefficients all pull in the same direction is fixed at the bound
 //     the objective prefers (this is what fixes linearization variables
-//     L(x_i,x_j) once the fixed l's make their rows redundant);
-//   - column-singleton substitution: a continuous variable appearing in
-//     exactly one equality row is eliminated; its bounds become a range
-//     on the remaining terms and its objective contribution is
-//     redistributed.
+//     L(x_i,x_j) once the fixed l's make their rows redundant).
 //
-// Reductions are recorded on a postsolve stack so the solution of the
-// reduced model can be mapped back to the original variable space.
+// Every eliminated column is fixed at a value, so postsolve only writes
+// those values back beside the reduced model's solution.
 
 // presolveResult is the outcome of presolving one model.
 type presolveResult struct {
@@ -39,42 +33,20 @@ type presolveResult struct {
 	// is solved by postsolve alone), Infeasible when a contradiction was
 	// found, and needsSolve otherwise.
 	status Status
-	// actions replays eliminated variables in reverse order.
-	actions []postAction
-	// rowsDropped / colsFixed / colsSubst count reductions for metrics.
-	rowsDropped, colsFixed, colsSubst int
+	// fixed holds every eliminated variable with its value.
+	fixed []fixPost
+	// rowsDropped / colsFixed count reductions for metrics.
+	rowsDropped, colsFixed int
 }
 
 // needsSolve is a sentinel presolve status: the reduced model still has
 // variables to optimize.
 const needsSolve Status = -1
 
-// postAction reconstructs one eliminated variable in the original space.
-type postAction interface{ apply(x []float64) }
-
-// fixPost sets an eliminated variable to its fixed value.
+// fixPost is one eliminated variable and the value it was fixed at.
 type fixPost struct {
 	v   int
 	val float64
-}
-
-func (a fixPost) apply(x []float64) { x[a.v] = a.val }
-
-// substPost reconstructs a column singleton eliminated from an equality
-// row: x[v] = (rhs - Σ terms)/coef.
-type substPost struct {
-	v     int
-	coef  float64
-	rhs   float64
-	terms []Term // original variable indices
-}
-
-func (a substPost) apply(x []float64) {
-	s := a.rhs
-	for _, t := range a.terms {
-		s -= t.Coef * x[t.Var]
-	}
-	x[a.v] = s / a.coef
 }
 
 // postsolve expands a reduced-space solution to the original variable
@@ -84,10 +56,8 @@ func (pr *presolveResult) postsolve(xRed []float64, n int) []float64 {
 	for j, v := range pr.varOf {
 		x[v] = xRed[j]
 	}
-	// Reverse order: earlier actions may reference variables eliminated
-	// later.
-	for i := len(pr.actions) - 1; i >= 0; i-- {
-		pr.actions[i].apply(x)
+	for _, f := range pr.fixed {
+		x[f.v] = f.val
 	}
 	return x
 }
@@ -108,11 +78,10 @@ type presolver struct {
 	kinds  []VarKind
 	alive  []bool
 	rows   []psRow
-	// refs[j] lists the rows that have referenced column j, with j's
-	// coefficient there, in row order. It is built once and extended
-	// with every row singleton substitution appends; terms only ever
-	// leave rows, so the alive rows in refs[j] are exactly the alive
-	// rows holding j while j is alive.
+	// refs[j] lists the rows that referenced column j, with j's
+	// coefficient there, in row order. Terms only ever leave rows, so
+	// the alive rows in refs[j] are exactly the alive rows holding j
+	// while j is alive.
 	refs [][]colRef
 	res  presolveResult
 }
@@ -160,8 +129,10 @@ func presolve(m *Model) *presolveResult {
 		ps.rows[i] = psRow{terms: terms, rel: c.Rel, rhs: c.RHS - c.Expr.Const, alive: true}
 	}
 	ps.refs = make([][]colRef, n)
-	for i := range ps.rows {
-		ps.addRefs(i)
+	for i, r := range ps.rows {
+		for _, t := range r.terms {
+			ps.refs[t.Var] = append(ps.refs[t.Var], colRef{row: i, coef: t.Coef})
+		}
 	}
 
 	ps.run()
@@ -174,7 +145,7 @@ func (ps *presolver) infeasible() { ps.res.status = Infeasible }
 // the alive rows that hold it.
 func (ps *presolver) fixVar(v int, val float64) {
 	ps.alive[v] = false
-	ps.res.actions = append(ps.res.actions, fixPost{v: v, val: val})
+	ps.res.fixed = append(ps.res.fixed, fixPost{v: v, val: val})
 	ps.res.colsFixed++
 	for _, ref := range ps.refs[v] {
 		r := &ps.rows[ref.row]
@@ -347,17 +318,6 @@ func (ps *presolver) pass() bool {
 		}
 	}
 
-	// Drop the dead rows from the column lists, so each column reads
-	// only its own alive rows. The counts nrefs are taken now, when
-	// refs[j][0] is j's first row; rows that singleton substitution
-	// appends below join the lists but not the counts.
-	refs := ps.refs
-	nrefs := make([]int, len(refs))
-	for j := range refs {
-		refs[j] = slices.DeleteFunc(refs[j], func(c colRef) bool { return !ps.rows[c.row].alive })
-		nrefs[j] = len(refs[j])
-	}
-
 	for j := range ps.alive {
 		if !ps.alive[j] {
 			continue
@@ -366,7 +326,7 @@ func (ps *presolver) pass() bool {
 		// never hurts the (minimization) objective, pin it to its lower
 		// bound; symmetrically for increasing.
 		downSafe, upSafe := true, true
-		for _, ref := range refs[j] {
+		for _, ref := range ps.refs[j] {
 			r := &ps.rows[ref.row]
 			if !r.alive {
 				continue
@@ -386,77 +346,8 @@ func (ps *presolver) pass() bool {
 		case ps.cost[j] >= 0 && downSafe && !math.IsInf(ps.lo[j], -1):
 			ps.fixVar(j, ps.lo[j])
 			changed = true
-			continue
 		case ps.cost[j] <= 0 && upSafe && !math.IsInf(ps.hi[j], 1):
 			ps.fixVar(j, ps.hi[j])
-			changed = true
-			continue
-		case nrefs[j] == 0:
-			// Unconstrained column the objective pulls toward an
-			// infinite bound: the reduced LP would be unbounded; leave
-			// the column for the solver to diagnose.
-			continue
-		}
-
-		// Column-singleton substitution: a continuous variable whose only
-		// appearance is one equality row. The row must still be alive: a
-		// substitution earlier in this sweep may have consumed it (two
-		// singletons of one row), and the rows it left hold j instead.
-		if nrefs[j] == 1 && ps.kinds[j] == Continuous {
-			r := &ps.rows[refs[j][0].row]
-			if r.rel != EQ || !r.alive {
-				continue
-			}
-			var coef float64
-			rest := make([]Term, 0, len(r.terms)-1)
-			for _, t := range r.terms {
-				if int(t.Var) == j {
-					coef = t.Coef
-				} else {
-					rest = append(rest, t)
-				}
-			}
-			if math.Abs(coef) < 1e-7 {
-				continue
-			}
-			if len(rest) == 0 {
-				// The row pins x_j = rhs/coef outright.
-				val := r.rhs / coef
-				if val < ps.lo[j]-feasTol || val > ps.hi[j]+feasTol {
-					ps.infeasible()
-					return false
-				}
-				ps.lo[j], ps.hi[j] = val, val
-				r.alive = false
-				ps.res.rowsDropped++
-				changed = true
-				continue
-			}
-			// x_j = (rhs - rest)/coef; x_j ∈ [lo, hi] becomes a range on
-			// rest: rest ∈ [rhs - coef*hi, rhs - coef*lo] for coef > 0.
-			ps.res.actions = append(ps.res.actions,
-				substPost{v: j, coef: coef, rhs: r.rhs, terms: append([]Term(nil), rest...)})
-			ps.res.colsSubst++
-			lim1, lim2 := r.rhs-coef*ps.hi[j], r.rhs-coef*ps.lo[j]
-			if coef < 0 {
-				lim1, lim2 = lim2, lim1
-			}
-			r.alive = false
-			if !math.IsInf(lim1, -1) {
-				ps.rows = append(ps.rows, psRow{terms: append([]Term(nil), rest...), rel: GE, rhs: lim1, alive: true})
-				ps.addRefs(len(ps.rows) - 1)
-			}
-			if !math.IsInf(lim2, 1) {
-				ps.rows = append(ps.rows, psRow{terms: append([]Term(nil), rest...), rel: LE, rhs: lim2, alive: true})
-				ps.addRefs(len(ps.rows) - 1)
-			}
-			// Objective: cost_j*x_j = cost_j*(rhs - rest)/coef.
-			if c := ps.cost[j]; c != 0 {
-				for _, t := range rest {
-					ps.cost[t.Var] -= c * t.Coef / coef
-				}
-			}
-			ps.alive[j] = false
 			changed = true
 		}
 	}
@@ -468,13 +359,6 @@ func (ps *presolver) pass() bool {
 type colRef struct {
 	row  int
 	coef float64
-}
-
-// addRefs appends row i to the row list of each column it references.
-func (ps *presolver) addRefs(i int) {
-	for _, t := range ps.rows[i].terms {
-		ps.refs[t.Var] = append(ps.refs[t.Var], colRef{row: i, coef: t.Coef})
-	}
 }
 
 func (ps *presolver) run() {

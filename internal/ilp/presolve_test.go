@@ -90,18 +90,14 @@ func TestPresolveTightensAndFixesImpliedBinaries(t *testing.T) {
 }
 
 func TestPresolveSingletonEqualitySubstitution(t *testing.T) {
-	// z appears only in x + z = 3 (z continuous in [0,10]): presolve
-	// substitutes z away; postsolve must reconstruct z = 3 - x.
+	// z appears only in x + z = 3 (z continuous in [0,10]): the equality
+	// row must survive presolve, so the solve returns z = 3 - x.
 	m := NewModel()
 	x := m.AddBinary("x")
 	z := m.AddContinuous("z", 0, 10)
 	m.AddConstraint("tie", Expr(1, x, 1, z), EQ, 3)
 	m.AddConstraint("keep", Expr(1, x), LE, 1)
 	m.SetObjective(Expr(-4, x, 1, z), Minimize)
-	pr := presolve(m)
-	if pr.colsSubst == 0 {
-		t.Fatal("singleton column not substituted")
-	}
 	sol, err := Solve(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +155,9 @@ func TestPresolvePreservesBranchPriorities(t *testing.T) {
 }
 
 // TestPresolveSubstitutesOnlyThroughAliveRows: x and y are both
-// continuous singletons of the one equality row. Substituting x away
-// kills that row; y must not then be substituted through the dead row
-// (which would drop x + y = 1 and let y float to its cheapest value).
+// continuous singletons of the one equality row. Presolve must keep
+// x + y = 1 binding on both (a reduction that dropped it would let y
+// float to its cheapest value).
 func TestPresolveSubstitutesOnlyThroughAliveRows(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, 10)
@@ -185,11 +181,41 @@ func TestPresolveSubstitutesOnlyThroughAliveRows(t *testing.T) {
 	}
 }
 
-// FuzzPresolveParity checks presolve against no presolve on small mixed
-// models whose equality rows hold continuous column singletons — the
-// shape singleton substitution rewrites. Both solves must agree on the
-// status and, when optimal, the objective, and the presolved solution
-// must satisfy the original model.
+// checkPresolveParity solves m with and without presolve. Both solves
+// must agree on the status and, when optimal, the objective, and the
+// presolved solution must satisfy the original model.
+func checkPresolveParity(t *testing.T, name string, m *Model) {
+	t.Helper()
+	on, err := Solve(context.Background(), m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := Solve(context.Background(), m, Options{DisablePresolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Status != off.Status {
+		t.Fatalf("%s: status %v (presolve) vs %v (none)", name, on.Status, off.Status)
+	}
+	if on.Status != Optimal {
+		return
+	}
+	if math.Abs(on.Objective-off.Objective) > 1e-6*math.Max(1, math.Abs(off.Objective)) {
+		t.Fatalf("%s: objective %.9g (presolve) vs %.9g (none)", name, on.Objective, off.Objective)
+	}
+	if !feasibleIn(m, on.X) {
+		t.Fatalf("%s: presolved solution %v violates the model", name, on.X)
+	}
+}
+
+// FuzzPresolveParity checks presolve against no presolve on two models
+// per input. The first is a small mixed model whose equality rows hold
+// continuous column singletons, a shape only hand-written models and
+// core's multi-scratchpad model produce. The second, drawn from the
+// same stream, is CASA-shaped (buildCASAModel or buildCacheOnlyModel)
+// with a few more l's pinned, so presolve folds fixed l's into the
+// capacity and linearization rows and dual-fixes the L's they free, as
+// it does on every grid cell.
 func FuzzPresolveParity(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0))
 	f.Add(uint64(1), uint8(1), uint8(2))
@@ -229,26 +255,20 @@ func FuzzPresolveParity(f *testing.F) {
 			m.AddConstraint("", e, LE, r.fl(1, 8))
 		}
 		m.SetObjective(obj, Minimize)
+		checkPresolveParity(t, "mixed", m)
 
-		on, err := Solve(context.Background(), m, Options{})
-		if err != nil {
-			t.Fatal(err)
+		build := buildCASAModel
+		if r.intn(2) == 0 {
+			build = buildCacheOnlyModel
 		}
-		off, err := Solve(context.Background(), m, Options{DisablePresolve: true})
-		if err != nil {
-			t.Fatal(err)
+		nl := 4 + r.intn(13)
+		cm := build(&r, nl, r.intn(2*nl), false)
+		for k := 1 + r.intn(3); k > 0; k-- {
+			// Pin an l the way core pins an oversized trace.
+			v := Var(r.intn(nl))
+			pin := float64(r.intn(2))
+			cm.SetBounds(v, pin, pin)
 		}
-		if on.Status != off.Status {
-			t.Fatalf("status %v (presolve) vs %v (none)", on.Status, off.Status)
-		}
-		if on.Status != Optimal {
-			return
-		}
-		if math.Abs(on.Objective-off.Objective) > 1e-6*math.Max(1, math.Abs(off.Objective)) {
-			t.Fatalf("objective %.9g (presolve) vs %.9g (none)", on.Objective, off.Objective)
-		}
-		if !feasibleIn(m, on.X) {
-			t.Fatalf("presolved solution %v violates the model", on.X)
-		}
+		checkPresolveParity(t, "casa", cm)
 	})
 }

@@ -325,3 +325,46 @@ func TestBranchPriorityAccessors(t *testing.T) {
 		t.Error("priority not stored")
 	}
 }
+
+// TestBranchVarPriorityThenMostFractional pins the branching rule: the
+// highest priority class with a fractional member wins, within it the
+// value whose fractional part is nearest ½, and the lowest index breaks
+// ties. Continuous and integral values are never chosen.
+func TestBranchVarPriorityThenMostFractional(t *testing.T) {
+	m := NewModel()
+	L := m.AddBinary("L") // a linearization variable, priority 0
+	l0 := m.AddBinary("l0")
+	l1 := m.AddBinary("l1")
+	l2 := m.AddBinary("l2")
+	n := m.AddVar("n", Integer, 0, 9)
+	c := m.AddContinuous("c", 0, 1)
+	for _, v := range []Var{l0, l1, l2, n} {
+		m.SetBranchPriority(v, 1)
+	}
+	s := &bbState{w: m, intVars: m.integerVars()}
+	at := func(vals map[Var]float64) []float64 {
+		x := make([]float64, m.NumVars())
+		for v, val := range vals {
+			x[v] = val
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name string
+		x    []float64
+		want int
+	}{
+		{"integral", at(map[Var]float64{L: 1, l1: 1, n: 4, c: 0.5}), -1},
+		{"within integrality tolerance", at(map[Var]float64{l0: 1e-9, l1: 1 - 1e-9}), -1},
+		{"priority class beats fractionality", at(map[Var]float64{L: 0.5, l1: 0.1}), int(l1)},
+		{"lower class when the higher is integral", at(map[Var]float64{L: 0.3, l0: 1, l1: 0}), int(L)},
+		{"most fractional in the class", at(map[Var]float64{l0: 0.2, l1: 0.6, l2: 0.45}), int(l2)},
+		{"general integer's fractional part", at(map[Var]float64{l0: 0.25, n: 3.5}), int(n)},
+		{"lowest index on a tie", at(map[Var]float64{l0: 0.25, l1: 0.75, l2: 0.25}), int(l0)},
+		{"lowest index on a tie at ½", at(map[Var]float64{L: 0.5, l1: 0.5, l2: 0.5}), int(l1)},
+	} {
+		if got := s.branchVar(tc.x); got != tc.want {
+			t.Errorf("%s: branchVar = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

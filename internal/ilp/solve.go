@@ -163,10 +163,11 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 // leaving rows by dual steepest edge, with weights kept across the
 // whole tree (factor.go); the dense two-phase simplex (simplex.go) is
 // the fallback. The tree is explored best-bound-first with depth-first
-// plunging, branching on pseudocost scores; the first incumbent comes
-// from plunging itself. Options.Cutoff lets a solve reuse a neighboring
-// one's incumbent value in an experiment grid without changing its
-// answer; a solve without it is the cold reference.
+// plunging, branching on the most fractional variable of the highest
+// branch-priority class; the first incumbent comes from plunging
+// itself. Options.Cutoff lets a solve reuse a neighboring one's
+// incumbent value in an experiment grid without changing its answer; a
+// solve without it is the cold reference.
 //
 // Solve is anytime: when ctx is canceled, its deadline passes, or
 // opt.Budget expires, the search stops and returns the best incumbent
@@ -210,7 +211,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	if !opt.DisablePresolve {
 		pr = presolve(m)
 		mPreRows.Add(int64(pr.rowsDropped))
-		mPreCols.Add(int64(pr.colsFixed + pr.colsSubst))
+		mPreCols.Add(int64(pr.colsFixed))
 		switch pr.status {
 		case Infeasible:
 			return done(&Solution{Status: Infeasible})
@@ -322,14 +323,6 @@ type bbNode struct {
 	path  []boundChange // root box → this node's box, in branching order
 	bound float64       // parent LP objective, minimization space
 	seq   int           // FIFO tie-break
-
-	// Pseudocost bookkeeping: the branching that created this node
-	// (pvar < 0 for the root), its fractional part at the parent, and
-	// the branch direction. The gain of this node's LP bound over the
-	// parent's is credited to pvar once, when the node LP solves.
-	pvar  int
-	pfrac float64
-	pup   bool
 }
 
 // bbState is the working state of one branch & bound run over the
@@ -348,8 +341,7 @@ type bbState struct {
 	cutoffW   float64 // cutoff in w's minimization space
 	cutMargin float64 // tolerance margin: prune only strictly beyond it
 
-	pc      *pcTable // pseudocost store
-	rcFixed int      // root reduced-cost fixings against the cutoff
+	rcFixed int // root reduced-cost fixings against the cutoff
 
 	incumbent    []float64 // in w's variable space
 	incumbentVal float64   // minimization space
@@ -420,13 +412,12 @@ func (s *bbState) run() {
 	if !s.opt.DisableWarmStart {
 		s.eng = newFSX(s.w)
 	}
-	s.pc = newPCTable(s.w.NumVars())
 
 	s.lo = append([]float64(nil), s.w.lo...)
 	s.hi = append([]float64(nil), s.w.hi...)
 	s.rootLo = append([]float64(nil), s.w.lo...)
 	s.rootHi = append([]float64(nil), s.w.hi...)
-	cur := &bbNode{pvar: -1}
+	cur := &bbNode{}
 	for {
 		if cur == nil {
 			cur = s.nextNode()
@@ -607,13 +598,6 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		}
 		bound := s.sign * Eval(s.w.obj, x)
 		s.sawFeasible = true
-		if nd.pvar >= 0 {
-			// Credit the branching that created this node with the bound
-			// gain its LP realized; cleared so the dense-fallback retry
-			// below cannot double-count.
-			s.pc.observe(nd.pvar, nd.pfrac, nd.pup, bound-nd.bound)
-			nd.pvar = -1
-		}
 		if s.pruneable(bound) {
 			s.pruned++
 			return nil
@@ -624,27 +608,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			s.fixByReducedCost(bound)
 		}
 
-		// Branch variable: among fractional integer variables, the
-		// highest branch-priority class, then the best pseudocost product
-		// score — which, with no observations in the table, reduces to
-		// most fractional. Priorities let formulations steer branching
-		// toward genuine decision variables (CASA: the l's) instead of
-		// derived ones (the linearization L's, which the l's imply).
-		branchVar := -1
-		bestPrio := math.MinInt
-		bestScore := 0.0
-		for _, j := range s.intVars {
-			if math.Abs(x[j]-math.Round(x[j])) <= intTol {
-				continue
-			}
-			p := s.w.prio[j]
-			sc := s.pc.score(j, x[j]-math.Floor(x[j]))
-			if p > bestPrio || (p == bestPrio && sc > bestScore) {
-				bestPrio = p
-				bestScore = sc
-				branchVar = j
-			}
-		}
+		branchVar := s.branchVar(x)
 		if branchVar < 0 {
 			if s.tryIncumbent(x) {
 				return nil
@@ -676,12 +640,32 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		if up {
 			nearC, farC = ceil, floor
 		}
-		far := &bbNode{path: append(append(make([]boundChange, 0, len(nd.path)+1), nd.path...), farC),
-			bound: bound, pvar: branchVar, pfrac: frac, pup: !up}
-		s.pushNode(far)
+		farPath := append(append(make([]boundChange, 0, len(nd.path)+1), nd.path...), farC)
+		s.pushNode(&bbNode{path: farPath, bound: bound})
 		s.apply(nearC)
-		return &bbNode{path: append(nd.path, nearC), bound: bound, pvar: branchVar, pfrac: frac, pup: up}
+		return &bbNode{path: append(nd.path, nearC), bound: bound}
 	}
+}
+
+// branchVar picks the variable to branch on at the node LP point x: the
+// fractional integer variable of the highest branch-priority class whose
+// fractional part f lies nearest ½ (the largest f·(1−f)), the lowest
+// index winning ties; -1 when x is integral. Priorities let formulations
+// steer branching toward genuine decision variables (CASA: the l's)
+// instead of derived ones (the linearization L's, which the l's imply).
+func (s *bbState) branchVar(x []float64) int {
+	best, bestPrio, bestScore := -1, math.MinInt, 0.0
+	for _, j := range s.intVars {
+		if math.Abs(x[j]-math.Round(x[j])) <= intTol {
+			continue
+		}
+		f := x[j] - math.Floor(x[j])
+		p, sc := s.w.prio[j], f*(1-f)
+		if p > bestPrio || (p == bestPrio && sc > bestScore) {
+			best, bestPrio, bestScore = j, p, sc
+		}
+	}
+	return best
 }
 
 // boundChange is one branching: variable j's lower bound (up) or upper

@@ -37,8 +37,10 @@ set -eu
 
 # The A/B protocol: PAIRS alternating pairs of SECONDS_PER_RUN-long runs
 # per workload, seed 1 (the grids do not depend on it; serve-mix draws
-# its schedule from it).
-PAIRS=4
+# its schedule from it). Ten pairs: four could not separate host load
+# from a change in serve-mix's ~10 ms setup_s. Three workloads × 10
+# pairs × 2 sides × 10 s is ~10 minutes.
+PAIRS=10
 SECONDS_PER_RUN=10
 WORKLOADS="fig4-grid sensitivity-grid serve-mix"
 
