@@ -191,14 +191,13 @@ func (c *Cache) Access(addr uint32, mo int) Result {
 }
 
 // Probe is one compiled cache-line access: N consecutive word fetches by
-// memory object MO that all fall in one line, the first at Addr, with the
-// line's set and tag taken from the cache's own address mapping. The
-// Probe method keeps the last two fields: Way is the way (an index into
-// all ways) where the probe last found or filled its line — lines never
-// move between ways, so while the line stays resident that is where it
-// is — and Misses counts how often the probe missed.
+// memory object MO that all fall in one line, with the line's set and
+// tag taken from the cache's own address mapping. The Probe method keeps
+// the last two fields: Way is the way (an index into all ways) where the
+// probe last found or filled its line — lines never move between ways,
+// so while the line stays resident that is where it is — and Misses
+// counts how often the probe missed.
 type Probe struct {
-	Addr   uint32
 	Set    uint32
 	Tag    uint32
 	N      uint32
@@ -218,12 +217,11 @@ func (c *Cache) AppendProbes(dst []Probe, addr uint32, k int, mo int) []Probe {
 		}
 		set := (addr >> c.indexShift) & c.setMask
 		dst = append(dst, Probe{
-			Addr: addr,
-			Set:  set,
-			Tag:  addr >> c.tagShift,
-			N:    uint32(seg),
-			MO:   int32(mo),
-			Way:  int32(set) * int32(c.assoc),
+			Set: set,
+			Tag: addr >> c.tagShift,
+			N:   uint32(seg),
+			MO:  int32(mo),
+			Way: int32(set) * int32(c.assoc),
 		})
 		addr += uint32(seg) * 4
 		k -= seg
@@ -258,10 +256,11 @@ func (c *Cache) Skip(n int64) { c.clock += uint64(n) }
 // there) and a clock and LRU-stamp update; the first fetch of a probe
 // decides hit or miss and the rest are same-line hits. A miss counts
 // itself in the probe's Misses and, when onMiss is not nil, calls onMiss
-// after the fill with the outcome Access would have reported for the
-// probe's first fetch, so the caller can attribute the victim or drive a
-// second level. Returns the number of misses.
-func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64) {
+// after the fill with the memory object whose line it replaced (NoMO
+// for a cold fill), so the caller can attribute the victim. onMiss must
+// not use the cache: its clock is stored back only when Probe returns.
+// Returns the number of misses.
+func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, victim int32)) (misses int64) {
 	sets, assoc, lru := c.sets, c.assoc, c.lru
 	clock := c.clock
 	for i := range ps {
@@ -291,9 +290,9 @@ func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64
 		st := &c.stats[p.Set]
 		st.Hits--
 		st.Misses++
-		r := Result{Hit: false, VictimMO: NoMO}
+		victim := int32(NoMO)
 		if wy.key != 0 {
-			r.VictimMO = int(wy.mo)
+			victim = wy.mo
 			st.Evictions++
 		}
 		clock++
@@ -305,8 +304,7 @@ func (c *Cache) Probe(ps []Probe, onMiss func(p *Probe, r Result)) (misses int64
 		misses++
 		p.Misses++
 		if onMiss != nil {
-			c.clock = clock
-			onMiss(p, r)
+			onMiss(p, victim)
 		}
 	}
 	c.clock = clock

@@ -269,10 +269,12 @@ func TestSetStatsAndDumpState(t *testing.T) {
 	}
 }
 
-// missEvent is one onMiss callback (or one missing sequential access).
+// missEvent is one onMiss callback (or one missing sequential access):
+// the missing line's set and tag and the memory object whose line it
+// replaced.
 type missEvent struct {
-	addr uint32
-	r    Result
+	set, tag uint32
+	victim   int
 }
 
 // TestAccessRunMatchesSequential checks the probe kernel the
@@ -280,8 +282,8 @@ type missEvent struct {
 // AppendProbes, credited by CreditHits and performed by Probe must leave
 // the cache in exactly the state of k sequential Access calls — every
 // way, the clock, LRU/FIFO stamps, the Random generator and per-set
-// statistics — and report exactly the sequential
-// misses, in order, through onMiss (which may also be nil) and in the
+// statistics — and report exactly the sequential misses and their
+// victims, in order, through onMiss (which may also be nil) and in the
 // probes' Misses. Runs start anywhere in a line and cross line
 // boundaries. Some runs repeat back to back, taking the
 // steady-state path: probe passes until one misses nowhere, Skip all
@@ -303,7 +305,7 @@ func probeMatchesSequential(t *testing.T, cfg Config) {
 	run := mustNew(t, cfg)
 	seq := mustNew(t, cfg)
 	var got, want []missEvent
-	onMiss := func(p *Probe, r Result) { got = append(got, missEvent{p.Addr, r}) }
+	onMiss := func(p *Probe, victim int32) { got = append(got, missEvent{p.Set, p.Tag, int(victim)}) }
 	// A pool of compiled runs over a 4 KiB code region and a 1 KiB cache
 	// (plenty of conflicts), reused the way the simulator reuses a
 	// block's probes, so their remembered ways go stale between uses.
@@ -372,7 +374,7 @@ func probeMatchesSequential(t *testing.T, cfg Config) {
 				}
 				if r := seq.Access(a, mo); !r.Hit {
 					wantMisses++
-					want = append(want, missEvent{a, r})
+					want = append(want, missEvent{seq.Set(a), a >> seq.tagShift, r.VictimMO})
 				}
 			}
 		}
@@ -381,10 +383,12 @@ func probeMatchesSequential(t *testing.T, cfg Config) {
 				i, addr, k, reps, misses, len(ps), wantMisses, wantLines)
 		}
 		probeMisses := -missesBefore
+		pa := addr // each probe's first fetch
 		for _, p := range ps {
-			if p.Set != seq.Set(p.Addr) || p.Tag != p.Addr>>seq.tagShift || p.MO != int32(mo) {
-				t.Fatalf("run %d: probe %+v does not follow the cache's mapping", i, p)
+			if p.Set != seq.Set(pa) || p.Tag != pa>>seq.tagShift || p.MO != int32(mo) {
+				t.Fatalf("run %d: probe %+v does not follow the cache's mapping of %#x", i, p, pa)
 			}
+			pa += 4 * p.N
 			probeMisses += p.Misses
 		}
 		if probeMisses != wantMisses {

@@ -1,8 +1,6 @@
 package memsim
 
 import (
-	"slices"
-
 	"repro/internal/cache"
 	"repro/internal/ir"
 	"repro/internal/layout"
@@ -20,30 +18,24 @@ import (
 // sets and takes these from the plain run's record (DESIGN.md §10).
 
 // setRecord is what a plain-layout conflict-profiling run leaves for the
-// copy-layout runs of its trace set: its identity and, per cache set,
-// its evictions and its misses per memory object.
+// copy-layout runs of its trace set: its identity, its evictions per
+// cache set, and a copy of every probe that missed, which carries its
+// set, its memory object and its misses.
 type setRecord struct {
 	prog     *ir.Program
 	set      *trace.Set
 	mainBase uint32
 	cache    cache.Config
-	evict    []int64    // per cache set
-	off      []int32    // set s's misses are miss[off[s]:off[s+1]]
-	miss     []moMisses // by set, then memory object
+	evict    []int64 // per cache set
+	missed   []cache.Probe
 }
 
-// moMisses is one memory object's misses in one set.
-type moMisses struct {
-	mo int32
-	n  int64
-}
-
-// setLocal reports whether cfg's hierarchy keeps cache sets independent
-// and every miss local to its set: no Random replacement (one generator
-// drives every set's victims), no second level (fed by the L1's misses
-// in order) and no loop cache (which the shortcut does not model).
+// setLocal reports whether cfg's hierarchy keeps cache sets independent:
+// no Random replacement (one generator drives every set's victims) and
+// no loop cache (which the shortcut does not model). The default engine,
+// the only one that walks part of the sets, never sees a second level.
 func setLocal(cfg Config) bool {
-	return cfg.Cache.Replacement != cache.Random && cfg.L2.SizeBytes == 0 && cfg.LoopCache == nil
+	return cfg.Cache.Replacement != cache.Random && cfg.LoopCache == nil
 }
 
 // mainImageCached reports whether every main-image fetch goes to the
@@ -54,68 +46,42 @@ func mainImageCached(lay *layout.Layout) bool {
 	return size == 0 || uint64(base)+uint64(size) <= lo || uint64(base) >= hi
 }
 
-// recordSets builds the per-set record of a conflict-profiling run from
-// its probes' miss counts and its cache's per-set evictions. It returns
-// nil unless the run is one copy-layout runs can use: a plain layout
-// whose whole image is cached, through a set-local hierarchy.
+// recordSets builds the record of a conflict-profiling run from its
+// cache's per-set evictions and the probes of lists that missed. It
+// returns nil unless the run is one copy-layout runs can use: a plain
+// layout whose whole image is cached, through a set-local hierarchy.
 func recordSets(prog *ir.Program, lay *layout.Layout, cfg Config, ic *cache.Cache, lists ...[]cache.Probe) *setRecord {
 	if !setLocal(cfg) || lay.SPMUsed() > 0 || !mainImageCached(lay) {
 		return nil
 	}
-	nsets := cfg.Cache.Sets()
 	r := &setRecord{
 		prog:     prog,
 		set:      lay.Set(),
 		mainBase: lay.MainBase(),
 		cache:    cfg.Cache,
-		evict:    make([]int64, nsets),
-		off:      make([]int32, nsets+1),
+		evict:    make([]int64, cfg.Cache.Sets()),
 	}
 	for s := range r.evict {
 		r.evict[s] = ic.StatsOf(s).Evictions
 	}
-	// Bucket the missing probes by set (a counting sort over references
-	// into lists), then sum each set's bucket per memory object.
-	type ref struct{ list, i int32 }
+	// Count, then copy into a slice of exactly that size: the record
+	// lives as long as the profiling run's Result.
+	n := 0
 	for _, ps := range lists {
 		for i := range ps {
 			if ps[i].Misses > 0 {
-				r.off[ps[i].Set+1]++
+				n++
 			}
 		}
 	}
-	for s := 0; s < nsets; s++ {
-		r.off[s+1] += r.off[s]
-	}
-	refs := make([]ref, r.off[nsets])
-	next := slices.Clone(r.off[:nsets])
-	for l, ps := range lists {
-		for i := range ps {
-			if ps[i].Misses > 0 {
-				refs[next[ps[i].Set]] = ref{int32(l), int32(i)}
-				next[ps[i].Set]++
+	r.missed = make([]cache.Probe, 0, n)
+	for _, ps := range lists {
+		for _, p := range ps {
+			if p.Misses > 0 {
+				r.missed = append(r.missed, p)
 			}
 		}
 	}
-	acc := make([]int64, len(r.set.Traces))
-	var mos []int32
-	for s := 0; s < nsets; s++ {
-		mos = mos[:0]
-		for _, x := range refs[r.off[s]:r.off[s+1]] {
-			p := &lists[x.list][x.i]
-			if acc[p.MO] == 0 {
-				mos = append(mos, p.MO)
-			}
-			acc[p.MO] += p.Misses
-		}
-		slices.Sort(mos)
-		r.off[s] = int32(len(r.miss))
-		for _, mo := range mos {
-			r.miss = append(r.miss, moMisses{mo: mo, n: acc[mo]})
-			acc[mo] = 0
-		}
-	}
-	r.off[nsets] = int32(len(r.miss))
 	return r
 }
 
@@ -158,13 +124,14 @@ func (r *setRecord) walked(prog *ir.Program, lay *layout.Layout, cfg Config) ([]
 // run did not walk to res.
 func (r *setRecord) addUnwalked(res *Result, walked []bool) {
 	for s, w := range walked {
-		if w {
-			continue
+		if !w {
+			res.ConflictMisses += r.evict[s]
 		}
-		res.ConflictMisses += r.evict[s]
-		for _, m := range r.miss[r.off[s]:r.off[s+1]] {
-			res.CacheMisses += m.n
-			res.PerMO[m.mo].Misses += m.n
+	}
+	for _, p := range r.missed {
+		if !walked[p.Set] {
+			res.CacheMisses += p.Misses
+			res.PerMO[p.MO].Misses += p.Misses
 		}
 	}
 }

@@ -11,6 +11,8 @@ package memsim
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -125,6 +127,46 @@ func diffResults(t testing.TB, ref, got *Result) {
 				break
 			}
 		}
+	}
+}
+
+// diffL1WithoutL2 asserts that an L2 leaves the L1 in front of it alone:
+// cfg's reference run, with its L2, equals the default engine's run
+// without the L2 in the L1's hits, misses, cold and conflict misses,
+// per-object split and, when tracked, conflict edges. A run with an L2
+// always takes the reference engine, so this is where the default engine
+// meets two-level hierarchies.
+func diffL1WithoutL2(t testing.TB, p *ir.Program, lay *layout.Layout, cfg Config) {
+	t.Helper()
+	cfg.Reference = true
+	with, err := Run(p, lay, cfg)
+	if err != nil {
+		t.Fatalf("reference Run with L2: %v", err)
+	}
+	cfg.Reference = false
+	cfg.L2 = cache.Config{}
+	without, err := Run(p, lay, cfg)
+	if err != nil {
+		t.Fatalf("Run without L2: %v", err)
+	}
+	for _, c := range []struct {
+		name          string
+		with, without int64
+	}{
+		{"CacheHits", with.CacheHits, without.CacheHits},
+		{"CacheMisses", with.CacheMisses, without.CacheMisses},
+		{"ConflictMisses", with.ConflictMisses, without.ConflictMisses},
+		{"ColdMisses", with.ColdMisses, without.ColdMisses},
+	} {
+		if c.with != c.without {
+			t.Errorf("%s: %d with the L2, %d without", c.name, c.with, c.without)
+		}
+	}
+	if !slices.Equal(with.PerMO, without.PerMO) {
+		t.Errorf("PerMO: %+v with the L2, %+v without", with.PerMO, without.PerMO)
+	}
+	if !maps.Equal(with.Conflicts, without.Conflicts) {
+		t.Errorf("Conflicts: %v with the L2, %v without", with.Conflicts, without.Conflicts)
 	}
 }
 
@@ -269,6 +311,10 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 					}
 					if hc.useLC {
 						cfg.LoopCache = hotController(t, set, lay)
+					}
+					if hc.l2.SizeBytes > 0 {
+						diffL1WithoutL2(t, p, lay, cfg)
+						return
 					}
 					ref, got := runEngines(t, p, lay, cfg)
 					diffResults(t, ref, got)
@@ -548,9 +594,13 @@ func FuzzReplayMatchesReference(f *testing.F) {
 		}
 		cfg.Cost = costFor(t, cfg.Cache, opt.SPMSize)
 
+		if cfg.L2.SizeBytes > 0 {
+			diffL1WithoutL2(t, p, lay, cfg)
+			return
+		}
 		ref, got := runEngines(t, p, lay, cfg)
 		diffResults(t, ref, got)
-		if lay.Mode() == layout.Copy && cfg.Cache.SizeBytes > 0 && cfg.L2.SizeBytes == 0 && cfg.LoopCache == nil {
+		if lay.Mode() == layout.Copy && cfg.Cache.SizeBytes > 0 && cfg.LoopCache == nil {
 			diffCopyWalk(t, p, set, lay, cfg)
 		}
 	})

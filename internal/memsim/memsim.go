@@ -57,7 +57,8 @@ type Config struct {
 	// L2 configures an optional second-level I-cache behind the L1
 	// (SizeBytes == 0 disables it). Per the paper's §4 remark, the
 	// allocator needs no changes for it — this exists to verify that
-	// claim.
+	// claim. A run with an L2 takes the reference engine, which feeds
+	// the L1's misses to it in order.
 	L2 cache.Config
 	// LoopCache, when non-nil, routes fetches matching its regions to the
 	// loop-cache array and charges the controller on every fetch.
@@ -65,8 +66,9 @@ type Config struct {
 	// Cost is the per-event energy model.
 	Cost energy.CostModel
 	// TrackConflicts enables per-pair conflict attribution (m_ij), needed
-	// when profiling for the conflict graph. It costs a map update per
-	// conflict miss.
+	// when profiling for the conflict graph. The default engine counts
+	// each conflict miss in a dense victim × evictor array and builds the
+	// map once, after the walk.
 	TrackConflicts bool
 	// KeepCache retains the final L1 state on the Result so callers can
 	// dump per-set residency and statistics after the run.
@@ -441,7 +443,9 @@ func compileRuns(tr *sim.Trace, tab []compiled, probes []cache.Probe) (list []ca
 // remaining passes but one, whose hits derive already credited, and the
 // final pass is probed for real so every LRU stamp lands on its exact
 // final value. A loop whose working set never fits probes every pass.
-func walk(tr *sim.Trace, tab []compiled, probes, runs []cache.Probe, runOff []int32, ic *cache.Cache, onMiss func(*cache.Probe, cache.Result)) {
+// Every miss counts itself in its probe; onMiss, when not nil, also
+// sees each miss's victim.
+func walk(tr *sim.Trace, tab []compiled, probes, runs []cache.Probe, runOff []int32, ic *cache.Cache, onMiss func(p *cache.Probe, victim int32)) {
 	for _, e := range tr.Entries() {
 		if e.Repeat == 0 {
 			if lo, hi := runOff[e.ID], runOff[e.ID+1]; hi > lo {
@@ -474,10 +478,11 @@ func walk(tr *sim.Trace, tab []compiled, probes, runs []cache.Probe, runOff []in
 // block trace into cache-line probes under this layout and hierarchy,
 // derives every layout-determined counter from per-block counts, and
 // walks the recorded steps through the I-cache to find the misses;
-// Config.Reference re-executes the interpreter and accounts per
-// instruction. Both engines produce bit-identical Results — every
-// counter, attribution and (because energy and cycles are derived from
-// the counters after the run) every float.
+// Config.Reference, and any hierarchy with an L2, re-executes the
+// interpreter and accounts per instruction. Both engines produce
+// bit-identical Results — every counter, attribution and (because
+// energy and cycles are derived from the counters after the run) every
+// float.
 func Run(prog *ir.Program, lay *layout.Layout, cfg Config) (*Result, error) {
 	res := &Result{PerMO: make([]MOStats, len(lay.Set().Traces))}
 	if cfg.TrackConflicts {
@@ -509,10 +514,10 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config) (*Result, error) {
 	}
 	var lines, bulk int64
 	var err error
-	if cfg.Reference {
+	if cfg.Reference || l2 != nil {
 		err = reference(prog, lay, cfg, res, ic, l2)
 	} else {
-		lines, bulk, err = simulate(prog, lay, cfg, res, ic, l2)
+		lines, bulk, err = simulate(prog, lay, cfg, res, ic)
 	}
 	if err != nil {
 		return nil, err
@@ -532,7 +537,7 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config) (*Result, error) {
 // layout given a matching Baseline, in the sets its scratchpad traces
 // map to. It returns the line transitions and bulk deliveries derive
 // computed.
-func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic, l2 *cache.Cache) (lines, bulk int64, err error) {
+func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic *cache.Cache) (lines, bulk int64, err error) {
 	tr, err := sim.CachedTrace(prog)
 	if err != nil {
 		return 0, 0, err
@@ -557,26 +562,16 @@ func simulate(prog *ir.Program, lay *layout.Layout, cfg Config, res *Result, ic,
 		return lines, bulk, nil // no cache: nothing depends on cache state
 	}
 
-	// Only a second level and m_ij attribution need each miss as it
-	// happens; the walk counts the rest per probe and per set.
-	var onMiss func(*cache.Probe, cache.Result)
+	// Only m_ij attribution needs each miss as it happens; the walk
+	// counts the rest per probe and per set.
+	var onMiss func(*cache.Probe, int32)
 	nMO := len(res.PerMO)
 	var conf []int64 // dense m_ij, victim-major, folded into the map below
 	if cfg.TrackConflicts {
 		conf = make([]int64, nMO*nMO)
-	}
-	if l2 != nil || conf != nil {
-		onMiss = func(p *cache.Probe, r cache.Result) {
-			if l2 != nil {
-				res.L2Accesses++
-				if l2.Access(p.Addr, int(p.MO)).Hit {
-					res.L2Hits++
-				} else {
-					res.L2Misses++
-				}
-			}
-			if conf != nil && r.VictimMO != cache.NoMO {
-				conf[int(p.MO)*nMO+r.VictimMO]++
+		onMiss = func(p *cache.Probe, victim int32) {
+			if victim != cache.NoMO {
+				conf[int(p.MO)*nMO+int(victim)]++
 			}
 		}
 	}
